@@ -3,8 +3,8 @@
 Exercises :mod:`repro.serve.runtime` four ways on the tiny network:
 
 * **Peak throughput** — a saturating burst of real requests served
-  in-process through the batched quantized engine (dynamic batching,
-  one array).  The headline is sustained live requests per second, from
+  in-process through the compiled instruction stream (dynamic
+  batching, one array).  The headline is sustained live requests per second, from
   first arrival to last completion on the wall clock (median of the
   trials).
 * **Saturated crosscheck** — every trial's recorded live arrivals are
@@ -48,7 +48,7 @@ from repro.serve import ScheduledBatchCost, ServerConfig, ServingSimulator, make
 from repro.serve.compare import compare_reports_median, decision_diffs
 from repro.serve.runtime import MeasuredBatchCost, ServingRuntime, replay_virtual
 from repro.serve.trace import ArrivalTrace
-from repro.serve.workers import InlineEngineExecutor
+from repro.serve.workers import CompiledStreamExecutor
 
 
 def live_server(cost, max_batch: int) -> ServerConfig:
@@ -125,7 +125,7 @@ def run_benchmark(args: argparse.Namespace) -> dict:
     network = tiny_capsnet_config()
     accel = AcceleratorConfig()
     rng = np.random.default_rng(args.seed)
-    executor = InlineEngineExecutor(network)
+    executor = CompiledStreamExecutor(network)
     images = SyntheticDigits(size=network.image_size, rng=rng).generate(256).images
     sizes = [s for s in (1, 8, 32, 64, 128, 256) if s <= args.max_batch]
     calibrated = MeasuredBatchCost.calibrate(

@@ -118,11 +118,36 @@ def quantized_matmul(
     return saturate_raw(acc, acc_fmt)
 
 
-def chunked_saturating_matmul(
-    data_raw: np.ndarray,
-    weight_raw: np.ndarray,
+class StagedWeights:
+    """A GEMM weight operand staged for :func:`saturating_matmul`.
+
+    Holds the int64 codes, their largest magnitude and a float copy for
+    BLAS.  Integers of magnitude up to ``2**24`` (``2**53``) are exact in
+    float32 (float64), and so is every sum of them that stays inside that
+    bound.  ``limit`` is the largest per-row bound the float copy may
+    take: the accumulator's clip limit (0 for an unsigned accumulator, so
+    only an all-zero product skips the chunk loop), capped by the float
+    dtype's exact range.  A caller that reuses the weights stages them
+    once instead of converting them on every call.
+    """
+
+    __slots__ = ("raw", "max", "float", "limit")
+
+    def __init__(self, raw: np.ndarray, acc_fmt: QFormat) -> None:
+        self.raw = np.asarray(raw, dtype=np.int64)
+        self.max = int(np.abs(self.raw).max(initial=0))
+        clip = min(acc_fmt.raw_max, -acc_fmt.raw_min)
+        dtype = np.float32 if clip <= 2**24 else np.float64
+        self.float = self.raw.astype(dtype)
+        self.limit = min(clip, 2**24 if dtype is np.float32 else 2**53)
+
+
+def saturating_matmul(
+    data: np.ndarray,
+    weights: StagedWeights,
     acc_fmt: QFormat,
     chunk_rows: int,
+    rowsum=None,
 ) -> np.ndarray:
     """Integer GEMM with per-K-chunk saturation, batched over leading axes.
 
@@ -130,17 +155,69 @@ def chunked_saturating_matmul(
     is split into chunks of ``chunk_rows`` (one weight tile's worth of
     rows); each chunk's partial product saturates to ``acc_fmt`` at the
     accumulator entry, and the running sum saturates again after every
-    chunk.  ``data_raw`` is ``(..., M, K)`` and ``weight_raw`` is
-    ``(K, N)`` or ``(..., K, N)`` — leading axes broadcast, so one call
-    executes a whole batch of independent products (the grouped-GEMM path
-    of the batched execution engine).
+    chunk.  ``data`` is ``(..., M, K)``; 2-D weights are shared by every
+    leading index, stacked ones broadcast.
 
-    When intermediates stay below 2**53 the arithmetic is performed with
-    (much faster) BLAS float64 GEMMs — every value is then exactly
-    representable, so results are bit-identical to int64.  When, in
-    addition, no element can reach the accumulator limit at *any* chunk
-    boundary, the chunk loop itself is skipped: the clipped accumulation
-    degenerates to the plain product.
+    Every prefix of the chunked accumulation is bounded per element by
+    ``rowsum(|data|) * max|w|``.  When that bound is within
+    ``weights.limit`` no clip can trigger and every partial sum is an
+    integer the float dtype holds exactly, so one BLAS product is
+    bit-identical to the chunk loop, which runs otherwise.  The row sums
+    are taken on the float copy: rounding is monotone and the summands are
+    non-negative, so a computed sum inside the dtype's exact range proves
+    every element and partial sum was exact.  ``rowsum``, when the caller
+    already has it, skips that pass; ``data`` may then already be in the
+    float dtype.
+    """
+    operand = data.astype(weights.float.dtype, copy=False)
+    if rowsum is None:
+        rowsum = np.abs(operand).sum(axis=-1).max(initial=0)
+    if float(rowsum) * weights.max > weights.limit:
+        return _chunked_accumulation(
+            np.asarray(data, dtype=np.int64), weights.raw, acc_fmt, chunk_rows
+        )
+    if weights.float.ndim == 2:
+        # One GEMM streams every leading row through the shared tile.
+        flat = operand.reshape(-1, operand.shape[-1]) @ weights.float
+        return flat.astype(np.int64).reshape(operand.shape[:-1] + flat.shape[-1:])
+    return (operand @ weights.float).astype(np.int64)
+
+
+def _chunked_accumulation(
+    data: np.ndarray, weights: np.ndarray, acc_fmt: QFormat, chunk_rows: int
+) -> np.ndarray:
+    """The clipped chunk-by-chunk accumulation, in float64 when exact."""
+    max_d = int(np.abs(data).max(initial=0))
+    if chunk_rows * max_d * int(np.abs(weights).max(initial=0)) < 2**53:
+        data, weights = data.astype(np.float64), weights.astype(np.float64)
+    out_shape = np.broadcast_shapes(data.shape[:-2], weights.shape[:-2]) + (
+        data.shape[-2],
+        weights.shape[-1],
+    )
+    acc = np.zeros(out_shape, dtype=np.int64)
+    for lo in range(0, data.shape[-1], chunk_rows):
+        partial = np.asarray(
+            data[..., :, lo : lo + chunk_rows] @ weights[..., lo : lo + chunk_rows, :],
+            dtype=np.int64,
+        )
+        np.clip(partial, acc_fmt.raw_min, acc_fmt.raw_max, out=partial)
+        acc += partial
+        np.clip(acc, acc_fmt.raw_min, acc_fmt.raw_max, out=acc)
+    return acc
+
+
+def chunked_saturating_matmul(
+    data_raw: np.ndarray,
+    weight_raw: np.ndarray,
+    acc_fmt: QFormat,
+    chunk_rows: int,
+) -> np.ndarray:
+    """:func:`saturating_matmul` on unstaged operands.
+
+    ``data_raw`` is ``(..., M, K)`` and ``weight_raw`` is ``(K, N)`` or
+    ``(..., K, N)`` — leading axes broadcast, so one call executes a whole
+    batch of independent products (the grouped-GEMM path of the batched
+    execution engine).
     """
     data = np.asarray(data_raw, dtype=np.int64)
     weights = np.asarray(weight_raw, dtype=np.int64)
@@ -148,45 +225,7 @@ def chunked_saturating_matmul(
         raise ShapeError(
             f"GEMM shapes inconsistent: data {data.shape}, weights {weights.shape}"
         )
-    k = data.shape[-1]
-    max_d = int(max(data.max(initial=0), -data.min(initial=0)))
-    max_w = int(max(weights.max(initial=0), -weights.min(initial=0)))
-    if k * max_d * max_w < 2**53:
-        data_op: np.ndarray = data.astype(np.float64)
-        weight_op: np.ndarray = weights.astype(np.float64)
-        # No-saturation fast path: every prefix of the chunked accumulation
-        # is bounded per element by sum_k |d|*|w| <= rowsum(|d|) * max|w|.
-        # If that bound never reaches either accumulator limit (for
-        # unsigned formats the lower limit of 0 disables the path), no
-        # clip can trigger at any chunk boundary, so the plain product is
-        # bit-identical to the chunked clipped accumulation — and one GEMM
-        # replaces the chunk loop.  When the bound fails, go straight to
-        # the chunk loop: genuinely saturating inputs shouldn't pay for a
-        # second full-size bound GEMM first.
-        limit = min(acc_fmt.raw_max, -acc_fmt.raw_min)
-        row_bound = np.max(np.abs(data_op).sum(axis=-1), initial=0.0) * max_w
-        if row_bound <= limit:
-            return (data_op @ weight_op).astype(np.int64)
-    elif chunk_rows * max_d * max_w < 2**53:
-        data_op = data.astype(np.float64)
-        weight_op = weights.astype(np.float64)
-    else:
-        data_op, weight_op = data, weights
-    use_float = data_op.dtype == np.float64
-    out_shape = np.broadcast_shapes(data.shape[:-2], weights.shape[:-2]) + (
-        data.shape[-2],
-        weights.shape[-1],
-    )
-    acc = np.zeros(out_shape, dtype=np.int64)
-    for lo in range(0, k, chunk_rows):
-        hi = min(lo + chunk_rows, k)
-        partial = data_op[..., :, lo:hi] @ weight_op[..., lo:hi, :]
-        if use_float:
-            partial = partial.astype(np.int64)
-        np.clip(partial, acc_fmt.raw_min, acc_fmt.raw_max, out=partial)
-        acc += partial
-        np.clip(acc, acc_fmt.raw_min, acc_fmt.raw_max, out=acc)
-    return acc
+    return saturating_matmul(data, StagedWeights(weights, acc_fmt), acc_fmt, chunk_rows)
 
 
 def quantized_conv2d(

@@ -17,29 +17,32 @@ from repro.errors import ShapeError
 
 
 def im2col(x: np.ndarray, kernel_size: int, stride: int) -> np.ndarray:
-    """Extract convolution patches from a ``(C, H, W)`` tensor.
+    """Extract convolution patches from a ``(..., C, H, W)`` tensor.
 
-    Returns an array of shape ``(out_h * out_w, C * kernel_size**2)`` whose
-    rows are flattened receptive fields ordered row-major over output
-    positions.  Works for any dtype (the quantized path reuses it on raw
-    integer arrays).
+    Returns an array of shape ``(..., out_h * out_w, C * kernel_size**2)``
+    whose rows are flattened receptive fields ordered row-major over output
+    positions; leading axes (a batch) carry through.  Works for any dtype
+    (the quantized path reuses it on raw integer arrays).
     """
-    if x.ndim != 3:
-        raise ShapeError(f"im2col expects (C, H, W), got shape {x.shape}")
-    channels, height, width = x.shape
+    if x.ndim < 3:
+        raise ShapeError(f"im2col expects (..., C, H, W), got shape {x.shape}")
+    *lead, channels, height, width = x.shape
     if height < kernel_size or width < kernel_size:
         raise ShapeError(
             f"input {height}x{width} smaller than kernel {kernel_size}"
         )
-    windows = np.lib.stride_tricks.sliding_window_view(
-        x, (kernel_size, kernel_size), axis=(1, 2)
+    out_h = (height - kernel_size) // stride + 1
+    out_w = (width - kernel_size) // stride + 1
+    *lead_strides, s_c, s_h, s_w = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x,
+        (*lead, out_h, out_w, channels, kernel_size, kernel_size),
+        (*lead_strides, s_h * stride, s_w * stride, s_c, s_h, s_w),
+        writeable=False,
     )
-    windows = windows[:, ::stride, ::stride]
-    out_h, out_w = windows.shape[1], windows.shape[2]
-    patches = windows.transpose(1, 2, 0, 3, 4).reshape(
-        out_h * out_w, channels * kernel_size * kernel_size
+    return windows.reshape(
+        *lead, out_h * out_w, channels * kernel_size * kernel_size
     )
-    return patches
 
 
 def conv2d(

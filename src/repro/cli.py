@@ -609,11 +609,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.compare import compare_reports, decision_diffs
     from repro.serve.runtime import MeasuredBatchCost, ServingRuntime, replay_virtual
     from repro.serve.trace import ArrivalTrace
-    from repro.serve.workers import (
-        CompiledStreamExecutor,
-        InlineEngineExecutor,
-        ProcessWorkerPool,
-    )
+    from repro.serve.workers import CompiledStreamExecutor, ProcessWorkerPool
 
     def parse_hostport(text: str, flag: str) -> tuple[str, int]:
         host, _, port_text = text.rpartition(":")
@@ -687,25 +683,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
         metrics = ServingMetrics() if args.metrics_listen else None
 
-        # The hand-tuned batched engine serves the plain single-channel
-        # CapsNets; every other zoo entry runs its compiled instruction
-        # stream (inline only — worker processes rebuild from a config).
-        pure_capsnet = (
-            compiled.qnet is not None
-            and "res_w" not in compiled.params
-            and compiled.input_shape[0] == 1
-        )
         if args.workers == "process":
-            if not pure_capsnet:
-                raise ConfigError(
-                    "--workers process serves the single-channel CapsNet zoo"
-                    " entries; use --workers inline for other zoo networks"
-                )
             executor = ProcessWorkerPool(
-                compiled.config, arrays=args.arrays, max_batch=args.max_batch
+                args.network, arrays=args.arrays, max_batch=args.max_batch
             )
-        elif pure_capsnet:
-            executor = InlineEngineExecutor(compiled.config)
         else:
             executor = CompiledStreamExecutor(compiled)
         try:

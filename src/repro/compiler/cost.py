@@ -2,12 +2,14 @@
 
 A :class:`~repro.compiler.isa.Program` stamps every array/activation
 instruction with its per-image work shape, so a program can be priced for
-any batch size without executing it — and the pricing is **bit-identical**
-to what :class:`~repro.compiler.executor.StreamExecutor` records when it
-actually runs (asserted in tests):
+any batch size without executing it.  This is also where
+:class:`~repro.compiler.executor.StreamExecutor` takes the accounting it
+reports, so pricing and execution agree by construction:
 
 * :func:`program_events` produces the exact :class:`~repro.hw.report.TraceEvent`
   sequence a traced execution would append;
+* :func:`program_layers` gives the per-layer reports
+  (``BatchResult.layers``);
 * :func:`program_batch_cycles` gives the batch's sequential and
   double-buffered totals (``BatchResult.total_cycles`` /
   ``.overlapped_cycles``);
@@ -28,7 +30,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.compiler.isa import Opcode, Program
-from repro.hw.accelerator import batched_gemm_cycles, gemm_cycles, plan_tiling
+from repro.hw.accelerator import gemm_cycles, gemm_stats, plan_tiling
 from repro.hw.activation import ActivationMode, batched_activation_latency
 from repro.hw.config import AcceleratorConfig
 from repro.hw.pipeline import (
@@ -40,7 +42,7 @@ from repro.hw.pipeline import (
     cached_stream_timing,
     job_ops,
 )
-from repro.hw.report import TraceEvent
+from repro.hw.report import LayerReport, TraceEvent
 from repro.hw.stats import CycleStats
 
 _ACTIVATION_MODES = {
@@ -97,6 +99,48 @@ def program_events(
     return events
 
 
+def program_layers(
+    config: AcceleratorConfig, program: Program, batch: int
+) -> dict[str, LayerReport]:
+    """Per-layer accounting of one batch (``BatchResult.layers``), in closed form.
+
+    Array instructions book their job's sequential stats and
+    double-buffered cycles under their ``layer``; recorded activations
+    book the Section IV-C latencies over ``B * groups`` arrays; layout
+    and bookkeeping instructions are free.  Layers appear in the order
+    the stream first charges them.
+    """
+    layers: dict[str, LayerReport] = {}
+    for instr in program.instructions:
+        attrs = instr.attrs
+        if instr.opcode is Opcode.GEMM:
+            plan = plan_tiling(config, batch * attrs["m"], attrs["k"], attrs["n"])
+            count = 1
+            sources = ("data_buffer", "weight_buffer")
+        elif instr.opcode is Opcode.GROUPED_GEMM:
+            plan = plan_tiling(config, attrs["m"], attrs["k"], attrs["n"])
+            count = batch * attrs["groups"]
+            sources = (attrs["data_source"], attrs["weight_source"])
+        elif instr.opcode in _ACTIVATION_MODES and attrs.get("record", True):
+            cycles = _activation_cycles(
+                config, instr.opcode, attrs["n"], batch * attrs["groups"]
+            )
+            report = layers.setdefault(instr.layer, LayerReport(name=instr.layer))
+            report.stats.activation_cycles += cycles
+            report.stats.total_cycles += cycles
+            report.overlapped_cycles += cycles
+            continue
+        else:
+            continue
+        report = layers.setdefault(instr.layer, LayerReport(name=instr.layer))
+        report.stats = report.stats + gemm_stats(config, plan, *sources, count)
+        report.overlapped_cycles += (
+            count * gemm_cycles(config, plan.m, plan.k, plan.n, overlap=True)["total"]
+        )
+        report.jobs += 1
+    return layers
+
+
 def program_batch_cycles(
     config: AcceleratorConfig, program: Program, batch: int
 ) -> dict[str, int]:
@@ -106,26 +150,11 @@ def program_batch_cycles(
     ``sequential`` equals ``BatchResult.total_cycles`` of an actual
     execution of the same program at the same batch size.
     """
-    sequential = 0
-    overlapped = 0
-    for instr in program.instructions:
-        attrs = instr.attrs
-        if instr.opcode is Opcode.GEMM:
-            m, k, n = attrs["m"], attrs["k"], attrs["n"]
-            sequential += batched_gemm_cycles(config, batch, m, k, n, overlap=False)["total"]
-            overlapped += batched_gemm_cycles(config, batch, m, k, n, overlap=True)["total"]
-        elif instr.opcode is Opcode.GROUPED_GEMM:
-            m, k, n = attrs["m"], attrs["k"], attrs["n"]
-            count = batch * attrs["groups"]
-            sequential += count * gemm_cycles(config, m, k, n, overlap=False)["total"]
-            overlapped += count * gemm_cycles(config, m, k, n, overlap=True)["total"]
-        elif instr.opcode in _ACTIVATION_MODES and attrs.get("record", True):
-            cycles = _activation_cycles(
-                config, instr.opcode, attrs["n"], batch * attrs["groups"]
-            )
-            sequential += cycles
-            overlapped += cycles
-    return {"sequential": sequential, "overlapped": overlapped}
+    layers = program_layers(config, program, batch).values()
+    return {
+        "sequential": sum(report.stats.total_cycles for report in layers),
+        "overlapped": sum(report.overlapped_cycles for report in layers),
+    }
 
 
 def program_checksum_cycles(
@@ -162,47 +191,12 @@ def program_stats(
 ) -> CycleStats:
     """Summed sequential :class:`CycleStats` (``BatchResult.total_stats``).
 
-    Replicates the accelerator's per-job accounting — cycle breakdown,
-    MAC count and buffer access counts — from shapes alone.
+    The cycle breakdown, MAC count and buffer access counts of
+    :func:`program_layers`, summed over layers.
     """
     total = CycleStats()
-    for instr in program.instructions:
-        attrs = instr.attrs
-        if instr.opcode is Opcode.GEMM:
-            plan = plan_tiling(config, batch * attrs["m"], attrs["k"], attrs["n"])
-            count = 1
-            data_source = "data_buffer"
-            weight_source = "weight_buffer"
-        elif instr.opcode is Opcode.GROUPED_GEMM:
-            plan = plan_tiling(config, attrs["m"], attrs["k"], attrs["n"])
-            count = batch * attrs["groups"]
-            data_source = attrs["data_source"]
-            weight_source = attrs["weight_source"]
-        elif instr.opcode in _ACTIVATION_MODES and attrs.get("record", True):
-            cycles = _activation_cycles(
-                config, instr.opcode, attrs["n"], batch * attrs["groups"]
-            )
-            total.activation_cycles += cycles
-            total.total_cycles += cycles
-            continue
-        else:
-            continue
-        cycles = gemm_cycles(config, plan.m, plan.k, plan.n, overlap=False)
-        stats = CycleStats(
-            total_cycles=cycles["total"] * count,
-            compute_cycles=cycles["compute"] * count,
-            weight_stall_cycles=cycles["weight_stall"] * count,
-            fill_drain_cycles=cycles["fill_drain"] * count,
-            mac_count=plan.m * plan.k * plan.n * count,
-        )
-        weight_words = plan.k * plan.n * len(plan.m_passes) * count
-        data_words = plan.m * plan.k * plan.n_tiles * count
-        if weight_source != "feedback":
-            stats.add_access(f"{weight_source}.read", weight_words)
-        if data_source != "feedback":
-            stats.add_access(f"{data_source}.read", data_words)
-        stats.add_access("accumulator.write", plan.m * plan.n * plan.k_chunks * count)
-        total = total + stats
+    for report in program_layers(config, program, batch).values():
+        total = total + report.stats
     return total
 
 

@@ -29,6 +29,7 @@ reuses the settled compilation.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -258,8 +259,12 @@ def clear_program_cache() -> None:
 
 
 def _pseudo_weights(shape: tuple[int, ...], fan_in: int, fmt: QFormat, seed: str) -> np.ndarray:
-    """Deterministic fan-in-scaled raw weights (per-array seed)."""
-    rng = np.random.default_rng(abs(hash(("repro.zoo", seed))) % (2**32))
+    """Deterministic fan-in-scaled raw weights (per-array seed).
+
+    The seed is a CRC of the array's name, so every process — a spawned
+    serving worker included — builds the same weights.
+    """
+    rng = np.random.default_rng(zlib.crc32(f"repro.zoo.{seed}".encode()))
     return to_raw(rng.standard_normal(shape) / np.sqrt(fan_in), fmt)
 
 
@@ -428,10 +433,14 @@ def as_compiled(network) -> CompiledNetwork:
     """Coerce a scheduler/serving network argument to a :class:`CompiledNetwork`.
 
     Accepts a :class:`CompiledNetwork` (returned as-is), a
-    :class:`QuantizedCapsuleNet` (compiled, program memoized) or a zoo name.
+    :class:`QuantizedCapsuleNet` (compiled, program memoized), a
+    :class:`CapsNetConfig` (its quantized network with the default
+    deterministic weights) or a zoo name.
     """
     if isinstance(network, CompiledNetwork):
         return network
+    if isinstance(network, CapsNetConfig):
+        network = QuantizedCapsuleNet(network)
     if isinstance(network, QuantizedCapsuleNet):
         return compile_qnet(network)
     if isinstance(network, str):

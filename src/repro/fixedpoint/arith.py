@@ -32,7 +32,9 @@ def product_format(a: QFormat, b: QFormat) -> QFormat:
 
 def saturate_raw(raw: np.ndarray | int, fmt: QFormat) -> np.ndarray:
     """Clamp raw codes into the representable range of ``fmt``."""
-    return np.clip(np.asarray(raw, dtype=np.int64), fmt.raw_min, fmt.raw_max)
+    # Two ufuncs skip the per-call bound checks np.clip does in Python,
+    # which dominate on the small tensors of a batch's routing loop.
+    return np.minimum(np.maximum(np.asarray(raw, dtype=np.int64), fmt.raw_min), fmt.raw_max)
 
 
 def fx_mul(a_raw: np.ndarray, a_fmt: QFormat, b_raw: np.ndarray, b_fmt: QFormat):
@@ -131,8 +133,11 @@ def requantize(
     if shift <= 0:
         return saturate_raw(arr << (-shift), out_fmt)
     if rounding is Rounding.NEAREST:
-        half = 1 << (shift - 1)
-        shifted = np.where(arr >= 0, (arr + half) >> shift, -((-arr + half) >> shift))
+        # Ties away from zero: ``(a + h) >> s`` for ``a >= 0`` and
+        # ``-((-a + h) >> s) == (a + h - 1) >> s`` for ``a < 0``.
+        shifted = arr + (arr >= 0)
+        shifted += (1 << (shift - 1)) - 1
+        shifted >>= shift
     elif rounding is Rounding.FLOOR:
         shifted = arr >> shift
     elif rounding is Rounding.ZERO:

@@ -32,6 +32,7 @@ tests, validating the shared formulas).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,6 +249,40 @@ def batched_gemm_cycles(
     return gemm_cycles(config, batch * m, k, n, overlap=overlap)
 
 
+def gemm_stats(
+    config: AcceleratorConfig,
+    plan: TilingPlan,
+    data_source: str = "data_buffer",
+    weight_source: str = "weight_buffer",
+    count: int = 1,
+) -> CycleStats:
+    """Sequential cycle and access accounting of one GEMM job.
+
+    ``count`` repeats the whole accounting for grouped jobs — ``count``
+    identical-shape GEMMs executed back to back, each paying its own
+    weight loads.  A ``"feedback"`` source costs no buffer reads.
+    """
+    cycles = gemm_cycles(config, plan.m, plan.k, plan.n, overlap=False)
+    stats = CycleStats(
+        total_cycles=cycles["total"] * count,
+        compute_cycles=cycles["compute"] * count,
+        weight_stall_cycles=cycles["weight_stall"] * count,
+        fill_drain_cycles=cycles["fill_drain"] * count,
+        mac_count=plan.m * plan.k * plan.n * count,
+    )
+    # Weight traffic: every tile pass loads its (actual) weight words,
+    # once per M-pass when a bounded FIFO forces re-streaming.
+    if weight_source != "feedback":
+        stats.add_access(
+            f"{weight_source}.read", plan.k * plan.n * len(plan.m_passes) * count
+        )
+    # Data traffic: the full (M, K) operand streams once per N-tile.
+    if data_source != "feedback":
+        stats.add_access(f"{data_source}.read", plan.m * plan.k * plan.n_tiles * count)
+    stats.add_access("accumulator.write", plan.m * plan.n * plan.k_chunks * count)
+    return stats
+
+
 class CapsAccAccelerator:
     """The complete accelerator: array, accumulators, buffers, activation."""
 
@@ -279,6 +314,7 @@ class CapsAccAccelerator:
         )
         self.weight_memory = MemoryModel("weight_memory", self.config.onchip_memory_mb)
         self.data_memory = MemoryModel("data_memory", self.config.onchip_memory_mb)
+        self._reads_lock = threading.Lock()
 
     # ---- GEMM execution ------------------------------------------------------
 
@@ -296,7 +332,7 @@ class CapsAccAccelerator:
         if engine == "fast":
             acc = chunked_saturating_matmul(data, weights, job.acc_fmt, self.config.rows)
         elif engine == "stepped":
-            acc = self._stepped_gemm(
+            acc = self.stepped_gemm(
                 data, weights, job.data_fmt, job.weight_fmt, job.acc_fmt, plan
             )
         else:
@@ -337,7 +373,7 @@ class CapsAccAccelerator:
                 stacked, weights, job.acc_fmt, self.config.rows
             )
         elif engine == "stepped":
-            acc = self._stepped_gemm(
+            acc = self.stepped_gemm(
                 stacked, weights, job.data_fmt, job.weight_fmt, job.acc_fmt, plan
             )
         else:
@@ -383,7 +419,7 @@ class CapsAccAccelerator:
         elif engine == "stepped":
             acc = np.stack(
                 [
-                    self._stepped_gemm(
+                    self.stepped_gemm(
                         data[g],
                         weights[g],
                         job.data_fmt,
@@ -407,7 +443,7 @@ class CapsAccAccelerator:
             groups=groups,
         )
 
-    def _stepped_gemm(
+    def stepped_gemm(
         self,
         data: np.ndarray,
         weights: np.ndarray,
@@ -455,34 +491,22 @@ class CapsAccAccelerator:
         weight_source: str,
         count: int = 1,
     ) -> CycleStats:
-        """Cycle/access accounting shared by all engines (sequential model).
-
-        ``count`` repeats the whole accounting for grouped jobs — ``count``
-        identical-shape GEMMs executed back to back, each paying its own
-        weight loads.
-        """
-        config = self.config
-        cycles = gemm_cycles(config, plan.m, plan.k, plan.n, overlap=False)
-        stats = CycleStats(
-            total_cycles=cycles["total"] * count,
-            compute_cycles=cycles["compute"] * count,
-            weight_stall_cycles=cycles["weight_stall"] * count,
-            fill_drain_cycles=cycles["fill_drain"] * count,
-            mac_count=plan.m * plan.k * plan.n * count,
-        )
-        # Weight traffic: every tile pass loads its (actual) weight words,
-        # once per M-pass when a bounded FIFO forces re-streaming.
-        weight_words = plan.k * plan.n * len(plan.m_passes) * count
-        # Data traffic: the full (M, K) operand streams once per N-tile.
-        data_words = plan.m * plan.k * plan.n_tiles * count
-        if weight_source != "feedback":
-            stats.add_access(f"{weight_source}.read", weight_words)
-            self._buffer(weight_source).reads += weight_words
-        if data_source != "feedback":
-            stats.add_access(f"{data_source}.read", data_words)
-            self._buffer(data_source).reads += data_words
-        stats.add_access("accumulator.write", plan.m * plan.n * plan.k_chunks * count)
+        """Accounting shared by all engines, charged to the buffer counters."""
+        stats = gemm_stats(self.config, plan, data_source, weight_source, count)
+        self.count_reads(stats.accesses)
         return stats
+
+    def count_reads(self, accesses: dict[str, int]) -> None:
+        """Add the ``<buffer>.read`` words of ``accesses`` to the buffers.
+
+        Locked, so batches executing concurrently on one accelerator
+        never lose a count.
+        """
+        with self._reads_lock:
+            for key, words in accesses.items():
+                name, _, kind = key.partition(".")
+                if kind == "read":
+                    self._buffer(name).reads += words
 
     def _buffer(self, name: str) -> Buffer:
         buffers = {

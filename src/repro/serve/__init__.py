@@ -146,7 +146,6 @@ from repro.serve.trace import (
 )
 from repro.serve.workers import (
     CompiledStreamExecutor,
-    InlineEngineExecutor,
     PredictedExecutor,
     ProcessWorkerPool,
     WorkerCrashError,
@@ -191,7 +190,6 @@ __all__ = [
     "FaultyExecutor",
     "GreedyWhenIdleDispatch",
     "InjectedCrashError",
-    "InlineEngineExecutor",
     "IntegrityPolicy",
     "LatencyHistogram",
     "LeastRecentDispatch",

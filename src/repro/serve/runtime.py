@@ -66,7 +66,7 @@ from repro.serve.policies import ServerConfig, TenantSpec
 from repro.serve.sinks import CompletionSink, RecordingSink, StreamingSink
 from repro.serve.stats import ServingReport
 from repro.serve.trace import ArrivalTrace
-from repro.serve.workers import InlineEngineExecutor, WorkerCrashError
+from repro.serve.workers import CompiledStreamExecutor, WorkerCrashError
 
 
 class RequestShedError(RuntimeError):
@@ -619,7 +619,9 @@ class ServingRuntime:
     :meth:`run_load` counts overflow arrivals as shed.  Request images
     live in a power-of-two ring indexed by request id, so a FIFO batch
     is a zero-copy contiguous view whenever its members are consecutive
-    slots.
+    slots.  Without an ``executor`` the runtime serves the zoo network
+    named by ``server.network_name`` through a
+    :class:`~repro.serve.workers.CompiledStreamExecutor`.
     """
 
     def __init__(
@@ -635,14 +637,7 @@ class ServingRuntime:
         metrics_interval_s: float = 1.0,
     ) -> None:
         if executor is None:
-            from repro.capsnet.config import mnist_capsnet_config, tiny_capsnet_config
-
-            network = (
-                tiny_capsnet_config()
-                if server.network_name == "tiny"
-                else mnist_capsnet_config()
-            )
-            executor = InlineEngineExecutor(network)
+            executor = CompiledStreamExecutor(server.network_name)
         if max_pending < 1:
             raise ConfigError("max_pending must be positive")
         if metrics_interval_s <= 0.0:
@@ -796,6 +791,20 @@ class ServingRuntime:
 
     # ---- request entry points ----------------------------------------------
 
+    def _check_images(self, images: np.ndarray) -> None:
+        """Reject malformed request images before anything is admitted.
+
+        Each image must be ``(image_size, image_size)``, real-valued and
+        finite; a :class:`ValueError` otherwise.
+        """
+        size = self.executor.image_size
+        if images.shape[1:] != (size, size):
+            raise ValueError(f"image shape {images.shape[1:]} != ({size}, {size})")
+        if images.dtype.kind not in "iuf":
+            raise ValueError(f"image dtype {images.dtype} is not real-valued")
+        if not np.isfinite(images).all():
+            raise ValueError("image has non-finite values")
+
     async def submit(
         self,
         image: np.ndarray,
@@ -818,6 +827,7 @@ class ServingRuntime:
             raise self._failure
         if self._closed:
             raise ConfigError("runtime is stopped")
+        self._check_images(np.asarray(image)[np.newaxis])
         now = self.clock.now_us()
         index, admitted = self.engine.offer(
             now, deadline_us=deadline_us, tenant=tenant
@@ -850,6 +860,10 @@ class ServingRuntime:
         times = trace.times_us
         deadlines = trace.deadlines_us
         total = len(times)
+        if images is not None:
+            if len(images) < total:
+                raise ValueError(f"{len(images)} images for {total} arrivals")
+            self._check_images(np.asarray(images[:total]))
         t0 = self.clock.now_us()
         at = 0
         while at < total:
@@ -890,7 +904,10 @@ class ServingRuntime:
 
         ``{"id": ..., "image": [[...]]}`` replies
         ``{"id": ..., "prediction": N}``; a shed request replies
-        ``{"id": ..., "error": "shed"}``.  Returns the
+        ``{"id": ..., "error": "shed"}`` and a malformed one
+        ``{"id": ..., "error": "bad request: ..."}`` (``id`` is null when
+        the line is not a JSON object).  Malformed requests are rejected
+        before admission, so the report never counts them.  Returns the
         :class:`asyncio.Server` (the caller owns its lifetime; the bound
         port is ``server.sockets[0].getsockname()[1]``).
         """
@@ -902,17 +919,26 @@ class ServingRuntime:
                     line = await reader.readline()
                     if not line:
                         break
+                    request_id = None
                     try:
                         payload = json.loads(line)
-                        image = np.asarray(payload["image"], dtype=np.float64)
+                        if not isinstance(payload, dict):
+                            raise TypeError("request is not a JSON object")
+                        request_id = payload.get("id")
+                        deadline = payload.get("deadline_us")
+                        if deadline is not None and (
+                            isinstance(deadline, bool)
+                            or not isinstance(deadline, (int, float))
+                        ):
+                            raise TypeError(f"deadline_us {deadline!r} is not a number")
                         prediction = await self.submit(
-                            image, deadline_us=payload.get("deadline_us")
+                            np.asarray(payload["image"]), deadline_us=deadline
                         )
-                        reply = {"id": payload.get("id"), "prediction": prediction}
+                        reply = {"id": request_id, "prediction": prediction}
                     except RequestShedError:
-                        reply = {"id": payload.get("id"), "error": "shed"}
+                        reply = {"id": request_id, "error": "shed"}
                     except (KeyError, ValueError, TypeError) as error:
-                        reply = {"error": f"bad request: {error}"}
+                        reply = {"id": request_id, "error": f"bad request: {error}"}
                     writer.write((json.dumps(reply) + "\n").encode())
                     await writer.drain()
             finally:

@@ -4,21 +4,20 @@ The runtime (:mod:`repro.serve.runtime`) separates *scheduling* (the
 shared serving core) from *executing* (running a formed batch through the
 quantized engine).  An executor models the physical accelerator arrays:
 ``execute(array, images)`` classifies one contiguous image batch on one
-array and returns the predictions, bit-identical to
-:meth:`repro.capsnet.quantized.QuantizedCapsuleNet.predict_batch`.
+array and returns the predictions, bit-identical to the network's golden
+interpretation.
 
-Four implementations:
+Three implementations:
 
-* :class:`InlineEngineExecutor` — the batched engine in-process.  With
-  the GIL released inside numpy's GEMMs, a thread pool over this executor
-  is the fastest option on small hosts and the default.
 * :class:`CompiledStreamExecutor` — any model-zoo network
   (:class:`~repro.compiler.zoo.CompiledNetwork`) through its compiled
-  instruction stream: residual capsule variants and baselines serve
-  live without a hand-written engine.
+  instruction stream, in-process.  With the GIL released inside numpy's
+  GEMMs, a thread pool over this executor is the fastest option on small
+  hosts and the default.
 * :class:`ProcessWorkerPool` — one OS process per array with zero-copy
   shared-memory image/prediction buffers, mirroring the simulated
-  :class:`~repro.serve.dispatcher.ArrayPool` sizing.  Survives a worker
+  :class:`~repro.serve.dispatcher.ArrayPool` sizing; each worker rebuilds
+  the network and runs the same compiled stream.  Survives a worker
   death by raising :class:`WorkerCrashError` with the array and exit
   detail instead of hanging.
 * :class:`PredictedExecutor` — no compute at all (predictions are -1):
@@ -37,9 +36,9 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.capsnet.batched import BatchedQuantizedForward
 from repro.capsnet.config import CapsNetConfig
-from repro.capsnet.quantized import QuantizedCapsuleNet
+from repro.compiler.executor import StreamExecutor
+from repro.compiler.zoo import CompiledNetwork, as_compiled, get_network
 from repro.errors import ConfigError
 
 
@@ -47,47 +46,19 @@ class WorkerCrashError(RuntimeError):
     """An execution worker died mid-service (crash, kill, or lost pipe)."""
 
 
-class InlineEngineExecutor:
-    """Run batches through the batched quantized engine in-process.
-
-    One engine instance serves every array: the computation is pure
-    (shared read-only weights/LUTs), so concurrent calls from the
-    runtime's worker threads are safe and overlap inside numpy's
-    GIL-releasing kernels.
-    """
-
-    def __init__(self, network: CapsNetConfig) -> None:
-        self.network = network
-        self.image_size = network.image_size
-        self.engine = BatchedQuantizedForward(QuantizedCapsuleNet(network))
-
-    def execute(self, array: int, images: np.ndarray) -> np.ndarray:
-        """Classify ``(N, H, W)`` images; returns ``(N,)`` predictions."""
-        return self.engine.predict(images)
-
-    def close(self) -> None:
-        """Nothing to release."""
-
-
 class CompiledStreamExecutor:
     """Run batches through a compiled zoo network's instruction stream.
 
-    Serves any :class:`~repro.compiler.zoo.CompiledNetwork` — capsule
-    variants and baselines alike — through the compiler's
+    Serves any network :func:`~repro.compiler.zoo.as_compiled` accepts —
+    capsule variants and baselines alike — through the compiler's
     :class:`~repro.compiler.executor.StreamExecutor`, so a network is
     live-servable the moment it compiles.  Grayscale request images are
     replicated across the network's input channels, keeping the runtime's
-    single-channel image ring network-agnostic.
-
-    Unlike the batched engine, the stream executor's accelerator model
-    accumulates buffer counters, so concurrent calls serialize through a
-    lock — correctness over peak throughput for the zoo path.
+    single-channel image ring network-agnostic.  Calls share no state, so
+    the runtime's array threads run them concurrently.
     """
 
     def __init__(self, network) -> None:
-        from repro.compiler.executor import StreamExecutor
-        from repro.compiler.zoo import as_compiled
-
         compiled = as_compiled(network)
         self.network = compiled
         self.image_size = compiled.input_shape[-1]
@@ -95,14 +66,15 @@ class CompiledStreamExecutor:
         self._executor = StreamExecutor(
             compiled.program, compiled.params, compiled.formats, luts=compiled.luts
         )
-        self._lock = threading.Lock()
+
+    def _images(self, images: np.ndarray) -> np.ndarray:
+        if self.channels != 1 and images.ndim == 3:
+            images = np.repeat(images[:, np.newaxis], self.channels, axis=1)
+        return images
 
     def execute(self, array: int, images: np.ndarray) -> np.ndarray:
         """Classify ``(N, H, W)`` images; returns ``(N,)`` predictions."""
-        if self.channels != 1 and images.ndim == 3:
-            images = np.repeat(images[:, np.newaxis], self.channels, axis=1)
-        with self._lock:
-            return self._executor.run_batch(images).predictions
+        return self._executor.run_batch(self._images(images)).predictions
 
     def execute_corrupt(
         self, array: int, images: np.ndarray, spec, verify: bool
@@ -116,12 +88,9 @@ class CompiledStreamExecutor:
         :class:`~repro.serve.integrity.DetectedCorruptionError` for any
         in-envelope flip.
         """
-        if self.channels != 1 and images.ndim == 3:
-            images = np.repeat(images[:, np.newaxis], self.channels, axis=1)
-        with self._lock:
-            return self._executor.run_batch(
-                images, corruption=spec, verify_checksums=verify
-            ).predictions
+        return self._executor.run_batch(
+            self._images(images), corruption=spec, verify_checksums=verify
+        ).predictions
 
     def close(self) -> None:
         """Nothing to release."""
@@ -143,7 +112,7 @@ class PredictedExecutor:
 
 def _worker_main(conn, shm_in_name, shm_out_name, max_batch, size, network):
     """Worker-process loop: recv batch size, classify shared images, ack."""
-    engine = BatchedQuantizedForward(QuantizedCapsuleNet(network))
+    executor = CompiledStreamExecutor(network)
     shm_in = shared_memory.SharedMemory(name=shm_in_name)
     shm_out = shared_memory.SharedMemory(name=shm_out_name)
     images = np.ndarray((max_batch, size, size), dtype=np.float64, buffer=shm_in.buf)
@@ -153,7 +122,7 @@ def _worker_main(conn, shm_in_name, shm_out_name, max_batch, size, network):
             count = conn.recv()
             if count is None:
                 break
-            out[:count] = engine.predict(images[:count])
+            out[:count] = executor.execute(0, images[:count])
             conn.send(count)
     except (EOFError, KeyboardInterrupt):
         pass
@@ -161,6 +130,28 @@ def _worker_main(conn, shm_in_name, shm_out_name, max_batch, size, network):
         shm_in.close()
         shm_out.close()
         conn.close()
+
+
+def _worker_network(network):
+    """What a spawned worker rebuilds the network from.
+
+    A zoo name, or a :class:`CapsNetConfig` (with its deterministic
+    default weights): both pickle small and rebuild bit-identically in
+    a fresh process.  A zoo :class:`CompiledNetwork` travels as its name.
+    """
+    if isinstance(network, CompiledNetwork):
+        if get_network(network.name) is not network:
+            raise ConfigError(
+                f"worker processes rebuild zoo networks by name; {network.name!r}"
+                " is not the zoo's entry"
+            )
+        return network.name
+    if isinstance(network, (str, CapsNetConfig)):
+        return network
+    raise ConfigError(
+        "worker processes need a zoo name or a CapsNetConfig,"
+        f" got {type(network).__name__}"
+    )
 
 
 class ProcessWorkerPool:
@@ -171,23 +162,23 @@ class ProcessWorkerPool:
     memory, plus a control pipe carrying only the batch size — the
     images themselves never cross the pipe.  A per-array lock serializes
     the runtime's worker threads onto each array's buffers (distinct
-    arrays execute concurrently in their own processes).
+    arrays execute concurrently in their own processes).  ``network`` is
+    a zoo name (or zoo entry) or a :class:`CapsNetConfig`; every worker
+    rebuilds it and serves it through a :class:`CompiledStreamExecutor`.
 
     A worker that dies mid-request surfaces as :class:`WorkerCrashError`
     naming the array and the process exit code, never a hang.
     """
 
-    def __init__(
-        self, network: CapsNetConfig, arrays: int, max_batch: int
-    ) -> None:
+    def __init__(self, network, arrays: int, max_batch: int) -> None:
         if arrays < 1:
             raise ConfigError("worker pool needs at least one array")
         if max_batch < 1:
             raise ConfigError("max_batch must be positive")
-        self.network = network
-        self.image_size = network.image_size
+        self.network = _worker_network(network)
+        self.image_size = as_compiled(self.network).input_shape[-1]
         self.max_batch = max_batch
-        size = network.image_size
+        size = self.image_size
         self._ctx = multiprocessing.get_context("spawn")
         self._locks = [threading.Lock() for _ in range(arrays)]
         self._shm_in: list[shared_memory.SharedMemory] = []

@@ -33,16 +33,20 @@ class TestRegistry:
 
 
 class TestGoldenEquivalence:
-    """Every zoo network's compiled stream matches graph interpretation."""
+    """Every zoo network's compiled stream matches graph interpretation,
+    at batch sizes where the fused capsule and convolution paths run over
+    one, a few and many images."""
 
     @pytest.mark.parametrize("name", [n for n in zoo_names() if n not in ("mnist", "mnist-res", "cifar")])
     def test_small_networks_match_golden(self, name):
-        summary = check_network(name, zoo_images(name, count=3))
-        assert summary["images"] == 3
-        assert summary["outputs_checked"] > 0
+        for count in (1, 3, 16):
+            summary = check_network(name, zoo_images(name, count=count))
+            assert summary["images"] == count
+            assert summary["outputs_checked"] > 0
 
     @pytest.mark.parametrize("name", ["mnist", "mnist-res", "cifar"])
     def test_full_size_networks_match_golden(self, name):
-        summary = check_network(name, zoo_images(name, count=1))
-        assert summary["images"] == 1
-        assert summary["outputs_checked"] > 0
+        for count in (1, 3, 16):
+            summary = check_network(name, zoo_images(name, count=count))
+            assert summary["images"] == count
+            assert summary["outputs_checked"] > 0

@@ -281,6 +281,12 @@ class TestServeCommand:
         assert "live" in out
         assert "req/s" in out
 
+    def test_live_serve_process_workers_take_any_zoo_network(self, capsys):
+        argv = ["serve", "--workers", "process", "--network", "mlp"]
+        argv += ["--requests", "16", "--rate", "4000", "--max-batch", "4"]
+        assert cli.main(argv) == 0
+        assert "req/s" in capsys.readouterr().out
+
     def test_live_serve_rejects_pipeline(self, capsys):
         assert cli.main(["serve", "--pipeline", "--requests", "8"]) == 2
         assert "pipeline" in capsys.readouterr().err

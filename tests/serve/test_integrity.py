@@ -192,6 +192,59 @@ class TestStreamExecutorABFT:
         clean = executor.execute(0, images)
         assert corrupted.shape == clean.shape
 
+    @pytest.mark.parametrize("target", ["weight", "accumulator"])
+    def test_victim_inside_a_fused_capsule_run(self, target):
+        # The ClassCaps per-capsule GEMMs execute as one contraction; a
+        # flip aimed at capsule i's GEMM must still hit that capsule's
+        # own (K, N) tile or (B, 1, N) accumulator, exactly as the
+        # instruction would on its own, and raise the same detection.
+        import random
+
+        from repro.capsnet.hwops import chunked_saturating_matmul
+        from repro.compiler.isa import Opcode
+        from repro.fixedpoint.arith import requantize
+
+        stream = executor_for("tiny")._executor
+        program = stream.program
+        gemms = [
+            pos
+            for pos, instr in enumerate(program.instructions)
+            if instr.opcode in (Opcode.GEMM, Opcode.GROUPED_GEMM)
+        ]
+
+        def victim(seed):
+            return program.instructions[gemms[random.Random(seed).randrange(len(gemms))]]
+
+        seed = next(s for s in range(1000) if victim(s).attrs.get("job") == "fc_capsule_5")
+        spec = CorruptionSpec(target=target, bits=16, seed=seed)
+        attrs = victim(seed).attrs
+        images = images_for(executor_for("tiny"), count=3)[:, np.newaxis]
+        clean = stream.run_batch(images)
+        corrupted = stream.run_batch(images, corruption=spec)
+
+        capsule = clean.primary_raw[:, 5]
+        weights = stream.params["classcaps_w"][5]
+        tile = weights.reshape(weights.shape[0] * weights.shape[1], -1).T
+        rows = stream.accelerator.config.rows
+        if target == "weight":
+            tile = apply_corruption(tile, spec)
+            acc = chunked_saturating_matmul(capsule, tile, attrs["acc_fmt"], rows)
+        else:
+            acc = chunked_saturating_matmul(capsule, tile, attrs["acc_fmt"], rows)
+            acc = apply_corruption(acc[:, np.newaxis], spec)[:, 0]
+        expected = clean.u_hat_raw.copy()
+        expected[:, 5] = requantize(acc, attrs["acc_fmt"], attrs["requant_to"]).reshape(
+            expected[:, 5].shape
+        )
+        assert not np.array_equal(expected, clean.u_hat_raw)
+        assert np.array_equal(corrupted.u_hat_raw, expected)
+
+        kind = "accumulator of classcaps_fc"
+        if target == "weight":
+            kind = f"weight tile {attrs['wreg']}"
+        with pytest.raises(DetectedCorruptionError, match=f"on {kind} "):
+            stream.run_batch(images, corruption=spec, verify_checksums=True)
+
     def test_no_corruption_is_bitwise_clean(self):
         executor = executor_for("tiny")
         images = images_for(executor)

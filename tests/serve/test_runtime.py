@@ -20,7 +20,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.capsnet.batched import BatchedQuantizedForward
 from repro.capsnet.quantized import QuantizedCapsuleNet
 from repro.data.synthetic import SyntheticDigits
 from repro.errors import ConfigError
@@ -40,7 +39,7 @@ from repro.serve import (
     replay_virtual,
 )
 from repro.serve.workers import (
-    InlineEngineExecutor,
+    CompiledStreamExecutor,
     PredictedExecutor,
     ProcessWorkerPool,
 )
@@ -62,7 +61,7 @@ def live_images(tiny_config):
 @pytest.fixture(scope="module")
 def offline_predictions(tiny_config, tiny_weights, live_images):
     qnet = QuantizedCapsuleNet(tiny_config, weights=tiny_weights)
-    return BatchedQuantizedForward(qnet).predict(live_images)
+    return qnet.predict_batch(live_images)
 
 
 def live_server(cost, **overrides):
@@ -224,7 +223,7 @@ class TestServingRuntimeLive:
         async def scenario():
             runtime = ServingRuntime(
                 live_server(tiny_cost),
-                executor=InlineEngineExecutor(tiny_config),
+                executor=CompiledStreamExecutor(tiny_config),
             )
             try:
                 results = await asyncio.gather(
@@ -420,12 +419,20 @@ class TestServingRuntimeLive:
 
     def test_socket_roundtrip(self, tiny_config, tiny_cost, live_images):
         qnet = QuantizedCapsuleNet(tiny_config)
-        expected = BatchedQuantizedForward(qnet).predict(live_images[:3])
+        expected = qnet.predict_batch(live_images[:3])
+        # Malformed requests: no image, not JSON, wrong shape, bad deadline.
+        malformed = [
+            b'{"id": 99}\n',
+            b"not json\n",
+            (json.dumps({"id": 7, "image": [[0.0, 1.0]]}) + "\n").encode(),
+            (json.dumps({"id": 8, "image": live_images[0].tolist(), "deadline_us": "soon"})
+             + "\n").encode(),
+        ]
 
         async def scenario():
             runtime = ServingRuntime(
                 live_server(tiny_cost, max_wait_us=500.0),
-                executor=InlineEngineExecutor(tiny_config),
+                executor=CompiledStreamExecutor(tiny_config),
             )
             server = await runtime.serve_socket()
             port = server.sockets[0].getsockname()[1]
@@ -437,21 +444,108 @@ class TestServingRuntimeLive:
                 )
                 await writer.drain()
                 replies.append(json.loads(await reader.readline()))
-            writer.write(b'{"id": 99}\n')  # no image: malformed
-            await writer.drain()
-            bad = json.loads(await reader.readline())
+            bad = []
+            for line in malformed:
+                writer.write(line)
+                await writer.drain()
+                bad.append(json.loads(await reader.readline()))
             writer.close()
             await writer.wait_closed()
             server.close()
             await server.wait_closed()
             await runtime.stop()
-            return replies, bad
+            return replies, bad, runtime.report()
 
-        replies, bad = asyncio.run(scenario())
+        replies, bad, report = asyncio.run(scenario())
         for i, reply in enumerate(replies):
             assert reply["id"] == i
             assert reply["prediction"] == int(expected[i])
-        assert "bad request" in bad["error"]
+        assert [reply["id"] for reply in bad] == [99, None, 7, 8]
+        assert all("bad request" in reply["error"] for reply in bad)
+        # Rejected before admission: only the good requests are counted.
+        assert report.offered == report.completed == 3
+
+    def test_malformed_submit_is_rejected_before_admission(
+        self, tiny_config, tiny_cost, live_images, offline_predictions
+    ):
+        size = tiny_config.image_size
+        bad_images = [
+            np.zeros((size - 1, size)),
+            np.full((size, size), np.nan),
+            np.full((size, size), "x"),
+        ]
+
+        async def scenario():
+            runtime = ServingRuntime(
+                live_server(tiny_cost),
+                executor=CompiledStreamExecutor(tiny_config),
+            )
+            try:
+                for image in bad_images:
+                    with pytest.raises(ValueError):
+                        await runtime.submit(image)
+                results = await asyncio.gather(
+                    *(runtime.submit(image) for image in live_images[:8])
+                )
+            finally:
+                await runtime.stop()
+            return results, runtime.report()
+
+        results, report = asyncio.run(scenario())
+        np.testing.assert_array_equal(results, offline_predictions[:8])
+        assert report.offered == 8
+        assert report.offered == (
+            report.completed + report.shed_count + report.failed_count
+        )
+
+    def test_run_load_rejects_bad_images_before_offering(
+        self, tiny_config, tiny_cost
+    ):
+        size = tiny_config.image_size
+        trace = poisson_trace(rate_rps=1000.0, count=4, rng=np.random.default_rng(5))
+        images = np.zeros((4, size, size))
+        images[2, 0, 0] = np.inf
+
+        async def scenario():
+            runtime = ServingRuntime(
+                live_server(tiny_cost),
+                executor=PredictedExecutor(size),
+            )
+            try:
+                with pytest.raises(ValueError):
+                    await runtime.run_load(trace, images)
+                with pytest.raises(ValueError):
+                    await runtime.run_load(trace, images[:3, :, :])
+            finally:
+                await runtime.stop()
+            return runtime.report()
+
+        assert asyncio.run(scenario()).offered == 0
+
+    def test_default_executor_serves_the_named_zoo_network(self):
+        from repro.compiler.golden import evaluate_graph
+        from repro.compiler.zoo import get_network
+        from repro.fixedpoint.quantize import to_raw
+
+        net = get_network("mlp")
+        images = SyntheticDigits(size=28, seed=31).generate(6).images
+        expected = [
+            int(evaluate_graph(net.graph, net.params, raw, net.formats, net.luts)["predictions"])
+            for raw in to_raw(images[:, np.newaxis], net.program.input_fmt)
+        ]
+        cost = MeasuredBatchCost(AcceleratorConfig(), [(1, 100.0), (8, 400.0)])
+        server = ServerConfig.from_policy(
+            "fifo", cost, max_batch=8, max_wait_us=2000.0, network_name="mlp"
+        )
+
+        async def scenario():
+            runtime = ServingRuntime(server)
+            try:
+                return await asyncio.gather(*(runtime.submit(i) for i in images))
+            finally:
+                await runtime.stop()
+
+        assert asyncio.run(scenario()) == expected
 
     def test_runtime_rejects_reuse_after_stop(self, tiny_config, tiny_cost):
         async def scenario():
@@ -482,6 +576,18 @@ class TestProcessWorkerPool:
             pool.respawn(0)
             predictions = pool.execute(0, live_images[:8])
             np.testing.assert_array_equal(predictions, offline_predictions[:8])
+        finally:
+            pool.close()
+
+    def test_workers_serve_any_zoo_network(self):
+        from repro.compiler.golden import check_network
+
+        images = SyntheticDigits(size=28, seed=37).generate(4).images
+        expected = check_network("mlp", images)["predictions"]
+        pool = ProcessWorkerPool("mlp", arrays=1, max_batch=4)
+        try:
+            assert pool.image_size == 28
+            np.testing.assert_array_equal(pool.execute(0, images), expected)
         finally:
             pool.close()
 

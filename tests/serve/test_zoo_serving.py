@@ -102,3 +102,39 @@ class TestCompiledStreamExecutor:
         predictions = executor.execute(0, images)
         assert predictions.shape == (1,)
         executor.close()
+
+    def test_concurrent_calls_share_one_executor(self):
+        # The runtime's array threads call one executor with no lock: every
+        # call must return clean predictions and no buffer count may be lost.
+        import sys
+        import threading
+
+        executor = CompiledStreamExecutor("tiny")
+        images = zoo_images("tiny", count=3)
+        want = executor.execute(0, images)
+        accelerator = executor._executor.accelerator
+        accelerator.reset_counters()
+        executor.execute(0, images)
+        per_batch = accelerator.data_buffer.reads
+        accelerator.reset_counters()
+        threads, calls = 8, 25
+        results: list[np.ndarray] = []
+
+        def serve() -> None:
+            for _ in range(calls):
+                results.append(executor.execute(0, images))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=serve) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert len(results) == threads * calls
+        assert all(np.array_equal(result, want) for result in results)
+        assert accelerator.data_buffer.reads == threads * calls * per_batch
