@@ -118,6 +118,17 @@ def quantized_matmul(
     return saturate_raw(acc, acc_fmt)
 
 
+#: Multiply-accumulates up to which OpenBLAS (numpy's BLAS) runs a GEMM on
+#: the calling thread; a larger call is split over BLAS's thread pool.  On
+#: a 2-vCPU host whose other core is busy (a serving event loop, another
+#: array thread) a split call ran 2-4x slower than serial, with a heavy
+#: tail.  :func:`saturating_matmul` therefore merges the leading matrices
+#: of a shared-tile GEMM into products of at most this size when each
+#: matrix alone would run serially; a matrix already above it is threaded
+#: anyway, so those go out as one product.
+SERIAL_GEMM_MACS = 2**18
+
+
 class StagedWeights:
     """A GEMM weight operand staged for :func:`saturating_matmul`.
 
@@ -177,9 +188,20 @@ def saturating_matmul(
             np.asarray(data, dtype=np.int64), weights.raw, acc_fmt, chunk_rows
         )
     if weights.float.ndim == 2:
-        # One GEMM streams every leading row through the shared tile.
-        flat = operand.reshape(-1, operand.shape[-1]) @ weights.float
-        return flat.astype(np.int64).reshape(operand.shape[:-1] + flat.shape[-1:])
+        # Stream the leading matrices' rows through the shared tile: in
+        # one BLAS call, or, when that would turn serial per-matrix
+        # products threaded, in equal serial-sized groups that numpy
+        # still issues from one stacked call.
+        k, n = weights.float.shape
+        rows = operand.reshape(-1, k)
+        matrix_rows = operand.shape[-2]
+        count = len(rows) // max(matrix_rows, 1)
+        per_call = SERIAL_GEMM_MACS // max(matrix_rows * k * n, 1)
+        group = max(min(per_call, count) if per_call else count, 1)
+        while count % group:
+            group -= 1
+        out = rows.reshape(count // group, group * matrix_rows, k) @ weights.float
+        return out.astype(np.int64).reshape(operand.shape[:-1] + (n,))
     return (operand @ weights.float).astype(np.int64)
 
 

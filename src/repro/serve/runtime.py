@@ -45,6 +45,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from repro.compiler.zoo import zoo_names
 from repro.errors import ConfigError
 from repro.hw.config import AcceleratorConfig
 from repro.obs.tracer import combine_tracers
@@ -621,7 +622,8 @@ class ServingRuntime:
     is a zero-copy contiguous view whenever its members are consecutive
     slots.  Without an ``executor`` the runtime serves the zoo network
     named by ``server.network_name`` through a
-    :class:`~repro.serve.workers.CompiledStreamExecutor`.
+    :class:`~repro.serve.workers.CompiledStreamExecutor`; any other name
+    raises :class:`~repro.errors.ConfigError`.
     """
 
     def __init__(
@@ -637,6 +639,12 @@ class ServingRuntime:
         metrics_interval_s: float = 1.0,
     ) -> None:
         if executor is None:
+            if server.network_name not in zoo_names():
+                raise ConfigError(
+                    f"no executor given and network_name {server.network_name!r}"
+                    f" is not a zoo network; set network_name to one of"
+                    f" {', '.join(zoo_names())} or pass an executor"
+                )
             executor = CompiledStreamExecutor(server.network_name)
         if max_pending < 1:
             raise ConfigError("max_pending must be positive")

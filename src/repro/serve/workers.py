@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.capsnet.config import CapsNetConfig
 from repro.compiler.executor import StreamExecutor
-from repro.compiler.zoo import CompiledNetwork, as_compiled, get_network
+from repro.compiler.zoo import as_compiled, get_network
 from repro.errors import ConfigError
 
 
@@ -132,28 +132,6 @@ def _worker_main(conn, shm_in_name, shm_out_name, max_batch, size, network):
         conn.close()
 
 
-def _worker_network(network):
-    """What a spawned worker rebuilds the network from.
-
-    A zoo name, or a :class:`CapsNetConfig` (with its deterministic
-    default weights): both pickle small and rebuild bit-identically in
-    a fresh process.  A zoo :class:`CompiledNetwork` travels as its name.
-    """
-    if isinstance(network, CompiledNetwork):
-        if get_network(network.name) is not network:
-            raise ConfigError(
-                f"worker processes rebuild zoo networks by name; {network.name!r}"
-                " is not the zoo's entry"
-            )
-        return network.name
-    if isinstance(network, (str, CapsNetConfig)):
-        return network
-    raise ConfigError(
-        "worker processes need a zoo name or a CapsNetConfig,"
-        f" got {type(network).__name__}"
-    )
-
-
 class ProcessWorkerPool:
     """One worker process per array, fed through shared-memory buffers.
 
@@ -163,8 +141,10 @@ class ProcessWorkerPool:
     images themselves never cross the pipe.  A per-array lock serializes
     the runtime's worker threads onto each array's buffers (distinct
     arrays execute concurrently in their own processes).  ``network`` is
-    a zoo name (or zoo entry) or a :class:`CapsNetConfig`; every worker
-    rebuilds it and serves it through a :class:`CompiledStreamExecutor`.
+    a zoo name or a :class:`CapsNetConfig` (with its deterministic
+    default weights): both pickle small, and every worker rebuilds the
+    network bit-identically and serves it through a
+    :class:`CompiledStreamExecutor`.
 
     A worker that dies mid-request surfaces as :class:`WorkerCrashError`
     naming the array and the process exit code, never a hang.
@@ -175,8 +155,16 @@ class ProcessWorkerPool:
             raise ConfigError("worker pool needs at least one array")
         if max_batch < 1:
             raise ConfigError("max_batch must be positive")
-        self.network = _worker_network(network)
-        self.image_size = as_compiled(self.network).input_shape[-1]
+        if isinstance(network, CapsNetConfig):
+            self.image_size = network.image_size
+        elif isinstance(network, str):
+            self.image_size = get_network(network).input_shape[-1]
+        else:
+            raise ConfigError(
+                "worker processes need a zoo name or a CapsNetConfig,"
+                f" got {type(network).__name__}"
+            )
+        self.network = network
         self.max_batch = max_batch
         size = self.image_size
         self._ctx = multiprocessing.get_context("spawn")

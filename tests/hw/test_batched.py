@@ -59,7 +59,11 @@ def make_batched_job(rng, batch, m, k, n, **kwargs):
 
 
 class TestChunkedSaturatingMatmul:
-    @pytest.mark.parametrize("shape", [(5, 9, 7), (3, 4, 33, 6), (1, 1, 1)])
+    # The last two shapes take the BLAS path in serial-sized groups of
+    # matrices, and as one product of matrices each above the serial size.
+    @pytest.mark.parametrize(
+        "shape", [(5, 9, 7), (3, 4, 33, 6), (1, 1, 1), (40, 64, 25), (2, 600, 100)]
+    )
     def test_matches_reference_without_saturation(self, rng, shape):
         # data is (..., M, K); weights (K, N) broadcast across leading axes
         data = rng.integers(-60, 60, size=shape)

@@ -546,6 +546,10 @@ class TestServingRuntimeLive:
                 await runtime.stop()
 
         assert asyncio.run(scenario()) == expected
+        # A name outside the zoo has no default executor to fall back on.
+        unknown = ServerConfig.from_policy("fifo", cost, max_batch=8, network_name="capsnet")
+        with pytest.raises(ConfigError, match="set network_name to one of .*mlp"):
+            ServingRuntime(unknown)
 
     def test_runtime_rejects_reuse_after_stop(self, tiny_config, tiny_cost):
         async def scenario():
