@@ -8,8 +8,9 @@ simulator in :mod:`repro.hw` must agree with these functions bit-for-bit —
 that equivalence is the reproduction of the paper's functional-compliance
 claim and is asserted by the integration tests.
 
-All values are raw integer codes (``int64`` numpy arrays) tagged by the
-formats in :class:`QuantizedFormats`.
+All values are raw integer codes (``int64`` numpy arrays, or ``int32``
+ones in the compiled executor's narrow registers) tagged by the formats in
+:class:`QuantizedFormats`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from repro.capsnet.ops import im2col
 from repro.errors import ShapeError
 from repro.fixedpoint import formats as F
-from repro.fixedpoint.arith import requantize, saturate_raw
+from repro.fixedpoint.arith import NARROW_BITS, requantize, saturate_raw
 from repro.fixedpoint.luts import LookupTable, LookupTable2D
 from repro.fixedpoint.luts import build_exp_lut, build_square_lut, build_squash_lut, fixed_sqrt
 from repro.fixedpoint.formats import QFormat
@@ -132,20 +133,26 @@ SERIAL_GEMM_MACS = 2**18
 class StagedWeights:
     """A GEMM weight operand staged for :func:`saturating_matmul`.
 
-    Holds the int64 codes, their largest magnitude and a float copy for
+    Holds the integer codes, their largest magnitude and a float copy for
     BLAS.  Integers of magnitude up to ``2**24`` (``2**53``) are exact in
     float32 (float64), and so is every sum of them that stays inside that
     bound.  ``limit`` is the largest per-row bound the float copy may
     take: the accumulator's clip limit (0 for an unsigned accumulator, so
     only an all-zero product skips the chunk loop), capped by the float
-    dtype's exact range.  A caller that reuses the weights stages them
-    once instead of converting them on every call.
+    dtype's exact range.  ``int32`` codes stay ``int32`` when the
+    accumulator format fits :data:`~repro.fixedpoint.arith.NARROW_BITS`
+    (the accumulator then comes back in ``int32`` too); anything else is
+    held in ``int64``.  A caller that reuses the weights stages them once
+    instead of converting them on every call.
     """
 
     __slots__ = ("raw", "max", "float", "limit")
 
     def __init__(self, raw: np.ndarray, acc_fmt: QFormat) -> None:
-        self.raw = np.asarray(raw, dtype=np.int64)
+        raw = np.asarray(raw)
+        if raw.dtype != np.int32 or acc_fmt.total_bits > NARROW_BITS:
+            raw = raw.astype(np.int64, copy=False)
+        self.raw = raw
         self.max = int(np.abs(self.raw).max(initial=0))
         clip = min(acc_fmt.raw_max, -acc_fmt.raw_min)
         dtype = np.float32 if clip <= 2**24 else np.float64
@@ -167,26 +174,30 @@ def saturating_matmul(
     rows); each chunk's partial product saturates to ``acc_fmt`` at the
     accumulator entry, and the running sum saturates again after every
     chunk.  ``data`` is ``(..., M, K)``; 2-D weights are shared by every
-    leading index, stacked ones broadcast.
+    leading index, stacked ones broadcast.  The accumulator has the staged
+    codes' integer dtype (``weights.raw.dtype``).
 
     Every prefix of the chunked accumulation is bounded per element by
     ``rowsum(|data|) * max|w|``.  When that bound is within
     ``weights.limit`` no clip can trigger and every partial sum is an
     integer the float dtype holds exactly, so one BLAS product is
-    bit-identical to the chunk loop, which runs otherwise.  The row sums
-    are taken on the float copy: rounding is monotone and the summands are
-    non-negative, so a computed sum inside the dtype's exact range proves
-    every element and partial sum was exact.  ``rowsum``, when the caller
-    already has it, skips that pass; ``data`` may then already be in the
-    float dtype.
+    bit-identical to the chunk loop, which runs otherwise.  ``rowsum``
+    is any upper bound on every row's sum of magnitudes the caller
+    already knows: ``K * max|code|`` of the data's Q-format, fixed when
+    the program is staged, or exact window sums.  Only when it is absent
+    or too loose to prove exactness are the row sums taken, on the float
+    copy: rounding is monotone and the summands are non-negative, so a
+    computed sum inside the dtype's exact range proves every element and
+    partial sum was exact.  ``data`` may already be in the float dtype.
     """
     operand = data.astype(weights.float.dtype, copy=False)
-    if rowsum is None:
+    if rowsum is None or float(rowsum) * weights.max > weights.limit:
         rowsum = np.abs(operand).sum(axis=-1).max(initial=0)
     if float(rowsum) * weights.max > weights.limit:
-        return _chunked_accumulation(
+        acc = _chunked_accumulation(
             np.asarray(data, dtype=np.int64), weights.raw, acc_fmt, chunk_rows
         )
+        return acc.astype(weights.raw.dtype, copy=False)
     if weights.float.ndim == 2:
         # Stream the leading matrices' rows through the shared tile: in
         # one BLAS call, or, when that would turn serial per-matrix
@@ -201,8 +212,8 @@ def saturating_matmul(
         while count % group:
             group -= 1
         out = rows.reshape(count // group, group * matrix_rows, k) @ weights.float
-        return out.astype(np.int64).reshape(operand.shape[:-1] + (n,))
-    return (operand @ weights.float).astype(np.int64)
+        return out.astype(weights.raw.dtype).reshape(operand.shape[:-1] + (n,))
+    return (operand @ weights.float).astype(weights.raw.dtype)
 
 
 def _chunked_accumulation(
@@ -284,8 +295,12 @@ def quantized_conv2d(
 
 
 def hw_relu(raw: np.ndarray) -> np.ndarray:
-    """ReLU on raw codes (sign is preserved by two's complement)."""
-    return np.maximum(np.asarray(raw, dtype=np.int64), 0)
+    """ReLU on raw codes (sign is preserved by two's complement).
+
+    ``int32`` codes stay ``int32``; anything else computes in ``int64``.
+    """
+    arr = np.asarray(raw)
+    return np.maximum(arr if arr.dtype == np.int32 else arr.astype(np.int64), 0)
 
 
 def hw_norm(

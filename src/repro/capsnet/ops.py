@@ -16,12 +16,16 @@ import numpy as np
 from repro.errors import ShapeError
 
 
-def im2col(x: np.ndarray, kernel_size: int, stride: int) -> np.ndarray:
+def im2col(
+    x: np.ndarray, kernel_size: int, stride: int, channels_last: bool = False
+) -> np.ndarray:
     """Extract convolution patches from a ``(..., C, H, W)`` tensor.
 
     Returns an array of shape ``(..., out_h * out_w, C * kernel_size**2)``
     whose rows are flattened receptive fields ordered row-major over output
-    positions; leading axes (a batch) carry through.  Works for any dtype
+    positions; leading axes (a batch) carry through.  Each row is ordered
+    ``(C, kh, kw)``, or ``(kh, kw, C)`` when ``channels_last`` — the cheaper
+    copy when ``x``'s channels are adjacent in memory.  Works for any dtype
     (the quantized path reuses it on raw integer arrays).
     """
     if x.ndim < 3:
@@ -34,10 +38,14 @@ def im2col(x: np.ndarray, kernel_size: int, stride: int) -> np.ndarray:
     out_h = (height - kernel_size) // stride + 1
     out_w = (width - kernel_size) // stride + 1
     *lead_strides, s_c, s_h, s_w = x.strides
+    window = (kernel_size, kernel_size, channels) if channels_last else (
+        channels, kernel_size, kernel_size
+    )
+    window_strides = (s_h, s_w, s_c) if channels_last else (s_c, s_h, s_w)
     windows = np.lib.stride_tricks.as_strided(
         x,
-        (*lead, out_h, out_w, channels, kernel_size, kernel_size),
-        (*lead_strides, s_h * stride, s_w * stride, s_c, s_h, s_w),
+        (*lead, out_h, out_w, *window),
+        (*lead_strides, s_h * stride, s_w * stride, *window_strides),
         writeable=False,
     )
     return windows.reshape(

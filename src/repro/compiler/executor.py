@@ -5,16 +5,27 @@
 Every register holds a batched tensor (leading ``B`` axis prepended to the
 program's per-image shapes).  Numerics and accounting are separate:
 
-* **Numerics.**  Weight tiles are staged once, at construction
+* **Registers.**  Every fixed-point register is ``int32``, the paper's
+  narrow datapath (8-bit data, 25-bit accumulators and biases fit with
+  room to spare).  Construction raises :class:`~repro.errors.CompileError`
+  unless every format, and every width reduction's widest intermediate,
+  fits :data:`~repro.fixedpoint.arith.NARROW_BITS`.
+* **Numerics.**  Weight tiles and biases are staged once, at construction
   (:class:`~repro.capsnet.hwops.StagedWeights`).  Each run of per-capsule
   ``SLICE → LOAD_T → GEMM → RESHAPE`` groups closed by a ``CONCAT`` (the
   ClassCaps lowering) executes as one contraction over the capsule axis,
   and an ``IM2COL`` read only by its GEMM is gathered by that GEMM.  The
   ``fast`` engine runs GEMMs through
-  :func:`~repro.capsnet.hwops.saturating_matmul` (one BLAS call whenever
-  a per-call bound proves no accumulator clip can trigger); the
-  ``stepped`` engine drives the systolic array clock edge by clock edge,
-  one array job at a time.
+  :func:`~repro.capsnet.hwops.saturating_matmul`, one BLAS call whenever a
+  row-sum bound proves no accumulator clip can trigger, and stages work
+  once: the static bound ``K * max|code|`` of the data format proves most
+  GEMMs exact without a pass over the data; a gathered ``IM2COL`` reads
+  its windows channels-last, the layout a ``(positions, channels)``
+  accumulator already has, against weight rows permuted at staging; and a
+  register GEMMs read through ``TRANSPOSE``/``RESHAPE`` views (``u_hat`` in
+  the routing GEMMs) is converted to float once per batch.  The
+  ``stepped`` engine, the reference, drives the systolic array clock edge
+  by clock edge, one array job at a time, in program row order.
   Activations run through a shared
   :class:`~repro.hw.activation.ActivationUnit` built from the network's own
   LUT ROMs.
@@ -31,7 +42,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -41,7 +52,8 @@ from repro.capsnet.ops import im2col
 from repro.compiler.cost import program_events, program_layers
 from repro.compiler.isa import Instruction, Opcode, Program
 from repro.errors import CompileError, MappingError, ShapeError
-from repro.fixedpoint.arith import requantize, saturate_raw
+from repro.fixedpoint.arith import NARROW_BITS, requantize, requantize_bits, saturate_raw
+from repro.fixedpoint.formats import QFormat
 from repro.fixedpoint.quantize import to_raw
 from repro.hw.accelerator import CapsAccAccelerator, plan_tiling
 from repro.hw.activation import ActivationUnit
@@ -60,6 +72,17 @@ _RESULT_FIELDS = (
 ENGINES = ("fast", "stepped")
 #: One input capsule's instructions in a ClassCaps run.
 _CAPSULE_OPS = (Opcode.SLICE, Opcode.LOAD_T, Opcode.GEMM, Opcode.RESHAPE)
+#: Register dtype of every fixed-point value.
+_REGISTER = np.int32
+#: Opcode -> (input, output) format attrs of the width reduction it folds in.
+_REDUCTIONS = {
+    Opcode.GEMM: ("acc_fmt", "requant_to"),
+    Opcode.GROUPED_GEMM: ("acc_fmt", "requant_to"),
+    Opcode.RELU: ("in_fmt", "out_fmt"),
+    Opcode.REQUANT: ("from_fmt", "to_fmt"),
+}
+#: Ops that only re-view a register; GEMM operands are traced through them.
+_VIEWS = (Opcode.TRANSPOSE, Opcode.RESHAPE)
 
 
 def _requant(acc: np.ndarray, attrs: dict) -> np.ndarray:
@@ -69,6 +92,18 @@ def _requant(acc: np.ndarray, attrs: dict) -> np.ndarray:
     return requantize(acc, attrs["acc_fmt"], attrs["requant_to"])
 
 
+def _code_max(fmt: QFormat) -> int:
+    """Largest magnitude of a raw code of ``fmt``."""
+    return max(-fmt.raw_min, fmt.raw_max)
+
+
+def _view(instr: Instruction, src: np.ndarray) -> np.ndarray:
+    """``TRANSPOSE``/``RESHAPE`` of a batched register (no copy where numpy can)."""
+    if instr.opcode is Opcode.TRANSPOSE:
+        return src.transpose((0,) + tuple(p + 1 for p in instr.attrs["perm"]))
+    return src.reshape((src.shape[0],) + tuple(instr.attrs["shape"]))
+
+
 class _Fault(NamedTuple):
     """One call's corruption: the spec, whether checks are armed, and
     the array instruction it lands on."""
@@ -76,6 +111,20 @@ class _Fault(NamedTuple):
     spec: object
     verify: bool
     victim: int
+
+
+class _Gather(NamedTuple):
+    """The ``IM2COL`` (at ``pos``) a GEMM gathers itself.
+
+    ``order``, on the fast engine, is the program row of each staged
+    weight row: the tile is held channels-last, matching the windows.
+    """
+
+    pos: int
+    src: str
+    kernel: int
+    stride: int
+    order: np.ndarray | None = None
 
 
 class StreamExecutor:
@@ -100,6 +149,7 @@ class StreamExecutor:
         # Share the network's ROMs so both paths are the same bits.
         self.activation = ActivationUnit(formats, luts)
         self.engine = engine
+        self._check_width()
         self._gemm_positions = [
             index
             for index, instr in enumerate(program.instructions)
@@ -108,48 +158,108 @@ class StreamExecutor:
         self._accounts: dict[int, tuple] = {}
         #: GEMM position -> staged weight tile (outside capsule runs).
         self._tiles: dict[int, StagedWeights] = {}
+        #: GEMM position -> staged int32 bias.
+        self._biases: dict[int, np.ndarray] = {}
         #: Capsule run start -> (closing CONCAT position, stacked tiles).
         self._runs: dict[int, tuple[int, StagedWeights]] = {}
-        #: GEMM position -> position of the IM2COL it gathers itself.
-        self._gathers: dict[int, int] = {}
+        #: GEMM position -> the IM2COL it gathers itself.
+        self._gathers: dict[int, _Gather] = {}
+        #: GEMM position -> (root register, views from it to the data operand).
+        self._operands: dict[int, tuple[str, tuple[Instruction, ...]]] = {}
         self._stage()
 
     # ---- staging ---------------------------------------------------------------
+
+    def _check_width(self) -> None:
+        """Raise :class:`CompileError` unless every register fits ``int32``.
+
+        Covers every format an instruction or the activation unit computes
+        in and the widest intermediate of every width reduction.
+        """
+        fmts = self.activation.formats
+        checks = [("input", self.program.input_fmt, None)]
+        checks += [(field.name, getattr(fmts, field.name), None) for field in fields(fmts)]
+        for instr in self.program.instructions:
+            attrs, where = instr.attrs, f"{instr.opcode.name} {instr.dest}"
+            checks += [(where, fmt, None) for fmt in attrs.values()]
+            src, dst = _REDUCTIONS.get(instr.opcode, ("", ""))
+            checks.append((where, attrs.get(src), attrs.get(dst)))
+            if instr.opcode in (Opcode.SQUASH, Opcode.NORM):
+                checks.append((where, attrs["in_fmt"], fmts.square_in))
+                checks.append((where, attrs["in_fmt"], fmts.squash_in))
+        for where, src, dst in checks:
+            if isinstance(src, QFormat) and requantize_bits(src, dst or src) > NARROW_BITS:
+                shown = src.describe() + (f" -> {dst.describe()}" if dst else "")
+                raise CompileError(
+                    f"{where}: {shown} needs more than the {NARROW_BITS}-bit"
+                    " int32 registers hold"
+                )
 
     def _stage(self) -> None:
         """Stage weight tiles and find the fused runs, once per program."""
         instructions = self.program.instructions
         uses = Counter(src for instr in instructions for src in instr.srcs)
         uses.update(instr.attrs["wreg"] for instr in instructions if "wreg" in instr.attrs)
+        producers = {instr.dest: instr for instr in instructions if instr.dest}
+        codes: dict[str, np.ndarray] = {}
+
+        def param(key: str) -> np.ndarray:
+            if key not in codes:
+                codes[key] = self._param(key)
+            return codes[key]
+
         loads: dict[str, np.ndarray] = {}
         weights: dict[int, np.ndarray] = {}
         for pos, instr in enumerate(instructions):
             if instr.opcode is Opcode.LOAD_T:
-                loads[instr.dest] = self._load(instr)
+                loads[instr.dest] = self._load(instr, param(instr.attrs["key"]))
             elif instr.opcode is Opcode.GEMM:
                 weights[pos] = loads[instr.attrs["wreg"]]
+                if instr.attrs.get("bias") is not None:
+                    self._biases[pos] = param(instr.attrs["bias"])
             elif instr.opcode is Opcode.IM2COL and uses[instr.dest] == 1:
                 reader = pos + 1
                 while reader < len(instructions) and instructions[reader].opcode is Opcode.LOAD_T:
                     reader += 1
                 if reader < len(instructions) and instructions[reader].srcs == (instr.dest,):
                     if instructions[reader].opcode is Opcode.GEMM:
-                        self._gathers[reader] = pos
+                        self._gathers[reader] = _Gather(
+                            pos, instr.srcs[0], instr.attrs["kernel"], instr.attrs["stride"]
+                        )
             elif instr.opcode is Opcode.CONCAT:
                 start = self._capsule_run_start(pos, uses)
                 if start is not None:
                     stacked = np.stack([weights.pop(p) for p in range(start + 2, pos, 4)])
                     acc_fmt = instructions[start + 2].attrs["acc_fmt"]
                     self._runs[start] = (pos, StagedWeights(stacked, acc_fmt))
+            if instr.opcode in (Opcode.GEMM, Opcode.GROUPED_GEMM):
+                root, views = instr.srcs[0], []
+                while root in producers and producers[root].opcode in _VIEWS:
+                    views.append(producers[root])
+                    root = producers[root].srcs[0]
+                self._operands[pos] = (root, tuple(reversed(views)))
         for pos, tile in weights.items():
+            gather = self._gathers.get(pos)
+            if gather is not None and self.engine == "fast":
+                # Row (c, kh, kw) of the program's tile meets window
+                # element (kh, kw, c) of a channels-last gather.
+                order = np.arange(len(tile)).reshape(-1, gather.kernel**2).T.ravel()
+                self._gathers[pos] = gather._replace(order=order)
+                tile = tile[order]
             self._tiles[pos] = StagedWeights(tile, instructions[pos].attrs["acc_fmt"])
 
-    def _load(self, instr: Instruction) -> np.ndarray:
-        """The ``(K, N)`` weight matrix a ``LOAD_T`` stages."""
-        key = instr.attrs["key"]
+    def _param(self, key: str) -> np.ndarray:
+        """Param ``key`` as ``int32`` codes."""
         if key not in self.params:
             raise CompileError(f"program references unknown param {key!r}")
-        tile = self.params[key]
+        codes = np.asarray(self.params[key], dtype=np.int64)
+        if codes.size and np.abs(codes).max() >= 2**NARROW_BITS:
+            raise CompileError(f"param {key!r} does not fit int32 registers")
+        return codes.astype(_REGISTER)
+
+    @staticmethod
+    def _load(instr: Instruction, tile: np.ndarray) -> np.ndarray:
+        """The ``(K, N)`` weight matrix a ``LOAD_T`` stages from its param."""
         index = instr.attrs.get("index")
         if index is not None:
             tile = tile[index]
@@ -158,7 +268,7 @@ class StreamExecutor:
             tile = tile.reshape(tuple(reshape))
         if instr.attrs.get("transpose", False):
             tile = tile.T
-        return np.asarray(tile, dtype=np.int64)
+        return tile
 
     def _capsule_run_start(self, end: int, uses: Counter) -> int | None:
         """Where the capsule run the ``CONCAT`` at ``end`` closes starts.
@@ -218,19 +328,19 @@ class StreamExecutor:
 
     # ---- numerics --------------------------------------------------------------
 
-    def _product(
-        self, data: np.ndarray, tile: StagedWeights, attrs: dict, rowsum=None
-    ) -> np.ndarray:
+    def _product(self, data: np.ndarray, tile: StagedWeights, attrs: dict) -> np.ndarray:
         """``(..., M, K) @ (..., K, N)`` on the selected engine.
 
-        The stepped engine runs one array job per leading index of a
-        stacked tile, and one job over every leading row of a shared 2-D
-        tile, as the accelerator would issue them.
+        The fast engine passes the static row-sum bound of the data
+        format.  The stepped engine runs one array job per leading index
+        of a stacked tile, and one job over every leading row of a shared
+        2-D tile, as the accelerator would issue them.
         """
         acc_fmt = attrs["acc_fmt"]
         config = self.accelerator.config
         if self.engine == "fast":
-            return saturating_matmul(data, tile, acc_fmt, config.rows, rowsum)
+            bound = data.shape[-1] * _code_max(attrs["data_fmt"])
+            return saturating_matmul(data, tile, acc_fmt, config.rows, bound)
         data = np.asarray(data, dtype=np.int64)
         k, n = tile.raw.shape[-2:]
         if tile.raw.ndim == 2:
@@ -244,29 +354,61 @@ class StreamExecutor:
             )
             for d, w in pairs
         ]
-        return np.stack(accs).reshape(data.shape[:-1] + (n,))
+        return np.stack(accs).reshape(data.shape[:-1] + (n,)).astype(tile.raw.dtype)
 
-    def _patches(
-        self, x: np.ndarray, kernel: int, stride: int, tile: StagedWeights
-    ) -> tuple:
-        """``(patches, rowsum)`` of ``x`` for a GEMM against ``tile``.
+    def _gathered(
+        self, gather: _Gather, x: np.ndarray, tile: StagedWeights, attrs: dict
+    ) -> np.ndarray:
+        """The GEMM of ``tile`` over the convolution windows of ``x``.
 
-        On the fast engine the GEMM's row bound comes from window sums of
-        the channel-summed magnitudes, without the patch matrix, and the
-        patches are gathered straight into the tile's float dtype when
-        that bound proves the product exact.
+        On the fast engine, once a row bound proves the product exact (the
+        data format's, else window sums of the channel-summed magnitudes,
+        taken without the patch matrix), the windows are gathered
+        channels-last straight into the tile's float dtype.  Otherwise the
+        array's K-chunk clipping depends on row order, so the product runs
+        in the program's order.
+        """
+        kernel, stride = gather.kernel, gather.stride
+        if gather.order is not None:
+            bound = len(tile.raw) * _code_max(attrs["data_fmt"])
+            if bound * tile.max > tile.limit:
+                magnitude = np.abs(x).sum(axis=-3, keepdims=True, dtype=np.float64)
+                bound = im2col(magnitude, kernel, stride).sum(axis=-1).max(initial=0.0)
+            if float(bound) * tile.max <= tile.limit:
+                patches = im2col(x.astype(tile.float.dtype), kernel, stride, channels_last=True)
+                rows = self.accelerator.config.rows
+                return saturating_matmul(patches, tile, attrs["acc_fmt"], rows, bound)
+            tile = StagedWeights(tile.raw[np.argsort(gather.order)], attrs["acc_fmt"])
+        return self._product(im2col(x, kernel, stride), tile, attrs)
+
+    def _operand(
+        self, pos: int, env: dict, floats: dict, tile: StagedWeights
+    ) -> np.ndarray:
+        """The data operand of the GEMM at ``pos``.
+
+        On the fast engine it comes in ``tile``'s float dtype, from one
+        float copy per register and batch: GEMMs reading a register
+        through ``TRANSPOSE``/``RESHAPE`` views replay the views on it.
         """
         if self.engine != "fast":
-            return im2col(x, kernel, stride), None
-        magnitude = np.abs(x).sum(axis=1, keepdims=True, dtype=np.float64)
-        rowsum = im2col(magnitude, kernel, stride).sum(axis=-1).max(initial=0.0)
-        if float(rowsum) * tile.max <= tile.limit:
-            x = x.astype(tile.float.dtype)
-        return im2col(x, kernel, stride), rowsum
+            return env[self.program.instructions[pos].srcs[0]]
+        root, views = self._operands[pos]
+        key = (root, tile.float.dtype)
+        data = floats.get(key)
+        if data is None:
+            data = floats[key] = env[root].astype(tile.float.dtype)
+        for view in views:
+            data = _view(view, data)
+        return data
 
     @staticmethod
-    def _corrupt(fault: _Fault | None, pos: int, target: str, tensor, axis: int, kind: str):
-        """``tensor``, with the seeded flips if ``fault`` lands on ``pos``'s ``target``.
+    def _hits(fault: _Fault | None, pos: int, target: str) -> bool:
+        """Whether ``fault`` lands on ``pos``'s ``target``."""
+        return fault is not None and fault.victim == pos and fault.spec.target == target
+
+    @staticmethod
+    def _corrupt(fault: _Fault, tensor: np.ndarray, axis: int, kind: str) -> np.ndarray:
+        """``tensor`` with the seeded flips of ``fault``, in its own dtype.
 
         ``axis`` picks the ABFT reduction an armed check runs (``-2``
         column sums for weight tiles, ``-1`` row sums for accumulators),
@@ -274,10 +416,9 @@ class StreamExecutor:
         corrupted instruction — every other instruction's tensors are
         bit-identical to the clean run by construction, so their checks
         cannot fire; the *cost* of checking them everywhere is what the
-        cost models price in.
+        cost models price in.  The flips stay in the low 16 bits, so the
+        corrupted codes still fit the tensor's dtype.
         """
-        if fault is None or fault.victim != pos or fault.spec.target != target:
-            return tensor
         from repro.serve.integrity import DetectedCorruptionError, apply_corruption
 
         clean = np.asarray(tensor, dtype=np.int64)
@@ -287,29 +428,44 @@ class StreamExecutor:
                 f"ABFT checksum mismatch on {kind}"
                 f" (target {fault.spec.target}, {fault.spec.bits} bit flips)"
             )
-        return corrupted
+        return corrupted.astype(tensor.dtype)
 
-    def _gemm(self, pos: int, env: dict, fault: _Fault | None) -> np.ndarray:
-        """Execute the ``GEMM`` at ``pos`` (with its gathered ``IM2COL``)."""
+    def _gemm(self, pos: int, env: dict, floats: dict, fault: _Fault | None) -> np.ndarray:
+        """Execute the ``GEMM`` or ``GROUPED_GEMM`` at ``pos``.
+
+        A ``GROUPED_GEMM`` is ``(B, G, M, K) @ (B, G, K, N)``: the flat
+        element order of its weights and accumulator is that of the
+        ``(B*G, ...)`` job, so seeded flips land identically.  A weight
+        flip lands on the program's row order, whatever order is staged.
+        """
         instr = self.program.instructions[pos]
         attrs = instr.attrs
-        tile = self._tiles[pos]
-        weights = self._corrupt(fault, pos, "weight", tile.raw, -2, f"weight tile {attrs['wreg']}")
-        if weights is not tile.raw:
-            tile = StagedWeights(weights, attrs["acc_fmt"])
-        if pos in self._gathers:
-            gather = self.program.instructions[self._gathers[pos]]
-            data, rowsum = self._patches(
-                env[gather.srcs[0]], gather.attrs["kernel"], gather.attrs["stride"], tile
-            )
+        acc_fmt = attrs["acc_fmt"]
+        gather = self._gathers.get(pos)
+        if instr.opcode is Opcode.GROUPED_GEMM:
+            tile = StagedWeights(env[instr.srcs[1]], acc_fmt)
+            kind = f"weight tiles of {instr.layer}"
         else:
-            data, rowsum = env[instr.srcs[0]], None
-        acc = self._product(data, tile, attrs, rowsum)
-        acc = self._corrupt(fault, pos, "accumulator", acc, -1, f"accumulator of {instr.layer}")
-        if attrs.get("bias") is not None:
-            bias = self.params[attrs["bias"]][np.newaxis, np.newaxis, :]
-            acc = saturate_raw(acc + bias, attrs["acc_fmt"])
-        return _requant(acc, attrs)
+            tile = self._tiles[pos]
+            kind = f"weight tile {attrs['wreg']}"
+        if self._hits(fault, pos, "weight"):
+            order = None if gather is None else gather.order
+            clean = tile.raw if order is None else tile.raw[np.argsort(order)]
+            corrupted = self._corrupt(fault, clean, -2, kind)
+            tile = StagedWeights(corrupted if order is None else corrupted[order], acc_fmt)
+        if gather is not None:
+            acc = self._gathered(gather, env[gather.src], tile, attrs)
+        else:
+            acc = self._product(self._operand(pos, env, floats, tile), tile, attrs)
+        if self._hits(fault, pos, "accumulator"):
+            acc = self._corrupt(fault, acc, -1, f"accumulator of {instr.layer}")
+        bias = self._biases.get(pos)
+        if bias is not None:
+            acc = saturate_raw(acc + bias, acc_fmt)
+        acc = _requant(acc, attrs)
+        if instr.opcode is Opcode.GROUPED_GEMM:
+            acc = acc.reshape((len(acc),) + tuple(attrs["out_shape"]))
+        return acc
 
     def _capsule_run(self, start: int, env: dict, fault: _Fault | None) -> np.ndarray:
         """One ``(I, B, K) @ (I, K, N)`` contraction for a whole capsule run.
@@ -328,17 +484,15 @@ class StreamExecutor:
         index, offset = divmod(fault.victim - start - 2, 4) if fault else (-1, 0)
         if offset == 0 and 0 <= index < count:
             gemm = instructions[fault.victim]
-            clean = tiles.raw[index]
-            weights = self._corrupt(
-                fault, fault.victim, "weight", clean, -2, f"weight tile {gemm.attrs['wreg']}"
-            )
-            if weights is not clean:
+            if self._hits(fault, fault.victim, "weight"):
+                kind = f"weight tile {gemm.attrs['wreg']}"
+                weights = self._corrupt(fault, tiles.raw[index], -2, kind)
                 staged = StagedWeights(weights, attrs["acc_fmt"])
                 acc[index] = self._product(data[index], staged, attrs)
-            acc[index] = self._corrupt(
-                fault, fault.victim, "accumulator", acc[index][:, np.newaxis], -1,
-                f"accumulator of {gemm.layer}",
-            )[:, 0]
+            if self._hits(fault, fault.victim, "accumulator"):
+                acc[index] = self._corrupt(
+                    fault, acc[index][:, np.newaxis], -1, f"accumulator of {gemm.layer}"
+                )[:, 0]
         shape = tuple(instructions[start + 3].attrs["shape"])
         return _requant(acc, attrs).transpose(1, 0, 2).reshape((data.shape[1], count) + shape)
 
@@ -392,9 +546,13 @@ class StreamExecutor:
         if corruption is not None:
             fault = _Fault(corruption, verify_checksums, self._victim_instruction(corruption))
 
-        env: dict[str, np.ndarray] = {program.input: to_raw(images, program.input_fmt)}
+        env: dict[str, np.ndarray] = {
+            program.input: to_raw(images, program.input_fmt).astype(_REGISTER)
+        }
+        #: (register, float dtype) -> its float copy, for GEMM operands.
+        floats: dict[tuple, np.ndarray] = {}
         outputs: dict[str, np.ndarray] = {}
-        gathered = self._gathers.values()
+        gathered = {gather.pos for gather in self._gathers.values()}
         instructions = program.instructions
         pos = 0
         while pos < len(instructions):
@@ -405,31 +563,20 @@ class StreamExecutor:
                 end = self._runs[pos][0]
                 env[instructions[end].dest] = self._capsule_run(pos, env, fault)
                 pos = end
-            elif op is Opcode.GEMM:
-                env[dest] = self._gemm(pos, env, fault)
-            elif op is Opcode.GROUPED_GEMM:
-                # (B, G, M, K) @ (B, G, K, N): flat element order is that of
-                # the (B*G, ...) job, so seeded flips land identically.
-                weights = self._corrupt(
-                    fault, pos, "weight", env[instr.srcs[1]], -2, f"weight tiles of {instr.layer}"
-                )
-                acc = self._product(src, StagedWeights(weights, attrs["acc_fmt"]), attrs)
-                acc = self._corrupt(
-                    fault, pos, "accumulator", acc, -1, f"accumulator of {instr.layer}"
-                )
-                env[dest] = _requant(acc, attrs).reshape((batch,) + tuple(attrs["out_shape"]))
+            elif op is Opcode.GEMM or op is Opcode.GROUPED_GEMM:
+                env[dest] = self._gemm(pos, env, floats, fault)
             elif op is Opcode.IM2COL:
                 if pos not in gathered:
                     env[dest] = im2col(src, attrs["kernel"], attrs["stride"])
             elif op is Opcode.RELU:
                 env[dest] = self.activation.relu(src, attrs["in_fmt"], attrs["out_fmt"])
             elif op is Opcode.SQUASH:
-                env[dest] = self.activation.squash(src, attrs["in_fmt"])
+                env[dest] = self.activation.squash(src, attrs["in_fmt"]).astype(_REGISTER)
             elif op is Opcode.SOFTMAX:
-                env[dest] = self.activation.softmax(src, axis=-1)
+                env[dest] = self.activation.softmax(src, axis=-1).astype(_REGISTER)
             elif op is Opcode.NORM:
                 # Final length readout: the legacy lowering never charged it.
-                env[dest] = self.activation.norm(src, attrs["in_fmt"])[1]
+                env[dest] = self.activation.norm(src, attrs["in_fmt"])[1].astype(_REGISTER)
             elif op is Opcode.ARGMAX:
                 if fault is not None and fault.spec.target == "output":
                     # Output-target corruption lands after every checked
@@ -442,10 +589,8 @@ class StreamExecutor:
                 env[dest] = np.argmax(src, axis=-1)
             elif op is Opcode.REQUANT:
                 env[dest] = requantize(src, attrs["from_fmt"], attrs["to_fmt"])
-            elif op is Opcode.RESHAPE:
-                env[dest] = src.reshape((batch,) + tuple(attrs["shape"]))
-            elif op is Opcode.TRANSPOSE:
-                env[dest] = src.transpose((0,) + tuple(p + 1 for p in attrs["perm"]))
+            elif op in _VIEWS:
+                env[dest] = _view(instr, src)
             elif op is Opcode.SLICE:
                 axis = attrs["axis"] + 1
                 index = (slice(None),) * axis + (slice(attrs["start"], attrs["stop"]),)
@@ -457,7 +602,7 @@ class StreamExecutor:
                 env[dest] = saturate_raw(env[a] + env[b], attrs["fmt"])
             elif op is Opcode.CONST:
                 shape = (batch,) + tuple(attrs["shape"])
-                env[dest] = np.full(shape, attrs["value"], dtype=np.int64)
+                env[dest] = np.full(shape, attrs["value"], dtype=_REGISTER)
             elif op is Opcode.STORE:
                 outputs[attrs["alias"]] = src
             elif op is not Opcode.LOAD_T:  # pragma: no cover - exhaustive over Opcode

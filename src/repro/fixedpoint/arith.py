@@ -1,7 +1,10 @@
 """Saturating raw-integer arithmetic mirroring the CapsAcc datapath.
 
-Every function operates on *raw* integer arrays (``int64``) tagged with a
-:class:`~repro.fixedpoint.formats.QFormat`.  This is the layer the
+Every function operates on *raw* integer arrays tagged with a
+:class:`~repro.fixedpoint.formats.QFormat`, computed in ``int64``.
+:func:`saturate_raw` and :func:`requantize` keep an ``int32`` input in
+``int32`` when every intermediate fits :data:`NARROW_BITS` (the compiled
+executor's registers; see :func:`requantize_bits`).  This is the layer the
 bit-accurate hardware simulator computes with: the multiplier inside a
 processing element is :func:`fx_mul`, the 25-bit partial-sum adder is
 :func:`fx_add` with saturation, and the 25-to-8-bit reduction in front of the
@@ -30,11 +33,45 @@ def product_format(a: QFormat, b: QFormat) -> QFormat:
     )
 
 
+#: Widest code, in bits, an ``int32`` array keeps through the saturating
+#: ops.  The spare bit holds the sum of two such codes or a rounding carry.
+NARROW_BITS = 30
+
+
+def requantize_bits(in_fmt: QFormat, out_fmt: QFormat) -> int:
+    """Widest intermediate, in bits, of :func:`requantize` from ``in_fmt``.
+
+    A left shift by ``k`` widens the input by ``k`` bits; a right shift by
+    ``s`` adds a rounding constant below ``2**(s - 1)``.
+    """
+    shift = in_fmt.frac_bits - out_fmt.frac_bits
+    return max(in_fmt.total_bits - min(shift, 0), shift, out_fmt.total_bits)
+
+
+def _codes(raw, bits: int) -> np.ndarray:
+    """``raw`` as ``int32`` if it is one and ``bits`` fits, else ``int64``."""
+    arr = np.asarray(raw)
+    if arr.dtype == np.int32 and bits <= NARROW_BITS:
+        return arr
+    return arr.astype(np.int64, copy=False)
+
+
 def saturate_raw(raw: np.ndarray | int, fmt: QFormat) -> np.ndarray:
     """Clamp raw codes into the representable range of ``fmt``."""
     # Two ufuncs skip the per-call bound checks np.clip does in Python,
     # which dominate on the small tensors of a batch's routing loop.
-    return np.minimum(np.maximum(np.asarray(raw, dtype=np.int64), fmt.raw_min), fmt.raw_max)
+    low = np.maximum(_codes(raw, fmt.total_bits), fmt.raw_min)
+    if isinstance(low, np.ndarray):
+        return np.minimum(low, fmt.raw_max, out=low)
+    return np.minimum(low, fmt.raw_max)
+
+
+def _saturate_fresh(values: np.ndarray, fmt: QFormat) -> np.ndarray:
+    """:func:`saturate_raw` in place, for an array nothing else holds."""
+    if isinstance(values, np.ndarray):
+        np.maximum(values, fmt.raw_min, out=values)
+        return np.minimum(values, fmt.raw_max, out=values)
+    return saturate_raw(values, fmt)
 
 
 def fx_mul(a_raw: np.ndarray, a_fmt: QFormat, b_raw: np.ndarray, b_fmt: QFormat):
@@ -128,15 +165,17 @@ def requantize(
     This models the width reduction between the accumulator (25 bits) and
     the activation unit input (8 bits) described in Section IV-C.
     """
-    arr = np.asarray(raw, dtype=np.int64)
+    arr = _codes(raw, requantize_bits(in_fmt, out_fmt))
     shift = in_fmt.frac_bits - out_fmt.frac_bits
     if shift <= 0:
-        return saturate_raw(arr << (-shift), out_fmt)
+        return _saturate_fresh(arr << (-shift), out_fmt)
     if rounding is Rounding.NEAREST:
         # Ties away from zero: ``(a + h) >> s`` for ``a >= 0`` and
-        # ``-((-a + h) >> s) == (a + h - 1) >> s`` for ``a < 0``.
-        shifted = arr + (arr >= 0)
-        shifted += (1 << (shift - 1)) - 1
+        # ``-((-a + h) >> s) == (a + h - 1) >> s`` for ``a < 0``; the
+        # sign shift ``a >> (bits - 1)`` is the -1 for negative codes.
+        shifted = arr >> (8 * arr.dtype.itemsize - 1)
+        shifted += arr
+        shifted += 1 << (shift - 1)
         shifted >>= shift
     elif rounding is Rounding.FLOOR:
         shifted = arr >> shift
@@ -144,4 +183,4 @@ def requantize(
         shifted = np.where(arr >= 0, arr >> shift, -((-arr) >> shift))
     else:
         raise ValueError(f"unknown rounding mode {rounding!r}")
-    return saturate_raw(shifted, out_fmt)
+    return _saturate_fresh(shifted, out_fmt)

@@ -204,6 +204,20 @@ def build_exp_lut(
     return LookupTable(entry, in_fmt, out_fmt, name="exp")
 
 
+#: Operands below this bound take the vectorized square root: their
+#: float64 root is within one of the integer root, and every square the
+#: correction forms fits int64.
+_EXACT_OPERAND = 1 << 62
+
+
+def _round_isqrt(operand: int) -> int:
+    """``round(sqrt(operand))``, ties up, for a Python integer."""
+    root = math.isqrt(operand)
+    # Round to nearest: bump when operand >= (root + 0.5)^2, i.e. when
+    # the integer remainder operand - root^2 exceeds root.
+    return root + (operand - root * root > root)
+
+
 def fixed_sqrt(
     raw: np.ndarray | int,
     in_fmt: QFormat,
@@ -211,10 +225,14 @@ def fixed_sqrt(
 ) -> np.ndarray:
     """Exact fixed-point square root of non-negative raw codes.
 
-    Computes ``round(sqrt(value))`` in ``out_fmt`` using integer arithmetic
-    only: the input raw code is rescaled so that the integer square root of
-    the shifted operand lands directly on the output grid, then rounded to
-    nearest by comparing the remainder against the midpoint.
+    Computes ``round(sqrt(value))`` in ``out_fmt``: the input raw code is
+    rescaled so that the integer square root of the shifted operand lands
+    directly on the output grid, then rounded to nearest by comparing the
+    remainder against the midpoint.  The root starts from the float64
+    square root and takes an exact integer correction of at most one
+    either way, so it equals :func:`math.isqrt` on every operand.
+    Operands whose root saturates ``out_fmt`` are clamped first; the rare
+    operand past int64's exact range otherwise takes Python's ``isqrt``.
 
     Negative inputs (which cannot reach a hardware norm unit) raise
     ``ValueError``.
@@ -225,18 +243,28 @@ def fixed_sqrt(
     # value = raw * 2^-f_in; out_raw = round(sqrt(value) * 2^f_out)
     #       = round(sqrt(raw * 2^(2*f_out - f_in)))
     shift = 2 * out_fmt.frac_bits - in_fmt.frac_bits
-    out = np.empty(arr.shape, dtype=np.int64)
-    flat_in = arr.ravel()
-    flat_out = out.ravel()
-    for i, code in enumerate(flat_in):
-        operand = int(code) << shift if shift >= 0 else int(code) >> (-shift)
-        root = math.isqrt(operand)
-        # Round to nearest: bump when operand >= (root + 0.5)^2, i.e. when
-        # the integer remainder operand - root^2 exceeds root.
-        if operand - root * root > root:
-            root += 1
-        flat_out[i] = root
-    result = saturate_raw(out, out_fmt)
+    # Every operand at or above (raw_max + 1)^2 saturates to raw_max.
+    saturating = (out_fmt.raw_max + 1) ** 2 <= _EXACT_OPERAND
+    cap = (out_fmt.raw_max + 1) ** 2 if saturating else _EXACT_OPERAND
+    if shift >= 0:
+        over = arr > (cap - 1) >> shift
+        operand = np.minimum(arr, (cap - 1) >> shift) << shift
+    else:
+        operand = arr >> -shift
+        over = operand >= cap
+        operand = np.minimum(operand, cap - 1)
+    root = np.sqrt(operand.astype(np.float64)).astype(np.int64)
+    root -= root * root > operand
+    root += (root + 1) * (root + 1) <= operand
+    root += operand - root * root > root
+    if saturating:
+        root[over] = out_fmt.raw_max
+    else:
+        for index in np.flatnonzero(over):
+            code = int(arr.flat[index])
+            exact = _round_isqrt(code << shift if shift >= 0 else code >> -shift)
+            root.flat[index] = min(exact, out_fmt.raw_max)
+    result = saturate_raw(root, out_fmt)
     if np.isscalar(raw) or np.asarray(raw).ndim == 0:
         return result.reshape(())
     return result

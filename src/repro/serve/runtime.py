@@ -70,6 +70,29 @@ from repro.serve.trace import ArrivalTrace
 from repro.serve.workers import CompiledStreamExecutor, WorkerCrashError
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
+    """The next line of a JSONL stream, ``b""`` at its end.
+
+    A line longer than the reader's limit is discarded through its newline
+    (or the end of the stream) and read as ``None``.
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as error:
+        return error.partial
+    except asyncio.LimitOverrunError as error:
+        consumed = error.consumed
+    while True:
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.IncompleteReadError:
+            return None
+        except asyncio.LimitOverrunError as error:
+            consumed = error.consumed
+
+
 class RequestShedError(RuntimeError):
     """The admission policy rejected a submitted request."""
 
@@ -914,8 +937,11 @@ class ServingRuntime:
         ``{"id": ..., "prediction": N}``; a shed request replies
         ``{"id": ..., "error": "shed"}`` and a malformed one
         ``{"id": ..., "error": "bad request: ..."}`` (``id`` is null when
-        the line is not a JSON object).  Malformed requests are rejected
-        before admission, so the report never counts them.  Returns the
+        the line is not a JSON object).  A line longer than the stream
+        reader's limit is discarded through its newline and replied
+        ``{"id": null, "error": "bad request: line too long"}``; the
+        connection stays open.  Malformed requests are rejected before
+        admission, so the report never counts them.  Returns the
         :class:`asyncio.Server` (the caller owns its lifetime; the bound
         port is ``server.sockets[0].getsockname()[1]``).
         """
@@ -924,11 +950,13 @@ class ServingRuntime:
         async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
             try:
                 while True:
-                    line = await reader.readline()
-                    if not line:
+                    line = await _read_line(reader)
+                    if line == b"":
                         break
                     request_id = None
                     try:
+                        if line is None:
+                            raise ValueError("line too long")
                         payload = json.loads(line)
                         if not isinstance(payload, dict):
                             raise TypeError("request is not a JSON object")

@@ -2,19 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.capsnet.hwops import (
     HardwareLuts,
     QuantizedFormats,
     SaturationCounter,
+    StagedWeights,
+    _chunked_accumulation,
     hw_norm,
     hw_relu,
     hw_softmax,
     hw_squash,
     quantized_conv2d,
     quantized_matmul,
+    saturating_matmul,
 )
 from repro.capsnet.ops import conv2d, softmax, squash
+from repro.fixedpoint.formats import QFormat
 from repro.fixedpoint.quantize import from_raw, to_raw
 
 
@@ -50,6 +56,63 @@ class TestQuantizedMatmul:
         counter = SaturationCounter()
         counter.record("x", np.array([0, 1, 10**9]), QuantizedFormats().logits)
         assert counter.rate == pytest.approx(1 / 3)
+
+
+@st.composite
+def matmul_cases(draw):
+    """A ``saturating_matmul`` case; ``edge`` puts every row's bound
+    ``rowsum * max|w|`` exactly at ``limit`` (0) or one past it (1)."""
+    signed = draw(st.booleans())
+    edge = draw(st.sampled_from([None, 0, 1]))
+    acc_bits = draw(st.integers(4, 14) if edge is not None else st.integers(4, 26))
+    acc_fmt = QFormat(acc_bits, 0, signed=signed)
+    stacked = draw(st.booleans())
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    lead, m, n = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    chunk_rows = draw(st.integers(1, 5))
+    limit = min(acc_fmt.raw_max, -acc_fmt.raw_min)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w_shape = ((lead,) if stacked else ()) + (0, n)
+    if edge is None:
+        k = draw(st.integers(1, 12))
+        data = rng.integers(-128, 128, size=(lead, m, k))
+        weights = rng.integers(-128, 128, size=w_shape[:-2] + (k, n))
+    else:
+        # max|w| = 1 and every row's magnitudes sum to limit + edge.
+        target = limit + edge
+        k = max(-(-target // 127), 1) + draw(st.integers(0, 3))
+        row = np.zeros(k, dtype=np.int64)
+        for index in range(target):
+            row[index % k] += 1
+        signs = rng.choice([-1, 1], size=(lead, m, k))
+        data = row * signs
+        weights = rng.integers(-1, 2, size=w_shape[:-2] + (k, n))
+        weights.reshape(-1)[0] = 1
+    return data.astype(dtype), weights.astype(dtype), acc_fmt, chunk_rows
+
+
+class TestSaturatingMatmul:
+    @given(case=matmul_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_int64_chunked_reference(self, case):
+        data, weights, acc_fmt, chunk_rows = case
+        staged = StagedWeights(weights, acc_fmt)
+        expected = _chunked_accumulation(
+            data.astype(np.int64), weights.astype(np.int64), acc_fmt, chunk_rows
+        )
+        # The format's static bound, an exact row sum, and none at all.
+        k = data.shape[-1]
+        for rowsum in (None, k * 128, np.abs(data).sum(axis=-1).max()):
+            got = saturating_matmul(data, staged, acc_fmt, chunk_rows, rowsum)
+            assert got.dtype == staged.raw.dtype
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected)
+
+    def test_int32_codes_stay_int32(self):
+        weights = np.ones((3, 2), dtype=np.int32)
+        assert StagedWeights(weights, QFormat(25, 0)).raw.dtype == np.int32
+        assert StagedWeights(weights, QFormat(40, 0)).raw.dtype == np.int64
+        assert StagedWeights(weights.astype(np.int64), QFormat(25, 0)).raw.dtype == np.int64
 
 
 class TestQuantizedConv:

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
+from repro.compiler.executor import StreamExecutor
 from repro.compiler.golden import check_network
+from repro.compiler.isa import Opcode
 from repro.compiler.zoo import as_compiled, get_network, zoo_names
-from repro.errors import ConfigError
+from repro.errors import CompileError, ConfigError
+from repro.fixedpoint.formats import QFormat
 from tests.compiler.conftest import zoo_images
 
 
@@ -50,3 +56,39 @@ class TestGoldenEquivalence:
             summary = check_network(name, zoo_images(name, count=count))
             assert summary["images"] == count
             assert summary["outputs_checked"] > 0
+
+
+class TestNarrowRegisters:
+    """The executor computes in int32 registers, and refuses programs
+    whose formats would not fit them."""
+
+    @pytest.mark.parametrize("name", zoo_names())
+    def test_every_zoo_network_fits_and_stores_int32(self, name):
+        net = get_network(name)
+        executor = StreamExecutor(net.program, net.params, net.formats, luts=net.luts)
+        result = executor.run_batch(zoo_images(name, count=2))
+        for alias, value in result.outputs.items():
+            if alias != "predictions":
+                assert value.dtype == np.int32, alias
+
+    @staticmethod
+    def _widened(program, opcode, attr, fmt):
+        """``program`` with ``attr`` of its first ``opcode`` set to ``fmt``."""
+        instructions = list(program.instructions)
+        pos = next(i for i, instr in enumerate(instructions) if instr.opcode is opcode)
+        instr = instructions[pos]
+        instructions[pos] = replace(instr, attrs={**instr.attrs, attr: fmt})
+        return replace(program, instructions=instructions)
+
+    def test_accumulator_too_wide_for_int32_is_a_compile_error(self):
+        net = get_network("tiny")
+        program = self._widened(net.program, Opcode.GEMM, "acc_fmt", QFormat(40, 13))
+        with pytest.raises(CompileError, match="int32"):
+            StreamExecutor(program, net.params, net.formats, luts=net.luts)
+
+    def test_reduction_shifting_past_int32_is_a_compile_error(self):
+        # 24-bit codes shifted left by 10 bits need a 34-bit intermediate.
+        net = get_network("tiny")
+        program = self._widened(net.program, Opcode.REQUANT, "from_fmt", QFormat(24, -6))
+        with pytest.raises(CompileError, match="-> .*int32"):
+            StreamExecutor(program, net.params, net.formats, luts=net.luts)

@@ -1,5 +1,6 @@
 """Unit tests for the concrete CapsAcc lookup tables and fixed sqrt."""
 
+import math
 
 import numpy as np
 import pytest
@@ -159,6 +160,82 @@ class TestFixedSqrt:
         out = fixed_sqrt(4, QFormat(8, 0, signed=False), QFormat(8, 0, signed=False))
         assert out.shape == ()
         assert int(out) == 2
+
+
+def _isqrt_reference(codes, in_fmt: QFormat, out_fmt: QFormat) -> list[int]:
+    """Round-to-nearest integer square root via :func:`math.isqrt`, saturated."""
+    shift = 2 * out_fmt.frac_bits - in_fmt.frac_bits
+    roots = []
+    for code in codes:
+        operand = int(code) << shift if shift >= 0 else int(code) >> -shift
+        root = math.isqrt(operand)
+        root += operand - root * root > root
+        roots.append(min(root, out_fmt.raw_max))
+    return roots
+
+
+class TestFixedSqrtMatchesIsqrt:
+    """The vectorized root equals ``math.isqrt`` on every operand it accepts."""
+
+    def test_every_norm_unit_operand(self):
+        # Every SQUARE_OUT8 code, and every sum of 16 of them: all the
+        # operands the norm unit can feed it.
+        codes = np.arange(16 * formats.SQUARE_OUT8.raw_max + 1)
+        got = fixed_sqrt(codes, formats.SQUARE_OUT8, formats.NORM5)
+        assert got.tolist() == _isqrt_reference(codes, formats.SQUARE_OUT8, formats.NORM5)
+
+    @pytest.mark.parametrize(
+        "in_fmt, out_fmt",
+        [
+            (QFormat(63, 0, signed=False), QFormat(40, 0, signed=False)),  # shift 0
+            (QFormat(40, 6, signed=False), QFormat(20, 5, signed=False)),  # shift 4
+            (QFormat(50, 12, signed=False), QFormat(30, 3, signed=False)),  # shift -6
+            (QFormat(40, 6, signed=False), formats.NORM5),  # saturating
+        ],
+    )
+    def test_random_operands_up_to_2_62(self, in_fmt, out_fmt):
+        rng = np.random.default_rng(7)
+        shift = 2 * out_fmt.frac_bits - in_fmt.frac_bits
+        top = (1 << 62) >> max(shift, 0)
+        codes = np.concatenate([
+            rng.integers(0, top, size=2000, endpoint=True),
+            rng.integers(0, 1 << 20, size=500),
+            [0, 1, top - 1, top],
+        ]).astype(np.int64)
+        got = fixed_sqrt(codes, in_fmt, out_fmt)
+        assert got.tolist() == _isqrt_reference(codes, in_fmt, out_fmt)
+
+    def test_rounding_midpoints(self):
+        # r^2 + r rounds down to r, r^2 + r + 1 up to r + 1; the squares
+        # either side of them pin the floor.
+        in_fmt = QFormat(63, 0, signed=False)
+        out_fmt = QFormat(40, 0, signed=False)
+        rng = np.random.default_rng(3)
+        roots = np.concatenate([
+            np.arange(1, 3000),
+            rng.integers(3000, 2**31 - 1, size=3000),
+            [2**26 - 1, 2**26, 2**31 - 2, 2**31 - 1],
+        ]).astype(np.int64)
+        codes = np.concatenate([
+            roots * roots + roots,
+            roots * roots + roots + 1,
+            roots * roots,
+            roots * roots - 1,
+        ])
+        got = fixed_sqrt(codes, in_fmt, out_fmt)
+        assert got.tolist() == _isqrt_reference(codes, in_fmt, out_fmt)
+        half = len(roots)
+        assert np.array_equal(got[:half], roots)
+        assert np.array_equal(got[half : 2 * half], roots + 1)
+
+    def test_negative_input_still_rejected(self):
+        with pytest.raises(ValueError):
+            fixed_sqrt(np.array([4, -1]), formats.SQUARE_OUT8, formats.NORM5)
+
+    def test_scalar_input_still_returns_a_0d_array(self):
+        out = fixed_sqrt(np.int64(200), formats.SQUARE_OUT8, formats.NORM5)
+        assert isinstance(out, np.ndarray) and out.shape == ()
+        assert int(out) == _isqrt_reference([200], formats.SQUARE_OUT8, formats.NORM5)[0]
 
 
 class TestInventory:

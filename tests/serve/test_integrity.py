@@ -245,6 +245,84 @@ class TestStreamExecutorABFT:
         with pytest.raises(DetectedCorruptionError, match=f"on {kind} "):
             stream.run_batch(images, corruption=spec, verify_checksums=True)
 
+    @pytest.mark.parametrize("job", ["sum2", "update1", "primarycaps"])
+    @pytest.mark.parametrize("target", ["weight", "accumulator"])
+    def test_victim_on_a_staged_once_path(self, job, target):
+        # sum2 and update1 read u_hat through its once-per-batch float
+        # copy; primarycaps gathers its windows channels-last against
+        # weight rows permuted at staging.  A flip aimed at one must
+        # corrupt what the instruction alone would.  The reference runs
+        # the same program with each routing GEMM reading its own SLICE
+        # of u_hat and the PrimaryCaps patches stored as a register, so
+        # every GEMM reads a materialized operand in program row order.
+        import random
+        from dataclasses import replace
+
+        from repro.compiler.executor import StreamExecutor
+        from repro.compiler.isa import Instruction, Opcode
+
+        stream = executor_for("tiny")._executor
+        program = stream.program
+        instructions = []
+        for instr in program.instructions:
+            if instr.opcode is Opcode.GROUPED_GEMM:
+                data = instr.srcs[0]
+                own = f"{data}.own.{instr.dest}"
+                bounds = {"axis": 0, "start": 0, "stop": instr.attrs["groups"]}
+                instructions.append(Instruction(Opcode.SLICE, own, (data,), attrs=bounds))
+                instr = replace(instr, srcs=(own,) + instr.srcs[1:])
+            instructions.append(instr)
+            if instr.opcode is Opcode.IM2COL:
+                alias = {"alias": f"patches.{instr.dest}"}
+                instructions.append(Instruction(Opcode.STORE, None, (instr.dest,), attrs=alias))
+        unstaged = StreamExecutor(
+            replace(program, instructions=instructions), stream.params,
+            stream.activation.formats, luts=stream.activation.luts,
+        )
+        assert stream._gathers and not unstaged._gathers
+        gemms = [
+            pos
+            for pos, instr in enumerate(program.instructions)
+            if instr.opcode in (Opcode.GEMM, Opcode.GROUPED_GEMM)
+        ]
+
+        def victim(seed):
+            return program.instructions[gemms[random.Random(seed).randrange(len(gemms))]]
+
+        images = images_for(executor_for("tiny"), count=3)[:, np.newaxis]
+        clean = stream.run_batch(images)
+
+        def visible(spec):
+            # The first seed on this job whose flips reach an output.
+            corrupted = stream.run_batch(images, corruption=spec)
+            return any(
+                not np.array_equal(value, clean.outputs[alias])
+                for alias, value in corrupted.outputs.items()
+            )
+
+        spec = next(
+            spec
+            for spec in (CorruptionSpec(target=target, bits=16, seed=s) for s in range(5000))
+            if victim(spec.seed).attrs.get("job") == job and visible(spec)
+        )
+        instr = victim(spec.seed)
+        corrupted = stream.run_batch(images, corruption=spec)
+        reference = unstaged.run_batch(images, corruption=spec)
+        for alias, value in corrupted.outputs.items():
+            assert np.array_equal(value, reference.outputs[alias]), alias
+
+        if target == "accumulator":
+            kind = f"accumulator of {instr.layer}"
+        elif instr.opcode is Opcode.GROUPED_GEMM:
+            kind = f"weight tiles of {instr.layer}"
+        else:
+            kind = f"weight tile {instr.attrs['wreg']}"
+        message = f"ABFT checksum mismatch on {kind} (target {target}, 16 bit flips)"
+        for executor in (stream, unstaged):
+            with pytest.raises(DetectedCorruptionError) as raised:
+                executor.run_batch(images, corruption=spec, verify_checksums=True)
+            assert str(raised.value) == message
+
     def test_no_corruption_is_bitwise_clean(self):
         executor = executor_for("tiny")
         images = images_for(executor)

@@ -465,6 +465,51 @@ class TestServingRuntimeLive:
         # Rejected before admission: only the good requests are counted.
         assert report.offered == report.completed == 3
 
+    @pytest.mark.parametrize("terminated", [True, False])
+    def test_oversize_socket_line_gets_a_reply(
+        self, tiny_config, tiny_cost, live_images, terminated
+    ):
+        # A line past the stream reader's 64 KiB limit is discarded through
+        # its newline and answered; the connection then serves the next
+        # request, and nothing about the oversize line is counted.
+        qnet = QuantizedCapsuleNet(tiny_config)
+        expected = int(qnet.predict_batch(live_images[:1])[0])
+        oversize = json.dumps({"id": 1, "image": [[0.5] * 40_000]}).encode()
+        if terminated:
+            oversize += b"\n"
+        good = (json.dumps({"id": 2, "image": live_images[0].tolist()}) + "\n").encode()
+
+        async def scenario():
+            runtime = ServingRuntime(
+                live_server(tiny_cost, max_wait_us=500.0),
+                executor=CompiledStreamExecutor(tiny_config),
+            )
+            server = await runtime.serve_socket()
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(oversize)
+            await writer.drain()
+            if not terminated:
+                # The rest of the line arrives later, still oversize.
+                writer.write(b" " * 70_000 + b"\n")
+            writer.write(good)
+            await writer.drain()
+            replies = [
+                json.loads(await asyncio.wait_for(reader.readline(), 10.0))
+                for _ in range(2)
+            ]
+            writer.close()
+            await writer.wait_closed()
+            server.close()
+            await server.wait_closed()
+            await runtime.stop()
+            return replies, runtime.report()
+
+        replies, report = asyncio.run(scenario())
+        assert replies[0] == {"id": None, "error": "bad request: line too long"}
+        assert replies[1] == {"id": 2, "prediction": expected}
+        assert report.offered == report.completed == 1
+
     def test_malformed_submit_is_rejected_before_admission(
         self, tiny_config, tiny_cost, live_images, offline_predictions
     ):
