@@ -9,7 +9,7 @@ Exercises :mod:`repro.serve.runtime` four ways on the tiny network:
   trials).
 * **Saturated crosscheck** — every trial's recorded live arrivals are
   re-run through the discrete-event simulator with *in-situ* batch
-  costs (median observed duration per batch size); the gate compares
+  costs (mean observed duration per batch size); the gate compares
   the *median* live p50/p99 against the median simulated ones with a
   spread-widened tolerance (:func:`repro.serve.compare
   .compare_reports_median`), so one noisy trial cannot flake it.

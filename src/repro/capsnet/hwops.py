@@ -22,7 +22,7 @@ import numpy as np
 from repro.capsnet.ops import im2col
 from repro.errors import ShapeError
 from repro.fixedpoint import formats as F
-from repro.fixedpoint.arith import NARROW_BITS, requantize, saturate_raw
+from repro.fixedpoint.arith import register_codes, requantize, saturate_raw
 from repro.fixedpoint.luts import LookupTable, LookupTable2D
 from repro.fixedpoint.luts import build_exp_lut, build_square_lut, build_squash_lut, fixed_sqrt
 from repro.fixedpoint.formats import QFormat
@@ -130,6 +130,11 @@ def quantized_matmul(
 SERIAL_GEMM_MACS = 2**18
 
 
+def exact_integers(dtype) -> int:
+    """Magnitude up to which the float ``dtype`` holds every integer."""
+    return 2 ** (np.finfo(dtype).nmant + 1)
+
+
 class StagedWeights:
     """A GEMM weight operand staged for :func:`saturating_matmul`.
 
@@ -139,25 +144,22 @@ class StagedWeights:
     bound.  ``limit`` is the largest per-row bound the float copy may
     take: the accumulator's clip limit (0 for an unsigned accumulator, so
     only an all-zero product skips the chunk loop), capped by the float
-    dtype's exact range.  ``int32`` codes stay ``int32`` when the
-    accumulator format fits :data:`~repro.fixedpoint.arith.NARROW_BITS`
-    (the accumulator then comes back in ``int32`` too); anything else is
-    held in ``int64``.  A caller that reuses the weights stages them once
-    instead of converting them on every call.
+    dtype's exact range.  The codes are held in the register width of the
+    accumulator format (:func:`~repro.fixedpoint.arith.register_codes`),
+    and the accumulator comes back in that dtype too.  A caller that
+    reuses the weights stages them once instead of converting them on
+    every call.
     """
 
     __slots__ = ("raw", "max", "float", "limit")
 
     def __init__(self, raw: np.ndarray, acc_fmt: QFormat) -> None:
-        raw = np.asarray(raw)
-        if raw.dtype != np.int32 or acc_fmt.total_bits > NARROW_BITS:
-            raw = raw.astype(np.int64, copy=False)
-        self.raw = raw
+        self.raw = register_codes(raw, acc_fmt.total_bits)
         self.max = int(np.abs(self.raw).max(initial=0))
         clip = min(acc_fmt.raw_max, -acc_fmt.raw_min)
-        dtype = np.float32 if clip <= 2**24 else np.float64
+        dtype = np.float32 if clip <= exact_integers(np.float32) else np.float64
         self.float = self.raw.astype(dtype)
-        self.limit = min(clip, 2**24 if dtype is np.float32 else 2**53)
+        self.limit = min(clip, exact_integers(dtype))
 
 
 def saturating_matmul(
@@ -188,12 +190,20 @@ def saturating_matmul(
     or too loose to prove exactness are the row sums taken, on the float
     copy: rounding is monotone and the summands are non-negative, so a
     computed sum inside the dtype's exact range proves every element and
-    partial sum was exact.  ``data`` may already be in the float dtype.
+    partial sum was exact.  ``data`` may already be in the float dtype,
+    as long as its codes are exact there: the chunk loop reads them back
+    as integers, so when the loop is needed, float data reaching
+    :func:`exact_integers` (where a rounded code may sit) raises
+    :class:`ValueError`.
     """
     operand = data.astype(weights.float.dtype, copy=False)
     if rowsum is None or float(rowsum) * weights.max > weights.limit:
         rowsum = np.abs(operand).sum(axis=-1).max(initial=0)
     if float(rowsum) * weights.max > weights.limit:
+        if data.dtype.kind == "f" and np.abs(data).max(initial=0) >= exact_integers(data.dtype):
+            raise ValueError(
+                f"{data.dtype} data past its exact integer range; pass the integer codes"
+            )
         acc = _chunked_accumulation(
             np.asarray(data, dtype=np.int64), weights.raw, acc_fmt, chunk_rows
         )
@@ -295,12 +305,9 @@ def quantized_conv2d(
 
 
 def hw_relu(raw: np.ndarray) -> np.ndarray:
-    """ReLU on raw codes (sign is preserved by two's complement).
-
-    ``int32`` codes stay ``int32``; anything else computes in ``int64``.
-    """
-    arr = np.asarray(raw)
-    return np.maximum(arr if arr.dtype == np.int32 else arr.astype(np.int64), 0)
+    """ReLU on raw codes (sign is preserved by two's complement), in
+    their register width (:func:`~repro.fixedpoint.arith.register_codes`)."""
+    return np.maximum(register_codes(raw), 0)
 
 
 def hw_norm(

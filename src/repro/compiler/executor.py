@@ -23,7 +23,8 @@ program's per-image shapes).  Numerics and accounting are separate:
   its windows channels-last, the layout a ``(positions, channels)``
   accumulator already has, against weight rows permuted at staging; and a
   register GEMMs read through ``TRANSPOSE``/``RESHAPE`` views (``u_hat`` in
-  the routing GEMMs) is converted to float once per batch.  The
+  the routing GEMMs) is converted to float once per batch, when the float
+  dtype holds its data format's codes exactly.  The
   ``stepped`` engine, the reference, drives the systolic array clock edge
   by clock edge, one array job at a time, in program row order.
   Activations run through a shared
@@ -47,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.capsnet.hwops import StagedWeights, saturating_matmul
+from repro.capsnet.hwops import StagedWeights, exact_integers, saturating_matmul
 from repro.capsnet.ops import im2col
 from repro.compiler.cost import program_events, program_layers
 from repro.compiler.isa import Instruction, Opcode, Program
@@ -389,9 +390,13 @@ class StreamExecutor:
         On the fast engine it comes in ``tile``'s float dtype, from one
         float copy per register and batch: GEMMs reading a register
         through ``TRANSPOSE``/``RESHAPE`` views replay the views on it.
+        A data format with codes that dtype would round stays integer, so
+        the chunk loop reads the exact codes.
         """
-        if self.engine != "fast":
-            return env[self.program.instructions[pos].srcs[0]]
+        instr = self.program.instructions[pos]
+        exact = _code_max(instr.attrs["data_fmt"]) <= exact_integers(tile.float.dtype)
+        if self.engine != "fast" or not exact:
+            return env[instr.srcs[0]]
         root, views = self._operands[pos]
         key = (root, tile.float.dtype)
         data = floats.get(key)

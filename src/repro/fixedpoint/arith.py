@@ -48,30 +48,34 @@ def requantize_bits(in_fmt: QFormat, out_fmt: QFormat) -> int:
     return max(in_fmt.total_bits - min(shift, 0), shift, out_fmt.total_bits)
 
 
-def _codes(raw, bits: int) -> np.ndarray:
-    """``raw`` as ``int32`` if it is one and ``bits`` fits, else ``int64``."""
+def register_codes(raw, bits: int = 0) -> np.ndarray:
+    """``raw`` in the register width that holds ``bits``-bit intermediates.
+
+    ``int32`` codes stay ``int32`` when ``bits`` fits :data:`NARROW_BITS`
+    (0, the default, for an op that never widens); anything else is held
+    in ``int64``.  Every width decision of the datapath goes through here.
+    """
     arr = np.asarray(raw)
     if arr.dtype == np.int32 and bits <= NARROW_BITS:
         return arr
     return arr.astype(np.int64, copy=False)
 
 
-def saturate_raw(raw: np.ndarray | int, fmt: QFormat) -> np.ndarray:
-    """Clamp raw codes into the representable range of ``fmt``."""
+def saturate_raw(
+    raw: np.ndarray | int, fmt: QFormat, in_place: bool = False
+) -> np.ndarray:
+    """Clamp raw codes into the representable range of ``fmt``.
+
+    ``in_place`` clamps ``raw`` itself when it is already an array of the
+    register width — for a caller that owns it, saving an allocation.
+    """
+    codes = register_codes(raw, fmt.total_bits)
     # Two ufuncs skip the per-call bound checks np.clip does in Python,
     # which dominate on the small tensors of a batch's routing loop.
-    low = np.maximum(_codes(raw, fmt.total_bits), fmt.raw_min)
+    low = np.maximum(codes, fmt.raw_min, out=codes if in_place and codes.ndim else None)
     if isinstance(low, np.ndarray):
         return np.minimum(low, fmt.raw_max, out=low)
     return np.minimum(low, fmt.raw_max)
-
-
-def _saturate_fresh(values: np.ndarray, fmt: QFormat) -> np.ndarray:
-    """:func:`saturate_raw` in place, for an array nothing else holds."""
-    if isinstance(values, np.ndarray):
-        np.maximum(values, fmt.raw_min, out=values)
-        return np.minimum(values, fmt.raw_max, out=values)
-    return saturate_raw(values, fmt)
 
 
 def fx_mul(a_raw: np.ndarray, a_fmt: QFormat, b_raw: np.ndarray, b_fmt: QFormat):
@@ -165,10 +169,10 @@ def requantize(
     This models the width reduction between the accumulator (25 bits) and
     the activation unit input (8 bits) described in Section IV-C.
     """
-    arr = _codes(raw, requantize_bits(in_fmt, out_fmt))
+    arr = register_codes(raw, requantize_bits(in_fmt, out_fmt))
     shift = in_fmt.frac_bits - out_fmt.frac_bits
     if shift <= 0:
-        return _saturate_fresh(arr << (-shift), out_fmt)
+        return saturate_raw(arr << (-shift), out_fmt, in_place=True)
     if rounding is Rounding.NEAREST:
         # Ties away from zero: ``(a + h) >> s`` for ``a >= 0`` and
         # ``-((-a + h) >> s) == (a + h - 1) >> s`` for ``a < 0``; the
@@ -183,4 +187,4 @@ def requantize(
         shifted = np.where(arr >= 0, arr >> shift, -((-arr) >> shift))
     else:
         raise ValueError(f"unknown rounding mode {rounding!r}")
-    return _saturate_fresh(shifted, out_fmt)
+    return saturate_raw(shifted, out_fmt, in_place=True)

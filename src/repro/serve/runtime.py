@@ -168,11 +168,17 @@ class MeasuredBatchCost:
     ) -> "MeasuredBatchCost":
         """Fit in-situ batch costs from a live run's recorded batches.
 
-        Isolated calibration underestimates a loaded host (the engine
-        shares the CPU with the event loop), so the sim-vs-live latency
-        crosscheck prices batches at the median *observed* duration per
-        batch size — the simulator then predicts the live queueing
-        dynamics, which is the thing under test.
+        Isolated calibration underestimates a loaded host, so the
+        sim-vs-live latency crosscheck prices batches at the mean
+        *observed* duration per batch size — the simulator then predicts
+        the live queueing dynamics, which is the thing under test.  A
+        recorded duration runs from dispatch until the event loop frees
+        the array, so it carries the loop's work on the host: completing
+        the batch, and admitting whatever arrived meanwhile (admission
+        shares the interpreter with the engine, so during an arrival
+        burst the first batches run slower).  The mean keeps that work
+        in the price — the simulated array does the same total work as
+        the live one — where the median would price it away.
         """
         if config is None:
             config = AcceleratorConfig()
@@ -182,7 +188,7 @@ class MeasuredBatchCost:
         if not by_size:
             raise ConfigError("the report has no recorded batches to fit")
         points = [
-            (size, float(np.median(durations)))
+            (size, float(np.mean(durations)))
             for size, durations in sorted(by_size.items())
         ]
         return cls(config, points)
@@ -342,26 +348,25 @@ class RuntimeEngine:
             placed_batches.append(placed)
         return placed_batches
 
-    def complete(
-        self, now_us: float, placed: PlacedBatch, done_us: float | None = None
-    ) -> None:
-        """A placed batch finished: free the array, report to the sink.
+    def complete(self, now_us: float, placed: PlacedBatch) -> None:
+        """A placed batch finished at ``now_us``: free the array, report
+        to the sink.
 
-        ``done_us`` is the measured completion (wall clock); the replay
-        driver passes the predicted ``placed.done_us`` to stay
-        bit-identical with the simulator.
+        :func:`replay_virtual` completes at the predicted
+        ``placed.done_us``, bit-identical with the simulator; the live
+        runtime at the wall instant its loop takes the batch back from
+        the worker.
         """
         self.tick(now_us)
-        done = placed.done_us if done_us is None else done_us
         self.core.release(placed.array, now_us)
         if placed.corrupt is not None:
             # Undetected corruption: the batch completes and its members
             # are served wrong answers — counted, traced (same order as
             # the simulator's done handler for stream identity).
-            self.core.served_corrupt(placed, done)
+            self.core.served_corrupt(placed, now_us)
         tracer = self.core.tracer
         if tracer.enabled:
-            tracer.batch_completed(done, placed)
+            tracer.batch_completed(now_us, placed)
         members = placed.members
         snapshots = self._snapshots
         self.sink.on_batch(
@@ -369,7 +374,7 @@ class RuntimeEngine:
             array=placed.array,
             size=placed.size,
             dispatch_us=placed.dispatch_us,
-            done_us=done,
+            done_us=now_us,
             cycles=placed.cycles,
             warm=placed.warm,
             drain_saved_us=placed.drain_saved_us,
@@ -379,8 +384,8 @@ class RuntimeEngine:
             member_idle_snaps=[snapshots.pop(m.index) for m in members],
             idle_accum_us=placed.idle_accum_us,
         )
-        if done > self.makespan_us:
-            self.makespan_us = done
+        if now_us > self.makespan_us:
+            self.makespan_us = now_us
 
     def fail_batch(self, now_us: float, placed: PlacedBatch):
         """A placed batch crashed: contain it, report terminal failures.
@@ -550,7 +555,7 @@ def replay_virtual(
             engine.offer(now, arrival_us=now, deadline_us=deadline, tenant=order)
         elif kind == EVENT_DONE:
             placed = running.pop(payload)
-            engine.complete(now, placed, done_us=now)
+            engine.complete(now, placed)
         elif kind == EVENT_CRASH:
             # Same fault handling as the simulator's recorded loop, so a
             # faulted replay makes identical retry/quarantine decisions.
@@ -1031,10 +1036,7 @@ class ServingRuntime:
         except BaseException as error:  # noqa: BLE001 - must never hang the loop
             self._loop.call_soon_threadsafe(self._batch_failed, placed, error)
             return
-        done_us = self.clock.now_us()
-        self._loop.call_soon_threadsafe(
-            self._batch_done, placed, predictions, done_us
-        )
+        self._loop.call_soon_threadsafe(self._batch_done, placed, predictions)
 
     def _execute_corrupt(
         self, placed: PlacedBatch, images: np.ndarray
@@ -1065,12 +1067,13 @@ class ServingRuntime:
             )
         return self.executor.execute(placed.array, images)
 
-    def _batch_done(
-        self, placed: PlacedBatch, predictions: np.ndarray, done_us: float
-    ) -> None:
+    def _batch_done(self, placed: PlacedBatch, predictions: np.ndarray) -> None:
+        # A batch completes when the loop frees its array and resolves its
+        # requests, as in the virtual replay: the hand-off from the worker
+        # thread is part of what the array and the requests wait for.
         self._inflight_batches -= 1
         now = self.clock.now_us()
-        self.engine.complete(now, placed, done_us=done_us)
+        self.engine.complete(now, placed)
         for member, prediction in zip(placed.members, predictions):
             self._pending -= 1
             future = self._futures.pop(member.index, None)

@@ -100,13 +100,26 @@ class TestSaturatingMatmul:
         expected = _chunked_accumulation(
             data.astype(np.int64), weights.astype(np.int64), acc_fmt, chunk_rows
         )
-        # The format's static bound, an exact row sum, and none at all.
+        # The format's static bound, an exact row sum, and none at all; on
+        # the integer codes and on a copy already in the tile's float dtype.
         k = data.shape[-1]
-        for rowsum in (None, k * 128, np.abs(data).sum(axis=-1).max()):
-            got = saturating_matmul(data, staged, acc_fmt, chunk_rows, rowsum)
-            assert got.dtype == staged.raw.dtype
-            assert got.shape == expected.shape
-            assert np.array_equal(got, expected)
+        for operand in (data, data.astype(staged.float.dtype)):
+            for rowsum in (None, k * 128, np.abs(data).sum(axis=-1).max()):
+                got = saturating_matmul(operand, staged, acc_fmt, chunk_rows, rowsum)
+                assert got.dtype == staged.raw.dtype
+                assert got.shape == expected.shape
+                assert np.array_equal(got, expected)
+
+    def test_float_data_past_its_exact_range_is_refused(self):
+        # One chunk sums (2**24 + 1) - 2**24 = 1; float32 rounds the first
+        # code to 2**24, so the chunk loop would read 0 from a float copy.
+        acc_fmt = QFormat(25, 0)
+        staged = StagedWeights(np.ones((2, 1), dtype=np.int32), acc_fmt)
+        assert staged.float.dtype == np.float32
+        codes = np.array([[2**24 + 1, -(2**24)]])
+        assert saturating_matmul(codes, staged, acc_fmt, chunk_rows=2)[0, 0] == 1
+        with pytest.raises(ValueError, match="exact integer range"):
+            saturating_matmul(codes.astype(np.float32), staged, acc_fmt, chunk_rows=2)
 
     def test_int32_codes_stay_int32(self):
         weights = np.ones((3, 2), dtype=np.int32)

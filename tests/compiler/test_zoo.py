@@ -86,6 +86,21 @@ class TestNarrowRegisters:
         with pytest.raises(CompileError, match="int32"):
             StreamExecutor(program, net.params, net.formats, luts=net.luts)
 
+    def test_data_codes_past_the_float_range_stay_integer(self):
+        # 26-bit data codes could round in the routing GEMMs' float32
+        # operand copy, so those GEMMs read the integer register instead.
+        net = get_network("tiny")
+        first = next(i for i in net.program.instructions if i.opcode is Opcode.GROUPED_GEMM)
+        fmt = first.attrs["data_fmt"]
+        wide = QFormat(26, fmt.frac_bits, signed=fmt.signed)
+        program = self._widened(net.program, Opcode.GROUPED_GEMM, "data_fmt", wide)
+        images = zoo_images("tiny", count=3)
+        expected = StreamExecutor(net.program, net.params, net.formats, luts=net.luts)
+        widened = StreamExecutor(program, net.params, net.formats, luts=net.luts)
+        want, got = expected.run_batch(images).outputs, widened.run_batch(images).outputs
+        for alias, value in want.items():
+            assert np.array_equal(got[alias], value), alias
+
     def test_reduction_shifting_past_int32_is_a_compile_error(self):
         # 24-bit codes shifted left by 10 bits need a 34-bit intermediate.
         net = get_network("tiny")

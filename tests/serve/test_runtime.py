@@ -119,6 +119,22 @@ class TestMeasuredBatchCost:
         cost = MeasuredBatchCost.calibrate(executor, images, sizes=(1, 2, 4, 8))
         assert [size for size, _ in cost.points] == [1, 2, 4]
 
+    def test_from_report_prices_the_mean_duration(self, tiny_cost):
+        # A saturated burst slows the first batches; the fit keeps that
+        # work (mean 2000 us), where the median (1000 us) would drop it.
+        from repro.serve.runtime import RuntimeEngine
+
+        engine = RuntimeEngine(live_server(tiny_cost, max_batch=2, max_wait_us=0.0))
+        now = 0.0
+        for duration in (4000.0, 1000.0, 1000.0):
+            engine.offer(now)
+            engine.offer(now)
+            (placed,) = engine.dispatch_ready(now)
+            now += duration
+            engine.complete(now, placed)
+        cost = MeasuredBatchCost.from_report(engine.build_report())
+        assert cost.points == [(2, 2000.0)]
+
     def test_from_report_requires_batches(self, tiny_cost):
         from repro.serve.runtime import RuntimeEngine
 
@@ -266,6 +282,41 @@ class TestServingRuntimeLive:
         assert report.batch_count == 1
         assert report.batches[0].size == 3
 
+    def test_a_batch_completes_when_the_loop_takes_it_back(self, tiny_config, tiny_cost):
+        # The worker finishes while the loop is busy; the batch (and its
+        # request) completes only when the loop frees the array, so the
+        # hand-off counts in the array's busy time and the latency.
+        import threading
+
+        finished = threading.Event()
+
+        class SignallingExecutor(PredictedExecutor):
+            def execute(self, array, images):
+                out = super().execute(array, images)
+                finished.set()
+                return out
+
+        server = live_server(tiny_cost, max_batch=1)
+
+        async def scenario():
+            runtime = ServingRuntime(
+                server, executor=SignallingExecutor(tiny_config.image_size)
+            )
+            image = np.zeros((tiny_config.image_size, tiny_config.image_size))
+            task = asyncio.ensure_future(runtime.submit(image))
+            await asyncio.sleep(0)
+            assert finished.wait(5.0)
+            time.sleep(0.02)  # the loop is busy after the worker is done
+            busy_until = runtime.clock.now_us()
+            await task
+            await runtime.stop()
+            return busy_until, runtime.report()
+
+        busy_until, report = asyncio.run(scenario())
+        (batch,) = report.batches
+        assert batch.done_us >= busy_until
+        assert report.served[0].done_us == batch.done_us
+
     def test_queue_limit_sheds_under_load(self, tiny_config, tiny_cost):
         server = live_server(
             tiny_cost, max_batch=1, max_wait_us=0.0, queue_limit=2
@@ -402,6 +453,13 @@ class TestServingRuntimeLive:
                 *(runtime.submit(image) for _ in range(12)),
                 return_exceptions=True,
             )
+            # Each quarantine ends on a timer recovery_us after its crash;
+            # the healthy array can finish the retries before that.
+            pool = runtime.engine.core.pool
+            for _ in range(400):
+                if not pool.quarantined_ids():
+                    break
+                await asyncio.sleep(0.005)
             report = runtime.report()
             await runtime.stop()
             return outcomes, report
