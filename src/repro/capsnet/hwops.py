@@ -10,7 +10,9 @@ claim and is asserted by the integration tests.
 
 All values are raw integer codes (``int64`` numpy arrays, or ``int32``
 ones in the compiled executor's narrow registers) tagged by the formats in
-:class:`QuantizedFormats`.
+:class:`QuantizedFormats`.  The activation ROMs hold ``int32`` words, so
+the norm, squash and softmax units return ``int32`` codes whenever every
+intermediate fits :data:`~repro.fixedpoint.arith.NARROW_BITS`.
 """
 
 from __future__ import annotations
@@ -162,12 +164,129 @@ class StagedWeights:
         self.limit = min(clip, exact_integers(dtype))
 
 
+def code_max(fmt: QFormat) -> int:
+    """Largest magnitude of a raw code of ``fmt``."""
+    return max(-fmt.raw_min, fmt.raw_max)
+
+
+class Epilogue:
+    """What a GEMM's accumulator goes through on its way to a register.
+
+    The bias add with accumulator saturation (when there is a bias), then
+    each width reduction of ``steps``: ``(in_fmt, out_fmt, relu)`` runs
+    :func:`~repro.fixedpoint.arith.requantize` from ``in_fmt`` to
+    ``out_fmt``, after :func:`hw_relu` when ``relu``.  :meth:`finish` is
+    the integer reference; :meth:`finish_float` runs the same steps in
+    place on a float product whose every intermediate a bound proves an
+    integer the float dtype holds exactly.
+    """
+
+    __slots__ = ("acc_fmt", "bias", "steps", "_bias_float", "_bias_max", "_plan", "_exact")
+
+    def __init__(
+        self, acc_fmt: QFormat, bias: np.ndarray | None = None, steps: tuple = ()
+    ) -> None:
+        self.acc_fmt = acc_fmt
+        self.bias = bias
+        self.steps = tuple(steps)
+        self._bias_max = 0 if bias is None else int(np.abs(bias).max(initial=0))
+        self._bias_float = None
+        if bias is not None:
+            exact32 = self._bias_max <= exact_integers(np.float32)
+            self._bias_float = bias.astype(np.float32 if exact32 else np.float64)
+        #: Per step: (shift, scale, whether negative codes round down by
+        #: a whole step, clip low, clip high, whether to truncate here).
+        self._plan = tuple(
+            (
+                in_fmt.frac_bits - out_fmt.frac_bits,
+                2.0 ** (out_fmt.frac_bits - in_fmt.frac_bits),
+                in_fmt.frac_bits > out_fmt.frac_bits and not relu,
+                max(out_fmt.raw_min, 0) if relu else out_fmt.raw_min,
+                out_fmt.raw_max,
+                in_fmt.frac_bits > out_fmt.frac_bits and index < len(self.steps) - 1,
+            )
+            for index, (in_fmt, out_fmt, relu) in enumerate(self.steps)
+        )
+        #: (bound, float dtype) -> :meth:`exact`, memoized: GEMM bounds
+        #: repeat from batch to batch.
+        self._exact: dict[tuple, bool] = {}
+
+    def finish(self, acc: np.ndarray) -> np.ndarray:
+        """The steps on an integer accumulator."""
+        if self.bias is not None:
+            acc = saturate_raw(acc + self.bias, self.acc_fmt)
+        for in_fmt, out_fmt, relu in self.steps:
+            acc = requantize(hw_relu(acc) if relu else acc, in_fmt, out_fmt)
+        return acc
+
+    def exact(self, bound: float, dtype) -> bool:
+        """Whether :meth:`finish_float` is exact on a ``dtype`` product
+        with ``|acc| <= bound``.
+
+        Adding the bias, scaling by a power of two and clipping are exact
+        on integers the dtype holds.  A right shift by ``s`` first adds a
+        half, ``(x +- 2**(s-1)) * 2**-s``, exact while the integer
+        ``|x| + 2**(s-1)`` is.  Every clip constant is below the bound
+        that reaches it, so it is held exactly too.
+        """
+        key = (float(bound), np.dtype(dtype))
+        known = self._exact.get(key)
+        if known is None:
+            known = self._exact[key] = self._check(key[0], exact_integers(dtype))
+        return known
+
+    def _check(self, bound: float, top: int) -> bool:
+        bound += self._bias_max
+        if bound > top:
+            return False
+        if self.bias is not None:
+            bound = min(bound, code_max(self.acc_fmt))
+        for (shift, scale, *_), (_, out_fmt, _) in zip(self._plan, self.steps):
+            if shift > 0:
+                bound += 2 ** (shift - 1)
+            if bound > top or bound * scale > top:
+                return False
+            bound = min(bound * scale, code_max(out_fmt))
+        return True
+
+    def finish_float(self, acc: np.ndarray, bound: float, dtype) -> np.ndarray:
+        """:meth:`finish` of the float product ``acc`` (``|acc| <= bound``),
+        returned as ``dtype`` codes.
+
+        When :meth:`exact` holds, the steps run in place on ``acc`` and the
+        codes come out of one conversion: rounding half away from zero is
+        ``trunc(x * 2**-s + copysign(0.5, x))``, its last truncation the
+        conversion's own, and a ReLU folds into the clip of the reduction
+        after it.  Otherwise ``acc`` is converted first and :meth:`finish`
+        runs on the codes.
+        """
+        if not self.exact(bound, acc.dtype):
+            return self.finish(acc.astype(dtype))
+        if self.bias is not None:
+            acc += self._bias_float
+            np.clip(acc, self.acc_fmt.raw_min, self.acc_fmt.raw_max, out=acc)
+        for shift, scale, signed, low, high, truncate in self._plan:
+            # After a ReLU a negative x rounds to at most 0 either way.
+            negative = acc < 0 if signed else None
+            if shift:
+                acc *= scale
+            if shift > 0:
+                acc += 0.5
+            if signed:
+                acc -= negative  # copysign(0.5, x), without its slow ufunc
+            np.clip(acc, low, high, out=acc)
+            if truncate:
+                np.trunc(acc, out=acc)
+        return acc.astype(dtype)
+
+
 def saturating_matmul(
     data: np.ndarray,
     weights: StagedWeights,
     acc_fmt: QFormat,
     chunk_rows: int,
     rowsum=None,
+    epilogue: Epilogue | None = None,
 ) -> np.ndarray:
     """Integer GEMM with per-K-chunk saturation, batched over leading axes.
 
@@ -194,7 +313,9 @@ def saturating_matmul(
     as long as its codes are exact there: the chunk loop reads them back
     as integers, so when the loop is needed, float data reaching
     :func:`exact_integers` (where a rounded code may sit) raises
-    :class:`ValueError`.
+    :class:`ValueError`.  An ``epilogue`` is applied to the accumulator
+    before it is returned, on the BLAS float result
+    (:meth:`Epilogue.finish_float`) when the bound allows.
     """
     operand = data.astype(weights.float.dtype, copy=False)
     if rowsum is None or float(rowsum) * weights.max > weights.limit:
@@ -206,8 +327,16 @@ def saturating_matmul(
             )
         acc = _chunked_accumulation(
             np.asarray(data, dtype=np.int64), weights.raw, acc_fmt, chunk_rows
-        )
-        return acc.astype(weights.raw.dtype, copy=False)
+        ).astype(weights.raw.dtype, copy=False)
+        return acc if epilogue is None else epilogue.finish(acc)
+    out = _float_product(operand, weights)
+    if epilogue is None:
+        return out.astype(weights.raw.dtype)
+    return epilogue.finish_float(out, float(rowsum) * weights.max, weights.raw.dtype)
+
+
+def _float_product(operand: np.ndarray, weights: StagedWeights) -> np.ndarray:
+    """``operand @ weights.float`` as :func:`saturating_matmul` issues it."""
     if weights.float.ndim == 2:
         # Stream the leading matrices' rows through the shared tile: in
         # one BLAS call, or, when that would turn serial per-matrix
@@ -222,8 +351,8 @@ def saturating_matmul(
         while count % group:
             group -= 1
         out = rows.reshape(count // group, group * matrix_rows, k) @ weights.float
-        return out.astype(weights.raw.dtype).reshape(operand.shape[:-1] + (n,))
-    return (operand @ weights.float).astype(weights.raw.dtype)
+        return out.reshape(operand.shape[:-1] + (n,))
+    return operand @ weights.float
 
 
 def _chunked_accumulation(
@@ -269,6 +398,107 @@ def chunked_saturating_matmul(
             f"GEMM shapes inconsistent: data {data.shape}, weights {weights.shape}"
         )
     return saturating_matmul(data, StagedWeights(weights, acc_fmt), acc_fmt, chunk_rows)
+
+
+def channels_last_order(channels: int, kernel: int) -> np.ndarray:
+    """Program tile row held at each channels-last row.
+
+    A conv tile's program rows run ``(c, kh, kw)``; staged for
+    channels-last windows, row ``(kh, kw, c)`` holds program row
+    ``c * kernel**2 + kh * kernel + kw``.
+    """
+    return np.arange(channels * kernel * kernel).reshape(channels, -1).T.ravel()
+
+
+def by_kernel_row(kernel: int, channels: int, positions: int, n: int) -> bool:
+    """Whether :func:`conv_matmul` runs one GEMM per kernel row.
+
+    Accumulating ``kernel`` partial ``(positions, N)`` products costs
+    passes over the output; skipping the patch matrix saves a copy of
+    ``kernel * C`` codes per output row each.  So a conv splits when its
+    per-row depth ``kernel * C`` is at least ``N`` and each image's
+    kernel-row GEMM has BLAS-sized work, :data:`SERIAL_GEMM_MACS` or more
+    (MNIST PrimaryCaps: depth 2304 vs 256; Conv1, depth 9, and the tiny
+    network's convs stay on one patch matrix).
+    """
+    depth = kernel * channels
+    return kernel > 1 and depth >= n and positions * depth * n >= SERIAL_GEMM_MACS
+
+
+def conv_matmul(
+    x: np.ndarray,
+    weights: StagedWeights,
+    kernel: int,
+    stride: int,
+    acc_fmt: QFormat,
+    chunk_rows: int,
+    rowsum=None,
+    epilogue: Epilogue | None = None,
+) -> np.ndarray:
+    """:func:`saturating_matmul` of the convolution windows of ``x``.
+
+    ``x`` is ``(..., C, H, W)`` codes; ``weights`` holds the ``(C*k*k, N)``
+    tile with its rows channels-last, row ``(kh, kw, c)`` meeting window
+    element ``(kh, kw, c)``.  Returns ``(..., positions, N)``, each output
+    position's window contracted with the tile as the array would in
+    program row order ``(c, kh, kw)``.
+
+    The row bound is ``rowsum`` (the data format's ``K * max|code|``) or,
+    when that is too loose, the window sums of the channel-summed
+    magnitudes, taken without building patches.  Once it proves the
+    product exact, the windows are read channels-last in the tile's float
+    dtype: as one patch matrix, or, when :func:`by_kernel_row` says so,
+    as one GEMM per kernel row against that row's block of the tile,
+    the partial products accumulating in the float dtype (every partial
+    sum stays inside the bound, so it is exact).  Otherwise the array's
+    K-chunk clipping depends on row order, and the chunk loop runs over
+    program-order patches.
+    """
+    *lead, channels, height, width = x.shape
+    k_rows, n = weights.raw.shape
+    if k_rows != channels * kernel * kernel:
+        raise ShapeError(f"tile of {k_rows} rows for {channels}x{kernel}x{kernel} windows")
+    bound = rowsum
+    if bound is None or float(bound) * weights.max > weights.limit:
+        magnitude = np.abs(x).sum(axis=-3, keepdims=True, dtype=np.float64)
+        bound = im2col(magnitude, kernel, stride).sum(axis=-1).max(initial=0.0)
+    if float(bound) * weights.max > weights.limit:
+        order = np.argsort(channels_last_order(channels, kernel))
+        program = StagedWeights(weights.raw[order], acc_fmt)
+        patches = im2col(x, kernel, stride)
+        return saturating_matmul(patches, program, acc_fmt, chunk_rows, bound, epilogue)
+    dtype = weights.float.dtype
+    out_h = (height - kernel) // stride + 1
+    out_w = (width - kernel) // stride + 1
+    depth = kernel * channels
+    if not by_kernel_row(kernel, channels, out_h * out_w, n):
+        patches = im2col(x.astype(dtype), kernel, stride, channels_last=True)
+        return saturating_matmul(patches, weights, acc_fmt, chunk_rows, bound, epilogue)
+    pixels = np.moveaxis(x, -3, -1).astype(dtype, order="C")
+    *lead_strides, s_h, s_w, s_c = pixels.strides
+    window = np.empty(tuple(lead) + (out_h, out_w, depth), dtype=dtype)
+    rows = window.reshape(-1, depth)
+    acc = part = None
+    for kh in range(kernel):
+        # Kernel row kh of every window: k*C contiguous codes per position.
+        view = np.lib.stride_tricks.as_strided(
+            pixels[..., kh:, :, :],
+            window.shape,
+            (*lead_strides, s_h * stride, s_w * stride, s_c),
+            writeable=False,
+        )
+        np.copyto(window, view)
+        block = weights.float[kh * depth : (kh + 1) * depth]
+        if acc is None:
+            acc = rows @ block
+            part = np.empty_like(acc)
+        else:
+            np.matmul(rows, block, out=part)
+            acc += part
+    acc = acc.reshape(tuple(lead) + (out_h * out_w, n))
+    if epilogue is None:
+        return acc.astype(weights.raw.dtype)
+    return epilogue.finish_float(acc, float(bound) * weights.max, weights.raw.dtype)
 
 
 def quantized_conv2d(
@@ -327,8 +557,10 @@ def hw_norm(
     """
     square_in = requantize(vec_raw, in_fmt, fmts.square_in)
     squares = luts.square.lookup(square_in)
-    sumsq = np.sum(squares, axis=-1, dtype=np.int64)
-    norm = fixed_sqrt(sumsq, fmts.square_out, fmts.norm)
+    bits = fmts.square_out.total_bits + squares.shape[-1].bit_length()
+    squares = register_codes(squares, bits)
+    sumsq = np.sum(squares, axis=-1, dtype=squares.dtype)
+    norm = fixed_sqrt(sumsq, fmts.square_out, fmts.norm).astype(squares.dtype, copy=False)
     return norm, sumsq
 
 
@@ -364,13 +596,17 @@ def hw_softmax(
     output lands in the coupling-coefficient format so it can feed the
     weight port of the systolic array directly.
     """
-    logits = np.asarray(logits_raw, dtype=np.int64)
+    # Codes of at most NARROW_BITS bits: their differences fit int32.
+    logits = register_codes(logits_raw)
     shifted = logits - np.max(logits, axis=axis, keepdims=True)
-    shifted = saturate_raw(shifted, fmts.logits)
-    exps = luts.exp.lookup(shifted)
-    denom = np.sum(exps, axis=axis, keepdims=True, dtype=np.int64)
+    shifted = saturate_raw(shifted, fmts.logits, in_place=True)
     scale = 1 << fmts.coupling.frac_bits
-    # Round-to-nearest integer division: (2*n*scale + d) // (2*d).
-    numer = 2 * exps * scale + denom
+    # Round-to-nearest integer division: (2*n*scale + d) // (2*d), whose
+    # operands stay within 2 * (scale + count) * max(exp).
+    largest = 2 * max(fmts.exp_out.raw_max, 1) * (scale + logits.shape[axis])
+    exps = register_codes(luts.exp.lookup(shifted), largest.bit_length() + 1)
+    denom = np.sum(exps, axis=axis, keepdims=True, dtype=exps.dtype)
+    numer = exps * (2 * scale)
+    numer += denom
     coupling = numer // (2 * denom)
-    return saturate_raw(coupling, fmts.coupling)
+    return saturate_raw(coupling, fmts.coupling, in_place=True)

@@ -18,15 +18,34 @@ program's per-image shapes).  Numerics and accounting are separate:
   ``fast`` engine runs GEMMs through
   :func:`~repro.capsnet.hwops.saturating_matmul`, one BLAS call whenever a
   row-sum bound proves no accumulator clip can trigger, and stages work
-  once: the static bound ``K * max|code|`` of the data format proves most
-  GEMMs exact without a pass over the data; a gathered ``IM2COL`` reads
-  its windows channels-last, the layout a ``(positions, channels)``
-  accumulator already has, against weight rows permuted at staging; and a
-  register GEMMs read through ``TRANSPOSE``/``RESHAPE`` views (``u_hat`` in
-  the routing GEMMs) is converted to float once per batch, when the float
-  dtype holds its data format's codes exactly.  The
-  ``stepped`` engine, the reference, drives the systolic array clock edge
-  by clock edge, one array job at a time, in program row order.
+  once:
+
+  - the static bound ``K * max|code|`` of the data format proves most
+    GEMMs exact without a pass over the data;
+  - a gathered ``IM2COL`` reads its windows channels-last, the layout a
+    ``(positions, channels)`` accumulator already has, against weight rows
+    permuted at staging (:func:`~repro.capsnet.hwops.conv_matmul`); a conv
+    whose per-row depth ``kernel * C`` is large next to ``N`` (MNIST
+    PrimaryCaps) runs one GEMM per kernel row, accumulating in float,
+    and builds no patch matrix;
+  - each GEMM's bias, saturation and folded ``requant_to``, and the
+    ``RELU`` or ``REQUANT`` right after it when that is the result's only
+    reader (Conv1's ReLU, PrimaryCaps' reduction), form its
+    :class:`~repro.capsnet.hwops.Epilogue`, run in place on the BLAS float
+    result whenever the bound proves every intermediate an exact float
+    integer, then converted to ``int32`` once;
+  - a register GEMMs read through ``TRANSPOSE``/``RESHAPE`` views
+    (``u_hat`` in the routing GEMMs) is converted to float once per
+    batch, when the float dtype holds its data format's codes exactly;
+  - instructions fed only by ``CONST`` (``%routing.b0``, the first
+    routing softmax over its all-zero logits and that coupling's views)
+    are evaluated once, per image, at construction, and read as
+    read-only registers broadcast over each batch size.
+
+  A GEMM a corruption lands on runs its epilogue on the integer
+  accumulator, after the flips.  The ``stepped`` engine, the reference,
+  drives the systolic array clock edge by clock edge, one array job at a
+  time, in program row order, and executes every instruction on its own.
   Activations run through a shared
   :class:`~repro.hw.activation.ActivationUnit` built from the network's own
   LUT ROMs.
@@ -36,19 +55,31 @@ program's per-image shapes).  Numerics and accounting are separate:
   memoized per batch size.
 
 Calls share no mutable state apart from those buffer counters (statistics
-the serving path never reads), so one executor serves concurrent threads.
+the serving path never reads) and the memo of read-only constant
+registers per batch size, so one executor serves concurrent threads.
+``run_batch(..., timings=dict)`` accumulates each executed instruction's,
+fused GEMM's or capsule run's wall time under its compiled layer.
 """
 
 from __future__ import annotations
 
 import random
+import time
 from collections import Counter
 from dataclasses import fields, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from repro.capsnet.hwops import StagedWeights, exact_integers, saturating_matmul
+from repro.capsnet.hwops import (
+    Epilogue,
+    StagedWeights,
+    channels_last_order,
+    code_max,
+    conv_matmul,
+    exact_integers,
+    saturating_matmul,
+)
 from repro.capsnet.ops import im2col
 from repro.compiler.cost import program_events, program_layers
 from repro.compiler.isa import Instruction, Opcode, Program
@@ -82,20 +113,30 @@ _REDUCTIONS = {
     Opcode.RELU: ("in_fmt", "out_fmt"),
     Opcode.REQUANT: ("from_fmt", "to_fmt"),
 }
+#: Corruption targets that land on an array instruction's operands.
+_ARRAY_TARGETS = ("weight", "accumulator")
 #: Ops that only re-view a register; GEMM operands are traced through them.
 _VIEWS = (Opcode.TRANSPOSE, Opcode.RESHAPE)
+#: Ops evaluated once, per image, when every source is a constant.
+_FOLDABLE = frozenset(
+    (
+        Opcode.CONST, Opcode.SOFTMAX, Opcode.SQUASH, Opcode.NORM, Opcode.RELU,
+        Opcode.REQUANT, Opcode.TRANSPOSE, Opcode.RESHAPE, Opcode.SLICE,
+        Opcode.CONCAT, Opcode.ADD_SAT,
+    )
+)
 
 
-def _requant(acc: np.ndarray, attrs: dict) -> np.ndarray:
-    """The width reduction a GEMM instruction folds in, if any."""
-    if attrs.get("requant_to") is None:
-        return acc
-    return requantize(acc, attrs["acc_fmt"], attrs["requant_to"])
-
-
-def _code_max(fmt: QFormat) -> int:
-    """Largest magnitude of a raw code of ``fmt``."""
-    return max(-fmt.raw_min, fmt.raw_max)
+def _epilogue(attrs: dict, bias: np.ndarray | None, reader: Instruction | None) -> Epilogue:
+    """A GEMM's bias and folded width reduction, then its fused reader's."""
+    steps = []
+    if attrs.get("requant_to") is not None:
+        steps.append((attrs["acc_fmt"], attrs["requant_to"], False))
+    if reader is not None and reader.opcode is Opcode.RELU:
+        steps.append((reader.attrs["in_fmt"], reader.attrs["out_fmt"], True))
+    elif reader is not None:
+        steps.append((reader.attrs["from_fmt"], reader.attrs["to_fmt"], False))
+    return Epilogue(attrs["acc_fmt"], bias, steps)
 
 
 def _view(instr: Instruction, src: np.ndarray) -> np.ndarray:
@@ -159,14 +200,27 @@ class StreamExecutor:
         self._accounts: dict[int, tuple] = {}
         #: GEMM position -> staged weight tile (outside capsule runs).
         self._tiles: dict[int, StagedWeights] = {}
-        #: GEMM position -> staged int32 bias.
-        self._biases: dict[int, np.ndarray] = {}
+        #: GEMM position or capsule run start -> what its accumulator goes
+        #: through: bias, folded reduction and, on the fast engine, the
+        #: RELU or REQUANT right after it when that is its only reader.
+        self._epilogues: dict[int, Epilogue] = {}
+        #: GEMM position -> the register its fused reader writes.
+        self._fused: dict[int, str] = {}
         #: Capsule run start -> (closing CONCAT position, stacked tiles).
         self._runs: dict[int, tuple[int, StagedWeights]] = {}
         #: GEMM position -> the IM2COL it gathers itself.
         self._gathers: dict[int, _Gather] = {}
         #: GEMM position -> (root register, views from it to the data operand).
         self._operands: dict[int, tuple[str, tuple[Instruction, ...]]] = {}
+        #: Registers computed from constants alone, per image (read-only).
+        self._folded: dict[str, np.ndarray] = {}
+        #: Batch size -> the folded registers broadcast over that batch.
+        self._constants: dict[int, dict[str, np.ndarray]] = {}
+        #: Positions the run loop passes over: LOAD_Ts, gathered IM2COLs,
+        #: fused readers and folded instructions.
+        self._skip: frozenset[int] = frozenset()
+        #: Position -> the ``timings`` key of what executes there.
+        self._layers: list[str] = []
         self._stage()
 
     # ---- staging ---------------------------------------------------------------
@@ -211,13 +265,29 @@ class StreamExecutor:
 
         loads: dict[str, np.ndarray] = {}
         weights: dict[int, np.ndarray] = {}
+        skip = set()
         for pos, instr in enumerate(instructions):
             if instr.opcode is Opcode.LOAD_T:
                 loads[instr.dest] = self._load(instr, param(instr.attrs["key"]))
-            elif instr.opcode is Opcode.GEMM:
-                weights[pos] = loads[instr.attrs["wreg"]]
-                if instr.attrs.get("bias") is not None:
-                    self._biases[pos] = param(instr.attrs["bias"])
+                skip.add(pos)
+            elif instr.opcode in (Opcode.GEMM, Opcode.GROUPED_GEMM):
+                attrs = instr.attrs
+                if instr.opcode is Opcode.GEMM:
+                    weights[pos] = loads[attrs["wreg"]]
+                bias = param(attrs["bias"]) if attrs.get("bias") is not None else None
+                reader = instructions[pos + 1] if pos + 1 < len(instructions) else None
+                if not (
+                    self.engine == "fast"
+                    and reader is not None
+                    and reader.opcode in (Opcode.RELU, Opcode.REQUANT)
+                    and reader.srcs == (instr.dest,)
+                    and uses[instr.dest] == 1
+                ):
+                    reader = None
+                self._epilogues[pos] = _epilogue(attrs, bias, reader)
+                if reader is not None:
+                    self._fused[pos] = reader.dest
+                    skip.add(pos + 1)
             elif instr.opcode is Opcode.IM2COL and uses[instr.dest] == 1:
                 reader = pos + 1
                 while reader < len(instructions) and instructions[reader].opcode is Opcode.LOAD_T:
@@ -227,12 +297,14 @@ class StreamExecutor:
                         self._gathers[reader] = _Gather(
                             pos, instr.srcs[0], instr.attrs["kernel"], instr.attrs["stride"]
                         )
+                        skip.add(pos)
             elif instr.opcode is Opcode.CONCAT:
                 start = self._capsule_run_start(pos, uses)
                 if start is not None:
                     stacked = np.stack([weights.pop(p) for p in range(start + 2, pos, 4)])
                     acc_fmt = instructions[start + 2].attrs["acc_fmt"]
                     self._runs[start] = (pos, StagedWeights(stacked, acc_fmt))
+                    self._epilogues[start] = _epilogue(instructions[start + 2].attrs, None, None)
             if instr.opcode in (Opcode.GEMM, Opcode.GROUPED_GEMM):
                 root, views = instr.srcs[0], []
                 while root in producers and producers[root].opcode in _VIEWS:
@@ -244,10 +316,34 @@ class StreamExecutor:
             if gather is not None and self.engine == "fast":
                 # Row (c, kh, kw) of the program's tile meets window
                 # element (kh, kw, c) of a channels-last gather.
-                order = np.arange(len(tile)).reshape(-1, gather.kernel**2).T.ravel()
+                order = channels_last_order(len(tile) // gather.kernel**2, gather.kernel)
                 self._gathers[pos] = gather._replace(order=order)
                 tile = tile[order]
             self._tiles[pos] = StagedWeights(tile, instructions[pos].attrs["acc_fmt"])
+        if self.engine == "fast":
+            self._fold(skip)
+        self._skip = frozenset(skip)
+        self._layers = [instr.layer or instr.opcode.name for instr in instructions]
+        for start in self._runs:
+            self._layers[start] = instructions[start + 2].layer or Opcode.GEMM.name
+
+    def _fold(self, skip: set) -> None:
+        """Evaluate, once and per image, every instruction fed by constants.
+
+        ``%routing.b0`` is all zeros, so the first routing softmax (and
+        its views) is the same uniform coupling for every input: the array
+        skips it (§V-C), and so does the run loop, which reads the
+        registers broadcast over each batch size instead.
+        """
+        instructions = self.program.instructions
+        env: dict[str, np.ndarray] = {}
+        for pos, instr in enumerate(instructions):
+            if instr.opcode in _FOLDABLE and all(src in env for src in instr.srcs):
+                env[instr.dest] = self._execute(instr, env, 1)
+                skip.add(pos)
+        for value in env.values():
+            value.flags.writeable = False
+        self._folded = env
 
     def _param(self, key: str) -> np.ndarray:
         """Param ``key`` as ``int32`` codes."""
@@ -329,8 +425,11 @@ class StreamExecutor:
 
     # ---- numerics --------------------------------------------------------------
 
-    def _product(self, data: np.ndarray, tile: StagedWeights, attrs: dict) -> np.ndarray:
-        """``(..., M, K) @ (..., K, N)`` on the selected engine.
+    def _product(
+        self, data: np.ndarray, tile: StagedWeights, attrs: dict, epilogue: Epilogue | None
+    ) -> np.ndarray:
+        """``(..., M, K) @ (..., K, N)`` on the selected engine, through
+        ``epilogue`` when one is given.
 
         The fast engine passes the static row-sum bound of the data
         format.  The stepped engine runs one array job per leading index
@@ -340,8 +439,8 @@ class StreamExecutor:
         acc_fmt = attrs["acc_fmt"]
         config = self.accelerator.config
         if self.engine == "fast":
-            bound = data.shape[-1] * _code_max(attrs["data_fmt"])
-            return saturating_matmul(data, tile, acc_fmt, config.rows, bound)
+            bound = data.shape[-1] * code_max(attrs["data_fmt"])
+            return saturating_matmul(data, tile, acc_fmt, config.rows, bound, epilogue)
         data = np.asarray(data, dtype=np.int64)
         k, n = tile.raw.shape[-2:]
         if tile.raw.ndim == 2:
@@ -355,32 +454,31 @@ class StreamExecutor:
             )
             for d, w in pairs
         ]
-        return np.stack(accs).reshape(data.shape[:-1] + (n,)).astype(tile.raw.dtype)
+        acc = np.stack(accs).reshape(data.shape[:-1] + (n,)).astype(tile.raw.dtype)
+        return acc if epilogue is None else epilogue.finish(acc)
 
     def _gathered(
-        self, gather: _Gather, x: np.ndarray, tile: StagedWeights, attrs: dict
+        self,
+        gather: _Gather,
+        x: np.ndarray,
+        tile: StagedWeights,
+        attrs: dict,
+        epilogue: Epilogue | None,
     ) -> np.ndarray:
         """The GEMM of ``tile`` over the convolution windows of ``x``.
 
-        On the fast engine, once a row bound proves the product exact (the
-        data format's, else window sums of the channel-summed magnitudes,
-        taken without the patch matrix), the windows are gathered
-        channels-last straight into the tile's float dtype.  Otherwise the
-        array's K-chunk clipping depends on row order, so the product runs
-        in the program's order.
+        On the fast engine the tile is held channels-last and
+        :func:`~repro.capsnet.hwops.conv_matmul` reads the windows without
+        a program-order patch matrix; the stepped engine runs the program's
+        patches.
         """
-        kernel, stride = gather.kernel, gather.stride
-        if gather.order is not None:
-            bound = len(tile.raw) * _code_max(attrs["data_fmt"])
-            if bound * tile.max > tile.limit:
-                magnitude = np.abs(x).sum(axis=-3, keepdims=True, dtype=np.float64)
-                bound = im2col(magnitude, kernel, stride).sum(axis=-1).max(initial=0.0)
-            if float(bound) * tile.max <= tile.limit:
-                patches = im2col(x.astype(tile.float.dtype), kernel, stride, channels_last=True)
-                rows = self.accelerator.config.rows
-                return saturating_matmul(patches, tile, attrs["acc_fmt"], rows, bound)
-            tile = StagedWeights(tile.raw[np.argsort(gather.order)], attrs["acc_fmt"])
-        return self._product(im2col(x, kernel, stride), tile, attrs)
+        if gather.order is None:
+            return self._product(im2col(x, gather.kernel, gather.stride), tile, attrs, epilogue)
+        bound = len(tile.raw) * code_max(attrs["data_fmt"])
+        rows = self.accelerator.config.rows
+        return conv_matmul(
+            x, tile, gather.kernel, gather.stride, attrs["acc_fmt"], rows, bound, epilogue
+        )
 
     def _operand(
         self, pos: int, env: dict, floats: dict, tile: StagedWeights
@@ -394,7 +492,7 @@ class StreamExecutor:
         the chunk loop reads the exact codes.
         """
         instr = self.program.instructions[pos]
-        exact = _code_max(instr.attrs["data_fmt"]) <= exact_integers(tile.float.dtype)
+        exact = code_max(instr.attrs["data_fmt"]) <= exact_integers(tile.float.dtype)
         if self.engine != "fast" or not exact:
             return env[instr.srcs[0]]
         root, views = self._operands[pos]
@@ -436,17 +534,21 @@ class StreamExecutor:
         return corrupted.astype(tensor.dtype)
 
     def _gemm(self, pos: int, env: dict, floats: dict, fault: _Fault | None) -> np.ndarray:
-        """Execute the ``GEMM`` or ``GROUPED_GEMM`` at ``pos``.
+        """Execute the ``GEMM`` or ``GROUPED_GEMM`` at ``pos``, with its
+        epilogue (and fused reader, whose register it returns).
 
         A ``GROUPED_GEMM`` is ``(B, G, M, K) @ (B, G, K, N)``: the flat
         element order of its weights and accumulator is that of the
         ``(B*G, ...)`` job, so seeded flips land identically.  A weight
         flip lands on the program's row order, whatever order is staged.
+        A corrupted GEMM runs its epilogue on the integer accumulator,
+        after the flips.
         """
         instr = self.program.instructions[pos]
         attrs = instr.attrs
         acc_fmt = attrs["acc_fmt"]
         gather = self._gathers.get(pos)
+        epilogue = self._epilogues[pos]
         if instr.opcode is Opcode.GROUPED_GEMM:
             tile = StagedWeights(env[instr.srcs[1]], acc_fmt)
             kind = f"weight tiles of {instr.layer}"
@@ -458,16 +560,16 @@ class StreamExecutor:
             clean = tile.raw if order is None else tile.raw[np.argsort(order)]
             corrupted = self._corrupt(fault, clean, -2, kind)
             tile = StagedWeights(corrupted if order is None else corrupted[order], acc_fmt)
+        hit = fault is not None and fault.victim == pos and fault.spec.target in _ARRAY_TARGETS
+        finish = None if hit else epilogue
         if gather is not None:
-            acc = self._gathered(gather, env[gather.src], tile, attrs)
+            acc = self._gathered(gather, env[gather.src], tile, attrs, finish)
         else:
-            acc = self._product(self._operand(pos, env, floats, tile), tile, attrs)
-        if self._hits(fault, pos, "accumulator"):
-            acc = self._corrupt(fault, acc, -1, f"accumulator of {instr.layer}")
-        bias = self._biases.get(pos)
-        if bias is not None:
-            acc = saturate_raw(acc + bias, acc_fmt)
-        acc = _requant(acc, attrs)
+            acc = self._product(self._operand(pos, env, floats, tile), tile, attrs, finish)
+        if hit:
+            if self._hits(fault, pos, "accumulator"):
+                acc = self._corrupt(fault, acc, -1, f"accumulator of {instr.layer}")
+            acc = epilogue.finish(acc)
         if instr.opcode is Opcode.GROUPED_GEMM:
             acc = acc.reshape((len(acc),) + tuple(attrs["out_shape"]))
         return acc
@@ -478,28 +580,32 @@ class StreamExecutor:
         Capsule ``i``'s GEMM streams the ``B`` vectors ``x[:, i]`` through
         its private tile.  Corruption aimed at it flips the same element of
         that tile or of its ``(B, 1, N)`` accumulator as the GEMM alone
-        would, and raises the same detection.
+        would, and raises the same detection; the run's reduction then
+        runs on the integer accumulator.
         """
         instructions = self.program.instructions
         end, tiles = self._runs[start]
         attrs = instructions[start + 2].attrs
+        epilogue = self._epilogues[start]
         count = len(tiles.raw)
         data = env[instructions[start].srcs[0]][:, :count].transpose(1, 0, 2)
-        acc = self._product(data, tiles, attrs)
         index, offset = divmod(fault.victim - start - 2, 4) if fault else (-1, 0)
-        if offset == 0 and 0 <= index < count:
+        hit = offset == 0 and 0 <= index < count and fault.spec.target in _ARRAY_TARGETS
+        acc = self._product(data, tiles, attrs, None if hit else epilogue)
+        if hit:
             gemm = instructions[fault.victim]
             if self._hits(fault, fault.victim, "weight"):
                 kind = f"weight tile {gemm.attrs['wreg']}"
                 weights = self._corrupt(fault, tiles.raw[index], -2, kind)
                 staged = StagedWeights(weights, attrs["acc_fmt"])
-                acc[index] = self._product(data[index], staged, attrs)
+                acc[index] = self._product(data[index], staged, attrs, None)
             if self._hits(fault, fault.victim, "accumulator"):
                 acc[index] = self._corrupt(
                     fault, acc[index][:, np.newaxis], -1, f"accumulator of {gemm.layer}"
                 )[:, 0]
+            acc = epilogue.finish(acc)
         shape = tuple(instructions[start + 3].attrs["shape"])
-        return _requant(acc, attrs).transpose(1, 0, 2).reshape((data.shape[1], count) + shape)
+        return acc.transpose(1, 0, 2).reshape((data.shape[1], count) + shape)
 
     # ---- execution -------------------------------------------------------------
 
@@ -517,12 +623,55 @@ class StreamExecutor:
             return -1
         return positions[random.Random(corruption.seed).randrange(len(positions))]
 
+    def _constant_registers(self, batch: int) -> dict[str, np.ndarray]:
+        """The folded registers as read-only ``(batch, ...)`` broadcasts."""
+        registers = self._constants.get(batch)
+        if registers is None:
+            registers = {
+                name: np.broadcast_to(value, (batch,) + value.shape[1:])
+                for name, value in self._folded.items()
+            }
+            self._constants[batch] = registers
+        return registers
+
+    def _execute(self, instr: Instruction, env: dict, batch: int) -> np.ndarray:
+        """The register an instruction outside the array writes."""
+        op, attrs = instr.opcode, instr.attrs
+        src = env.get(instr.srcs[0]) if instr.srcs else None
+        if op is Opcode.IM2COL:
+            return im2col(src, attrs["kernel"], attrs["stride"])
+        if op is Opcode.RELU:
+            return self.activation.relu(src, attrs["in_fmt"], attrs["out_fmt"])
+        if op is Opcode.SQUASH:
+            return self.activation.squash(src, attrs["in_fmt"])
+        if op is Opcode.SOFTMAX:
+            return self.activation.softmax(src, axis=-1)
+        if op is Opcode.NORM:
+            # Final length readout: the legacy lowering never charged it.
+            return self.activation.norm(src, attrs["in_fmt"])[1]
+        if op is Opcode.REQUANT:
+            return requantize(src, attrs["from_fmt"], attrs["to_fmt"])
+        if op in _VIEWS:
+            return _view(instr, src)
+        if op is Opcode.SLICE:
+            axis = attrs["axis"] + 1
+            return src[(slice(None),) * axis + (slice(attrs["start"], attrs["stop"]),)]
+        if op is Opcode.CONCAT:
+            return np.stack([env[s] for s in instr.srcs], axis=1)
+        if op is Opcode.ADD_SAT:
+            a, b = instr.srcs
+            return saturate_raw(env[a] + env[b], attrs["fmt"])
+        if op is Opcode.CONST:
+            return np.full((batch,) + tuple(attrs["shape"]), attrs["value"], dtype=_REGISTER)
+        raise CompileError(f"unknown opcode {op!r}")  # pragma: no cover - exhaustive
+
     def run_batch(
         self,
         images: np.ndarray,
         trace: list | None = None,
         corruption=None,
         verify_checksums: bool = False,
+        timings: dict | None = None,
     ) -> BatchResult:
         """Execute one batch of real-valued inputs through the program.
 
@@ -535,7 +684,10 @@ class StreamExecutor:
         ``verify_checksums`` arms the ABFT column/row checksums, raising
         :class:`~repro.serve.integrity.DetectedCorruptionError` on any
         in-envelope mismatch (``output`` flips happen after the last
-        checked GEMM and are never caught here).
+        checked GEMM and are never caught here).  ``timings``, when a
+        dict, accumulates the wall seconds of every executed instruction
+        or fused group (a GEMM with its fused reader, a capsule run) under
+        its compiled layer, or its opcode name when it has none.
         """
         program = self.program
         images = np.asarray(images)
@@ -554,35 +706,28 @@ class StreamExecutor:
         env: dict[str, np.ndarray] = {
             program.input: to_raw(images, program.input_fmt).astype(_REGISTER)
         }
+        env.update(self._constant_registers(batch))
         #: (register, float dtype) -> its float copy, for GEMM operands.
         floats: dict[tuple, np.ndarray] = {}
         outputs: dict[str, np.ndarray] = {}
-        gathered = {gather.pos for gather in self._gathers.values()}
-        instructions = program.instructions
+        instructions, skip = program.instructions, self._skip
         pos = 0
         while pos < len(instructions):
+            if pos in skip:
+                pos += 1
+                continue
+            if timings is not None:
+                began, at = time.perf_counter(), pos
             instr = instructions[pos]
-            op, attrs, dest = instr.opcode, instr.attrs, instr.dest
-            src = env.get(instr.srcs[0]) if instr.srcs else None
+            op = instr.opcode
             if pos in self._runs:
                 end = self._runs[pos][0]
                 env[instructions[end].dest] = self._capsule_run(pos, env, fault)
                 pos = end
             elif op is Opcode.GEMM or op is Opcode.GROUPED_GEMM:
-                env[dest] = self._gemm(pos, env, floats, fault)
-            elif op is Opcode.IM2COL:
-                if pos not in gathered:
-                    env[dest] = im2col(src, attrs["kernel"], attrs["stride"])
-            elif op is Opcode.RELU:
-                env[dest] = self.activation.relu(src, attrs["in_fmt"], attrs["out_fmt"])
-            elif op is Opcode.SQUASH:
-                env[dest] = self.activation.squash(src, attrs["in_fmt"]).astype(_REGISTER)
-            elif op is Opcode.SOFTMAX:
-                env[dest] = self.activation.softmax(src, axis=-1).astype(_REGISTER)
-            elif op is Opcode.NORM:
-                # Final length readout: the legacy lowering never charged it.
-                env[dest] = self.activation.norm(src, attrs["in_fmt"])[1].astype(_REGISTER)
+                env[self._fused.get(pos, instr.dest)] = self._gemm(pos, env, floats, fault)
             elif op is Opcode.ARGMAX:
+                src = env[instr.srcs[0]]
                 if fault is not None and fault.spec.target == "output":
                     # Output-target corruption lands after every checked
                     # GEMM: flip the readout scores so the served
@@ -591,27 +736,15 @@ class StreamExecutor:
 
                     src = apply_corruption(src, fault.spec)
                     fault = None
-                env[dest] = np.argmax(src, axis=-1)
-            elif op is Opcode.REQUANT:
-                env[dest] = requantize(src, attrs["from_fmt"], attrs["to_fmt"])
-            elif op in _VIEWS:
-                env[dest] = _view(instr, src)
-            elif op is Opcode.SLICE:
-                axis = attrs["axis"] + 1
-                index = (slice(None),) * axis + (slice(attrs["start"], attrs["stop"]),)
-                env[dest] = src[index]
-            elif op is Opcode.CONCAT:
-                env[dest] = np.stack([env[s] for s in instr.srcs], axis=1)
-            elif op is Opcode.ADD_SAT:
-                a, b = instr.srcs
-                env[dest] = saturate_raw(env[a] + env[b], attrs["fmt"])
-            elif op is Opcode.CONST:
-                shape = (batch,) + tuple(attrs["shape"])
-                env[dest] = np.full(shape, attrs["value"], dtype=_REGISTER)
+                env[instr.dest] = np.argmax(src, axis=-1)
             elif op is Opcode.STORE:
-                outputs[attrs["alias"]] = src
-            elif op is not Opcode.LOAD_T:  # pragma: no cover - exhaustive over Opcode
-                raise CompileError(f"unknown opcode {op!r}")
+                src = env[instr.srcs[0]]
+                outputs[instr.attrs["alias"]] = src if src.flags.writeable else src.copy()
+            else:
+                env[instr.dest] = self._execute(instr, env, batch)
+            if timings is not None:
+                layer = self._layers[at]
+                timings[layer] = timings.get(layer, 0.0) + time.perf_counter() - began
             pos += 1
 
         if "predictions" not in outputs:

@@ -32,15 +32,25 @@ from typing import Callable
 import numpy as np
 
 from repro.fixedpoint import formats
-from repro.fixedpoint.arith import saturate_raw
+from repro.fixedpoint.arith import NARROW_BITS, saturate_raw
 from repro.fixedpoint.formats import QFormat
 from repro.fixedpoint.quantize import Rounding, from_raw, to_raw
 
 
 def _address(raw: np.ndarray, fmt: QFormat) -> np.ndarray:
-    """Unsigned ROM address for a (possibly signed) raw bus value."""
+    """Unsigned ROM address for a (possibly signed) raw bus value, in
+    the codes' own integer width (``int64`` for anything else)."""
     mask = (1 << fmt.total_bits) - 1
-    return np.asarray(raw, dtype=np.int64) & mask
+    arr = np.asarray(raw)
+    if arr.dtype.kind not in "iu":
+        arr = arr.astype(np.int64)
+    return arr & mask
+
+
+def _rom(codes: np.ndarray, out_fmt: QFormat) -> np.ndarray:
+    """ROM words as ``int32`` when ``out_fmt`` fits the narrow registers,
+    so lookups on the executor's ``int32`` registers stay ``int32``."""
+    return codes.astype(np.int32) if out_fmt.total_bits <= NARROW_BITS else codes
 
 
 def _all_raw_codes(fmt: QFormat) -> np.ndarray:
@@ -80,7 +90,7 @@ class LookupTable:
         self.name = name
         codes = _all_raw_codes(in_fmt)
         values = func(from_raw(codes, in_fmt))
-        self._table = to_raw(values, out_fmt, rounding=rounding)
+        self._table = _rom(to_raw(values, out_fmt, rounding=rounding), out_fmt)
 
     @property
     def num_entries(self) -> int:
@@ -94,7 +104,7 @@ class LookupTable:
 
     def lookup(self, raw_in: np.ndarray | int) -> np.ndarray:
         """Raw output codes for raw input codes (vectorized)."""
-        return self._table[_address(raw_in, self.in_fmt)]
+        return self._table.take(_address(raw_in, self.in_fmt))
 
     def lookup_real(self, values: np.ndarray | float) -> np.ndarray:
         """Convenience: quantize real inputs, look up, return real outputs."""
@@ -126,7 +136,7 @@ class LookupTable2D:
         b_codes = _all_raw_codes(b_fmt)
         a_grid, b_grid = np.meshgrid(a_codes, b_codes, indexing="ij")
         values = func(from_raw(a_grid, a_fmt), from_raw(b_grid, b_fmt))
-        self._table = to_raw(values, out_fmt, rounding=rounding)
+        self._table = _rom(to_raw(values, out_fmt, rounding=rounding), out_fmt)
 
     @property
     def num_entries(self) -> int:
@@ -140,7 +150,8 @@ class LookupTable2D:
 
     def lookup(self, a_raw: np.ndarray | int, b_raw: np.ndarray | int) -> np.ndarray:
         """Raw output codes for a pair of raw input buses (vectorized)."""
-        return self._table[_address(a_raw, self.a_fmt), _address(b_raw, self.b_fmt)]
+        row = _address(a_raw, self.a_fmt) << self.b_fmt.total_bits
+        return self._table.reshape(-1).take(row | _address(b_raw, self.b_fmt))
 
     def lookup_real(self, a: np.ndarray | float, b: np.ndarray | float) -> np.ndarray:
         """Convenience: quantize real inputs, look up, return real outputs."""

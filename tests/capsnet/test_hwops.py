@@ -5,12 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.capsnet import hwops
 from repro.capsnet.hwops import (
+    Epilogue,
     HardwareLuts,
     QuantizedFormats,
     SaturationCounter,
     StagedWeights,
     _chunked_accumulation,
+    by_kernel_row,
+    channels_last_order,
+    chunked_saturating_matmul,
+    conv_matmul,
     hw_norm,
     hw_relu,
     hw_softmax,
@@ -19,7 +25,9 @@ from repro.capsnet.hwops import (
     quantized_matmul,
     saturating_matmul,
 )
-from repro.capsnet.ops import conv2d, softmax, squash
+from repro.capsnet.ops import conv2d, im2col, softmax, squash
+from repro.errors import ShapeError
+from repro.fixedpoint.arith import requantize, saturate_raw
 from repro.fixedpoint.formats import QFormat
 from repro.fixedpoint.quantize import from_raw, to_raw
 
@@ -126,6 +134,135 @@ class TestSaturatingMatmul:
         assert StagedWeights(weights, QFormat(25, 0)).raw.dtype == np.int32
         assert StagedWeights(weights, QFormat(40, 0)).raw.dtype == np.int64
         assert StagedWeights(weights.astype(np.int64), QFormat(25, 0)).raw.dtype == np.int64
+
+
+def reference_epilogue(acc, bias, steps, acc_fmt):
+    """Bias, saturation and reductions as separate integer instructions."""
+    if bias is not None:
+        acc = saturate_raw(acc + bias, acc_fmt)
+    for in_fmt, out_fmt, relu in steps:
+        acc = requantize(hw_relu(acc) if relu else acc, in_fmt, out_fmt)
+    return acc
+
+
+@st.composite
+def conv_cases(draw):
+    """A gathered conv: shapes on both sides of the per-kernel-row rule
+    (``deep``), codes wide enough that narrow accumulators clip (the
+    program-order fallback), biases up to the float32 exact range, and
+    epilogues of a GEMM reduction and/or a fused ReLU or REQUANT."""
+    deep = draw(st.booleans())
+    stride = draw(st.integers(1, 2))
+    if deep:
+        kernel = draw(st.integers(2, 3))
+        channels, n = draw(st.integers(24, 40)), draw(st.integers(2, 6))
+        side = int(np.ceil(np.sqrt(hwops.SERIAL_GEMM_MACS / (kernel * channels * n))))
+        height = (side - 1) * stride + kernel + draw(st.integers(0, 1))
+    else:
+        kernel = draw(st.integers(1, 4))
+        channels, n = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+        height = kernel + draw(st.integers(0, 6))
+    lead = draw(st.integers(1, 2))
+    acc_fmt = QFormat(draw(st.sampled_from([12, 16, 25, 30])), draw(st.integers(0, 14)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    code = draw(st.sampled_from([1, 7, 128]))
+    x = rng.integers(-code, code, size=(lead, channels, height, height)).astype(np.int32)
+    w_code = draw(st.sampled_from([1, 3, 128]))
+    tile = rng.integers(-w_code, w_code + 1, size=(channels * kernel**2, n)).astype(np.int32)
+    bias = None
+    if draw(st.booleans()):
+        span = draw(st.sampled_from([100, 2**20, 2**24 - 2]))
+        span = min(span, acc_fmt.raw_max)
+        bias = rng.integers(-span, span + 1, size=n).astype(np.int32)
+    out8 = QFormat(8, draw(st.integers(-2, 8)))
+    steps = []
+    if draw(st.booleans()):
+        mid = QFormat(16, draw(st.integers(0, 12)))
+        steps.append((acc_fmt, mid, False))
+        steps.append((mid, out8, draw(st.booleans())))
+    else:
+        steps.append((acc_fmt, out8, draw(st.booleans())))
+    chunk_rows = draw(st.sampled_from([4, 16]))
+    return deep, x, tile, kernel, stride, acc_fmt, bias, tuple(steps), chunk_rows, code
+
+
+class TestConvMatmul:
+    @given(case=conv_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_integer_reference(self, case):
+        deep, x, tile, kernel, stride, acc_fmt, bias, steps, chunk_rows, code = case
+        channels = x.shape[1]
+        staged = StagedWeights(tile[channels_last_order(channels, kernel)], acc_fmt)
+        patches = im2col(x.astype(np.int64), kernel, stride)
+        acc = chunked_saturating_matmul(patches, tile, acc_fmt, chunk_rows)
+        expected = reference_epilogue(acc, bias, steps, acc_fmt)
+        epilogue = Epilogue(acc_fmt, bias, steps)
+        static = len(tile) * code
+        for rowsum in (None, static):
+            plain = conv_matmul(x, staged, kernel, stride, acc_fmt, chunk_rows, rowsum)
+            assert plain.dtype == staged.raw.dtype
+            assert np.array_equal(plain, acc)
+            got = conv_matmul(x, staged, kernel, stride, acc_fmt, chunk_rows, rowsum, epilogue)
+            assert got.dtype == staged.raw.dtype
+            assert np.array_equal(got, expected)
+
+    def test_per_row_rule_follows_the_shapes(self):
+        side = int(np.ceil(np.sqrt(hwops.SERIAL_GEMM_MACS / (2 * 24 * 6))))
+        assert by_kernel_row(2, 24, side * side, 6)  # conv_cases' smallest deep case
+        assert by_kernel_row(9, 256, 36, 256)  # MNIST PrimaryCaps
+        assert not by_kernel_row(9, 1, 400, 256)  # MNIST Conv1: depth 9
+        assert not by_kernel_row(5, 8, 4, 8)  # tiny PrimaryCaps: too small to split
+        assert not by_kernel_row(1, 256, 400, 256)  # a 1x1 conv has one row
+
+    def test_tile_of_the_wrong_depth_is_refused(self):
+        staged = StagedWeights(np.ones((8, 2), dtype=np.int32), QFormat(25, 0))
+        x = np.ones((1, 3, 4, 4), dtype=np.int32)
+        with pytest.raises(ShapeError, match="tile of 8 rows"):
+            conv_matmul(x, staged, 2, 1, QFormat(25, 0), 4)
+
+
+def zoo_reductions():
+    """Every (in, out, relu) width reduction a zoo GEMM epilogue runs."""
+    from repro.compiler.executor import StreamExecutor
+    from repro.compiler.zoo import get_network, zoo_names
+
+    pairs = set()
+    for name in zoo_names():
+        net = get_network(name)
+        stream = StreamExecutor(net.program, net.params, net.formats, luts=net.luts)
+        for epilogue in stream._epilogues.values():
+            pairs.update(epilogue.steps)
+    return sorted(pairs, key=repr)
+
+
+class TestFloatEpilogue:
+    def test_every_code_of_every_zoo_reduction_matches_requantize(self):
+        # All codes the float path may see: those whose rounding half
+        # stays exact in float32, ties and negative codes included.
+        reductions = zoo_reductions()
+        assert reductions
+        for in_fmt, out_fmt, relu in reductions:
+            epilogue = Epilogue(in_fmt, None, ((in_fmt, out_fmt, relu),))
+            shift = in_fmt.frac_bits - out_fmt.frac_bits
+            top = 2**24 - (2 ** (shift - 1) if shift > 0 else 0)
+            assert epilogue.exact(top, np.float32)
+            assert not epilogue.exact(top + 1, np.float32)
+            low, high = max(in_fmt.raw_min, -top), min(in_fmt.raw_max, top)
+            for start in range(low, high + 1, 2**22):
+                codes = np.arange(start, min(start + 2**22, high + 1), dtype=np.int32)
+                expected = requantize(hw_relu(codes) if relu else codes, in_fmt, out_fmt)
+                got = epilogue.finish_float(codes.astype(np.float32), top, np.int32)
+                assert got.dtype == np.int32
+                assert np.array_equal(got, expected), (in_fmt, out_fmt, relu, start)
+
+    def test_a_bound_past_the_exact_range_takes_the_integer_path(self):
+        # 2**24 + 1 rounds to 2**24 in float32; the integer path sees it.
+        fmt_in, fmt_out = QFormat(30, 0), QFormat(30, 0)
+        epilogue = Epilogue(fmt_in, np.array([1], dtype=np.int32), ((fmt_in, fmt_out, False),))
+        acc = np.array([[2.0**24]], dtype=np.float32)
+        assert not epilogue.exact(2**24, np.float32)
+        assert epilogue.finish_float(acc, 2**24, np.int32)[0, 0] == 2**24 + 1
+
 
 
 class TestQuantizedConv:

@@ -107,3 +107,20 @@ class TestNarrowRegisters:
         program = self._widened(net.program, Opcode.REQUANT, "from_fmt", QFormat(24, -6))
         with pytest.raises(CompileError, match="-> .*int32"):
             StreamExecutor(program, net.params, net.formats, luts=net.luts)
+
+    def test_activation_units_return_int32_codes(self):
+        # The ROMs hold int32 words and the softmax divides in int32, so
+        # none of the units widens an int32 register to int64 (which the
+        # executor would have to narrow again, one more pass per op).
+        net = get_network("mnist")
+        unit = StreamExecutor(net.program, net.params, net.formats, luts=net.luts).activation
+        rng = np.random.default_rng(7)
+        fmt = net.formats.primary_preact
+        vectors = rng.integers(fmt.raw_min, fmt.raw_max + 1, size=(4, 32, 8), dtype=np.int32)
+        logits = rng.integers(-128, 128, size=(4, 32, 10), dtype=np.int32)
+        norm, sumsq = unit.norm(vectors, fmt)
+        assert norm.dtype == sumsq.dtype == np.int32
+        assert unit.squash(vectors, fmt).dtype == np.int32
+        assert unit.softmax(logits, axis=-1).dtype == np.int32
+        wide = unit.softmax(logits.astype(np.int64), axis=-1)
+        assert np.array_equal(unit.softmax(logits, axis=-1), wide)

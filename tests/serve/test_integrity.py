@@ -245,23 +245,31 @@ class TestStreamExecutorABFT:
         with pytest.raises(DetectedCorruptionError, match=f"on {kind} "):
             stream.run_batch(images, corruption=spec, verify_checksums=True)
 
-    @pytest.mark.parametrize("job", ["sum2", "update1", "primarycaps"])
+    @pytest.mark.parametrize(
+        "job", ["sum2", "update1", "primarycaps", "mnist:conv1", "mnist:primarycaps"]
+    )
     @pytest.mark.parametrize("target", ["weight", "accumulator"])
     def test_victim_on_a_staged_once_path(self, job, target):
         # sum2 and update1 read u_hat through its once-per-batch float
         # copy; primarycaps gathers its windows channels-last against
-        # weight rows permuted at staging.  A flip aimed at one must
-        # corrupt what the instruction alone would.  The reference runs
-        # the same program with each routing GEMM reading its own SLICE
-        # of u_hat and the PrimaryCaps patches stored as a register, so
-        # every GEMM reads a materialized operand in program row order.
+        # weight rows permuted at staging.  On MNIST, PrimaryCaps is
+        # deep enough (9*256 rows per kernel row, N = 256) to run one
+        # GEMM per kernel row, and Conv1 runs its ReLU inside its
+        # epilogue.  A flip aimed at one must corrupt what the
+        # instruction alone would.  The reference runs the same program
+        # with each routing GEMM reading its own SLICE of u_hat, the
+        # patches stored as a register, so every GEMM reads a
+        # materialized operand in program row order, and every GEMM
+        # result stored, so no reader is fused into its epilogue.
         import random
         from dataclasses import replace
 
         from repro.compiler.executor import StreamExecutor
         from repro.compiler.isa import Instruction, Opcode
 
-        stream = executor_for("tiny")._executor
+        network, _, job = job.rpartition(":")
+        network = network or "tiny"
+        stream = executor_for(network)._executor
         program = stream.program
         instructions = []
         for instr in program.instructions:
@@ -272,14 +280,15 @@ class TestStreamExecutorABFT:
                 instructions.append(Instruction(Opcode.SLICE, own, (data,), attrs=bounds))
                 instr = replace(instr, srcs=(own,) + instr.srcs[1:])
             instructions.append(instr)
-            if instr.opcode is Opcode.IM2COL:
-                alias = {"alias": f"patches.{instr.dest}"}
+            if instr.opcode in (Opcode.IM2COL, Opcode.GEMM) and instr.attrs.get("m") != 1:
+                alias = {"alias": f"stored.{instr.dest}"}
                 instructions.append(Instruction(Opcode.STORE, None, (instr.dest,), attrs=alias))
         unstaged = StreamExecutor(
             replace(program, instructions=instructions), stream.params,
             stream.activation.formats, luts=stream.activation.luts,
         )
         assert stream._gathers and not unstaged._gathers
+        assert stream._fused and not unstaged._fused
         gemms = [
             pos
             for pos, instr in enumerate(program.instructions)
@@ -289,7 +298,8 @@ class TestStreamExecutorABFT:
         def victim(seed):
             return program.instructions[gemms[random.Random(seed).randrange(len(gemms))]]
 
-        images = images_for(executor_for("tiny"), count=3)[:, np.newaxis]
+        count = 1 if network == "mnist" else 3
+        images = images_for(executor_for(network), count=count)[:, np.newaxis]
         clean = stream.run_batch(images)
 
         def visible(spec):
@@ -302,7 +312,7 @@ class TestStreamExecutorABFT:
 
         spec = next(
             spec
-            for spec in (CorruptionSpec(target=target, bits=16, seed=s) for s in range(5000))
+            for spec in (CorruptionSpec(target=target, bits=16, seed=s) for s in range(20000))
             if victim(spec.seed).attrs.get("job") == job and visible(spec)
         )
         instr = victim(spec.seed)
