@@ -1,6 +1,6 @@
-"""Compiler benchmark: compile time, stream size, pricing, and drift.
+"""Compiler benchmark: compile time, stream size and pricing.
 
-Three measurements, one JSON artifact:
+Two measurements, one JSON artifact:
 
 * **Compilation** — per zoo network, the wall time of the lowering pass
   (graph → instruction stream) and the resulting program size.  Compiling
@@ -8,16 +8,13 @@ Three measurements, one JSON artifact:
   networks-per-second floor.
 * **Pricing** — per zoo network, the closed-form double-buffered
   cycles/image and steady-state pipelined cycles/image from the compiled
-  stream (deterministic; drift means the lowering changed).
-* **Drift** — the compiled stream executed against the frozen
-  ``LegacyBatchScheduler`` hand lowering on the same images: both the
-  executed cycle totals and the closed-form pricing must be *exactly*
-  the legacy figure (ratio 1.0, guarded with absolute bounds).
+  stream (deterministic; a change means the lowering or the cycle model
+  changed, which ``tests/compiler/test_accounting_fixture.py`` pins).
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_compiler.py            # MNIST drift
-    PYTHONPATH=src python benchmarks/bench_compiler.py --smoke    # tiny, CI
+    PYTHONPATH=src python benchmarks/bench_compiler.py
+    PYTHONPATH=src python benchmarks/bench_compiler.py --smoke    # CI
     PYTHONPATH=src python benchmarks/bench_compiler.py --json out.json
 """
 
@@ -28,17 +25,10 @@ import json
 import sys
 import time
 
-import numpy as np
-
-from repro.capsnet.config import mnist_capsnet_config, tiny_capsnet_config
-from repro.capsnet.quantized import QuantizedCapsuleNet
 from repro.compiler.cost import program_batch_cycles, program_steady_cycles
 from repro.compiler.lower import compile_graph
 from repro.compiler.zoo import get_network, zoo_names
-from repro.data.synthetic import SyntheticDigits
 from repro.hw.config import AcceleratorConfig
-from repro.hw.legacy_scheduler import LegacyBatchScheduler
-from repro.hw.scheduler import BatchScheduler
 
 
 def compile_rows(args: argparse.Namespace) -> list[dict]:
@@ -66,68 +56,19 @@ def compile_rows(args: argparse.Namespace) -> list[dict]:
     return rows
 
 
-def drift_rows(args: argparse.Namespace) -> dict:
-    """Executed and closed-form compiled cycles vs the legacy lowering."""
-    config = tiny_capsnet_config() if args.network == "tiny" else mnist_capsnet_config()
-    qnet = QuantizedCapsuleNet(config)
-    images = (
-        SyntheticDigits(size=config.image_size, seed=9).generate(args.drift_batch).images
-    )
-
-    legacy = LegacyBatchScheduler(qnet)
-    start = time.perf_counter()
-    want = legacy.run_batch(images)
-    legacy_seconds = time.perf_counter() - start
-
-    compiled = BatchScheduler(qnet)
-    start = time.perf_counter()
-    got = compiled.run_batch(images)
-    compiled_seconds = time.perf_counter() - start
-
-    closed_form = program_batch_cycles(
-        compiled.accelerator.config, compiled.compiled.program, args.drift_batch
-    )
-    return {
-        "network": args.network,
-        "batch": args.drift_batch,
-        "legacy_overlapped_cycles": want.overlapped_cycles,
-        "compiled_overlapped_cycles": got.overlapped_cycles,
-        "closed_form_overlapped_cycles": closed_form["overlapped"],
-        "predictions_identical": bool(
-            np.array_equal(got.predictions, want.predictions)
-        ),
-        "legacy_wall_seconds": legacy_seconds,
-        "compiled_wall_seconds": compiled_seconds,
-        "compiled_vs_legacy_cycle_ratio": got.overlapped_cycles
-        / want.overlapped_cycles,
-        "closed_form_vs_legacy_cycle_ratio": closed_form["overlapped"]
-        / want.overlapped_cycles,
-    }
-
-
 def run_benchmark(args: argparse.Namespace) -> dict:
     compile_start = time.perf_counter()
     compiled = compile_rows(args)
     compile_seconds = time.perf_counter() - compile_start
-    drift = drift_rows(args)
     return {
         "benchmark": "bench_compiler",
-        "network": args.network,
         "batch": args.batch,
         "zoo": compiled,
-        "drift": drift,
         "headline": {
             "zoo_networks": len(compiled),
             "compile_networks_per_second": (
                 len(compiled) * args.compile_repeats / compile_seconds
             ),
-            "compiled_vs_legacy_cycle_ratio": drift[
-                "compiled_vs_legacy_cycle_ratio"
-            ],
-            "closed_form_vs_legacy_cycle_ratio": drift[
-                "closed_form_vs_legacy_cycle_ratio"
-            ],
-            "predictions_identical": 1.0 if drift["predictions_identical"] else 0.0,
         },
     }
 
@@ -145,22 +86,10 @@ def format_report(report: dict) -> str:
             f" {row['overlapped_cycles_b1']:13,d}"
             f" {row['steady_cycles_per_image']:15,.0f}"
         )
-    drift = report["drift"]
-    lines.append(
-        f"drift [{drift['network']}, batch {drift['batch']}]:"
-        f" legacy {drift['legacy_overlapped_cycles']:,} cycles,"
-        f" compiled {drift['compiled_overlapped_cycles']:,}"
-        f" ({drift['compiled_vs_legacy_cycle_ratio']:.4f}x),"
-        f" closed-form {drift['closed_form_overlapped_cycles']:,}"
-        f" ({drift['closed_form_vs_legacy_cycle_ratio']:.4f}x),"
-        f" predictions {'identical' if drift['predictions_identical'] else 'DIFFER'}"
-    )
     headline = report["headline"]
     lines.append(
         f"headline: {headline['zoo_networks']} zoo networks compile at"
-        f" {headline['compile_networks_per_second']:.1f} networks/s;"
-        f" compiled-vs-legacy cycle ratio"
-        f" {headline['compiled_vs_legacy_cycle_ratio']:.4f}"
+        f" {headline['compile_networks_per_second']:.1f} networks/s"
     )
     return "\n".join(lines)
 
@@ -168,16 +97,10 @@ def format_report(report: dict) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny drift network and few compile repeats (CI smoke gate)",
+        "--smoke", action="store_true", help="few compile repeats (CI smoke gate)"
     )
-    parser.add_argument("--network", choices=("mnist", "tiny"), default=None)
     parser.add_argument(
         "--batch", type=int, default=4, help="batch size for steady-state pricing"
-    )
-    parser.add_argument(
-        "--drift-batch", type=int, default=2, help="batch size of the drift execution"
     )
     parser.add_argument(
         "--compile-repeats", type=int, default=None, help="lowering passes to average"
@@ -185,8 +108,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--json", type=str, default=None, help="write the artifact here")
     args = parser.parse_args(argv)
 
-    if args.network is None:
-        args.network = "tiny" if args.smoke else "mnist"
     if args.compile_repeats is None:
         args.compile_repeats = 3 if args.smoke else 10
 

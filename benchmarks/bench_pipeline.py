@@ -11,7 +11,7 @@ Two measurements, one JSON artifact:
   MNIST shapes (the acceptance bar; the compute-only lower bound is also
   recorded to show the remaining headroom).  The closed-form
   :class:`repro.perf.AnalyticStreamCost` is cross-checked against the
-  scheduler-traced timing as part of the run.
+  compiled program's timing as part of the run.
 * **Serving** — the discrete-event simulator on one saturating trace,
   pipeline off vs on: back-to-back batches pay the warm cost, so modeled
   throughput rises and the latency report gains the drain-saved term.

@@ -7,8 +7,8 @@ The compiler stack has four layers:
 * :mod:`repro.compiler.isa` — the accelerator instruction set; a compiled
   :class:`Program` is a flat stream with explicit weight-tile reuse;
 * :mod:`repro.compiler.lower` — the lowering pass, :func:`compile_graph`;
-* :mod:`repro.compiler.executor` — bit-accurate batched execution with
-  the legacy scheduler's exact cycle recording;
+* :mod:`repro.compiler.executor` — bit-accurate batched execution that
+  reports the program's closed-form accounting;
 
 plus :mod:`repro.compiler.golden` (independent graph interpretation and
 golden-equivalence checking), :mod:`repro.compiler.cost` (closed-form

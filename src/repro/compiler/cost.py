@@ -6,8 +6,8 @@ any batch size without executing it.  This is also where
 :class:`~repro.compiler.executor.StreamExecutor` takes the accounting it
 reports, so pricing and execution agree by construction:
 
-* :func:`program_events` produces the exact :class:`~repro.hw.report.TraceEvent`
-  sequence a traced execution would append;
+* :func:`program_events` lists the batch's array jobs and recorded
+  activations in stream order, as :class:`~repro.hw.report.TraceEvent` records;
 * :func:`program_layers` gives the per-layer reports
   (``BatchResult.layers``);
 * :func:`program_batch_cycles` gives the batch's sequential and
@@ -63,7 +63,7 @@ def _activation_cycles(
 def program_events(
     config: AcceleratorConfig, program: Program, batch: int
 ) -> list[TraceEvent]:
-    """The trace a batch-``B`` execution would record, without executing."""
+    """A batch-``B`` execution's array jobs and activations, in order."""
     events: list[TraceEvent] = []
     for instr in program.instructions:
         attrs = instr.attrs
@@ -200,25 +200,40 @@ def program_stats(
     return total
 
 
+#: Op timelines per ``(id(program), accelerator config, batch)``, shared
+#: by every pricing path.  :func:`~repro.hw.pipeline.cached_stream_timing`
+#: keys on list identity, so a rebuilt cost model or scheduler must get the
+#: same list back; each entry pins its program, so an id is never recycled.
+_PROGRAM_OPS: dict[tuple, tuple[Program, list[PipelineOp]]] = {}
+
+
 def program_ops(
     config: AcceleratorConfig, program: Program, batch: int
 ) -> list[PipelineOp]:
-    """One batch's pipeline op timeline, tile for tile (shape-driven)."""
-    ops: list[PipelineOp] = []
-    for event in program_events(config, program, batch):
-        if event.kind == "gemm":
-            ops.extend(
-                job_ops(
-                    config,
-                    event.plan,
-                    groups=event.groups,
-                    weight_source=event.weight_source,
-                    layer=event.name,
+    """One batch's pipeline op timeline, tile for tile (shape-driven).
+
+    Memoized module-wide; the returned list is shared and must not be
+    mutated.
+    """
+    key = (id(program), config, batch)
+    entry = _PROGRAM_OPS.get(key)
+    if entry is None:
+        ops: list[PipelineOp] = []
+        for event in program_events(config, program, batch):
+            if event.kind == "gemm":
+                ops.extend(
+                    job_ops(
+                        config,
+                        event.plan,
+                        groups=event.groups,
+                        weight_source=event.weight_source,
+                        layer=event.name,
+                    )
                 )
-            )
-        else:
-            ops.append(activation_op(event.cycles, layer=event.name))
-    return ops
+            else:
+                ops.append(activation_op(event.cycles, layer=event.name))
+        entry = _PROGRAM_OPS[key] = (program, ops)
+    return entry[1]
 
 
 def program_stream_timing(
@@ -229,12 +244,7 @@ def program_stream_timing(
     prestage_depth: int = DEFAULT_PRESTAGE_DEPTH,
 ) -> StreamTiming:
     """Pipelined stream schedule for a sequence of batches of one program."""
-    memo: dict[int, list[PipelineOp]] = {}
-    ops = []
-    for size in batch_sizes:
-        if size not in memo:
-            memo[size] = program_ops(config, program, size)
-        ops.append(memo[size])
+    ops = [program_ops(config, program, size) for size in batch_sizes]
     return cached_stream_timing(
         ops, list(batch_sizes), window=window, prestage_depth=prestage_depth
     )

@@ -50,9 +50,9 @@ program's per-image shapes).  Numerics and accounting are separate:
   :class:`~repro.hw.activation.ActivationUnit` built from the network's own
   LUT ROMs.
 * **Accounting.**  Cycles and buffer traffic depend on shapes only, so
-  ``BatchResult.layers``, trace events and the accelerator's buffer
-  counters come from the closed-form pricing of :mod:`repro.compiler.cost`,
-  memoized per batch size.
+  ``BatchResult.layers`` and the accelerator's buffer counters come from
+  the closed-form pricing of :mod:`repro.compiler.cost`, memoized per
+  batch size.
 
 Calls share no mutable state apart from those buffer counters (statistics
 the serving path never reads) and the memo of read-only constant
@@ -81,7 +81,7 @@ from repro.capsnet.hwops import (
     saturating_matmul,
 )
 from repro.capsnet.ops import im2col
-from repro.compiler.cost import program_events, program_layers
+from repro.compiler.cost import program_layers
 from repro.compiler.isa import Instruction, Opcode, Program
 from repro.errors import CompileError, MappingError, ShapeError
 from repro.fixedpoint.arith import NARROW_BITS, requantize, requantize_bits, saturate_raw
@@ -411,7 +411,7 @@ class StreamExecutor:
     # ---- accounting ------------------------------------------------------------
 
     def _accounting(self, batch: int) -> tuple:
-        """``(layers, events, accesses)`` of a batch size (memoized)."""
+        """``(layers, accesses)`` of a batch size (memoized)."""
         account = self._accounts.get(batch)
         if account is None:
             config = self.accelerator.config
@@ -419,7 +419,7 @@ class StreamExecutor:
             accesses: Counter = Counter()
             for report in layers.values():
                 accesses.update(report.stats.accesses)
-            account = (layers, program_events(config, self.program, batch), accesses)
+            account = (layers, accesses)
             self._accounts[batch] = account
         return account
 
@@ -647,7 +647,7 @@ class StreamExecutor:
         if op is Opcode.SOFTMAX:
             return self.activation.softmax(src, axis=-1)
         if op is Opcode.NORM:
-            # Final length readout: the legacy lowering never charged it.
+            # Final length readout: the cycle model never charges it.
             return self.activation.norm(src, attrs["in_fmt"])[1]
         if op is Opcode.REQUANT:
             return requantize(src, attrs["from_fmt"], attrs["to_fmt"])
@@ -668,15 +668,13 @@ class StreamExecutor:
     def run_batch(
         self,
         images: np.ndarray,
-        trace: list | None = None,
         corruption=None,
         verify_checksums: bool = False,
         timings: dict | None = None,
     ) -> BatchResult:
         """Execute one batch of real-valued inputs through the program.
 
-        ``trace``, when a list, receives the batch's
-        :class:`~repro.hw.report.TraceEvent` sequence.  ``corruption`` (a
+        ``corruption`` (a
         :class:`~repro.serve.faults.CorruptionSpec`) injects seeded bit
         flips into one array instruction's weight tile or accumulator —
         or, for ``output`` targets, into the final ARGMAX's scores — so
@@ -751,10 +749,8 @@ class StreamExecutor:
             raise CompileError(
                 f"program {program.name!r} stores no 'predictions' output"
             )
-        layers, events, accesses = self._accounting(batch)
+        layers, accesses = self._accounting(batch)
         self.accelerator.count_reads(accesses)
-        if trace is not None:
-            trace.extend(events)
         fields = {f: outputs[f] for f in _RESULT_FIELDS if f in outputs}
         return BatchResult(
             batch=batch,

@@ -6,11 +6,11 @@ register file of named batched tensors.  Three instruction classes exist:
 * **array work** — ``GEMM`` / ``GROUPED_GEMM`` execute on the systolic array
   (the only instructions that cost array cycles); ``LOAD_T`` stages a weight
   tile sequence for the next ``GEMM`` (its load cycles are accounted inside
-  the GEMM's tiling plan, exactly as the schedulers always did);
+  the GEMM's tiling plan);
 * **activation unit** — ``RELU`` / ``SQUASH`` / ``SOFTMAX`` / ``NORM`` run
   on the per-column activation units with the paper's Section IV-C
-  latencies (``NORM`` at the readout is free, matching the legacy
-  accounting, which never charged the final norm);
+  latencies (``NORM`` at the readout is free: the cycle model never
+  charges the final norm);
 * **layout/bookkeeping** — ``IM2COL``, ``REQUANT``, ``RESHAPE``,
   ``TRANSPOSE``, ``SLICE``, ``CONCAT``, ``ADD_SAT``, ``CONST``, ``ARGMAX``,
   ``STORE`` are free: they model address generation and datapath wiring the

@@ -2,9 +2,8 @@
 
 :func:`compile_graph` walks a validated :class:`~repro.compiler.ir.Graph` in
 topological order and emits the :mod:`~repro.compiler.isa` instruction
-stream the stream executor runs.  The lowering encodes the same scheduling
-decisions the hand-written :class:`~repro.hw.legacy_scheduler.LegacyBatchScheduler`
-made — asserted instruction for instruction by the drift test:
+stream the stream executor runs.  Its scheduling decisions — pinned, with
+the cycle model, by ``tests/compiler/fixtures/zoo_accounting.json`` — are:
 
 * **conv2d** — one ``IM2COL`` + one ``LOAD_T``/``GEMM`` pair: the batch's
   patches stack into a single ``(B*M, K)`` stream per weight tile, so each

@@ -271,8 +271,8 @@ def _pseudo_weights(shape: tuple[int, ...], fan_in: int, fmt: QFormat, seed: str
 def compile_qnet(qnet: QuantizedCapsuleNet, name: str | None = None) -> CompiledNetwork:
     """Compile a quantized CapsNet into a servable :class:`CompiledNetwork`.
 
-    The instruction stream is bit-identical to the legacy hand lowering;
-    parameters are the qnet's own raw weight arrays (shared, not copied).
+    The program is memoized per architecture; parameters are the qnet's
+    own raw weight arrays (shared, not copied).
     """
     config = qnet.config
     if name is None:

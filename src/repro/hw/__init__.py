@@ -21,14 +21,7 @@ from repro.hw.systolic import SystolicArray
 from repro.hw.accumulator import AccumulatorBank
 from repro.hw.activation import ActivationUnit, activation_latency
 from repro.hw.buffers import Buffer, MemoryModel
-from repro.hw.accelerator import (
-    BatchedGemmJob,
-    BatchedGemmResult,
-    CapsAccAccelerator,
-    GemmJob,
-    GroupedGemmJob,
-    batched_gemm_cycles,
-)
+from repro.hw.accelerator import CapsAccAccelerator, GemmJob
 from repro.hw.control import ControlProgram, ControlStep, compile_schedule
 
 # The batched scheduler depends on the quantized model layer; re-export it
@@ -44,13 +37,9 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "BatchedGemmJob",
-    "BatchedGemmResult",
     "BatchResult",
     "BatchScheduler",
-    "GroupedGemmJob",
     "LayerReport",
-    "batched_gemm_cycles",
     "AcceleratorConfig",
     "CycleStats",
     "ProcessingElement",

@@ -3,12 +3,11 @@
 The accelerator executes :class:`GemmJob` descriptions — dense
 ``(M x K) @ (K x N)`` products in raw fixed-point — on the systolic array,
 tiling ``K`` over the array rows (with accumulator chunk summing) and ``N``
-over the array columns.  :class:`BatchedGemmJob` stacks ``B`` images'
-activations into one ``(B*M, K)`` stream per weight tile (tile loads
-amortize over the batch); :class:`GroupedGemmJob` runs ``G`` independent
-same-shape GEMMs back to back with one vectorized numpy call per K-chunk.
-Two execution engines produce *identical results and identical cycle
-accounting*:
+over the array columns.  A batch of ``B`` images against one weight matrix
+is a single job whose ``(B*M, K)`` stacked stream loads each tile once per
+batch; ``G`` independent same-shape GEMMs account as ``G`` single jobs
+(:func:`gemm_stats` with ``count=G``).  Two execution engines produce
+*identical results and identical cycle accounting*:
 
 * ``stepped`` — drives the bit-accurate :class:`~repro.hw.systolic.SystolicArray`
   clock edge by clock edge (used by tests and small workloads);
@@ -49,13 +48,14 @@ from repro.hw.systolic import SystolicArray
 
 
 @dataclass
-class GemmJobSpec:
-    """Operand/format description shared by every GEMM job type.
+class GemmJob:
+    """One dense matrix product to execute on the array.
 
-    ``data_source`` / ``weight_source`` name the buffer each operand
-    streams from, which drives the access counters (``"feedback"`` models
-    the horizontal feedback multiplexer of Fig 10 and costs no buffer
-    reads).  Subclasses fix the expected array ranks.
+    ``data`` is ``(M, K)`` raw integers in ``data_fmt``; ``weights`` is
+    ``(K, N)`` raw integers in ``weight_fmt``.  ``data_source`` /
+    ``weight_source`` name the buffer each operand streams from, which
+    drives the access counters (``"feedback"`` models the horizontal
+    feedback multiplexer of Fig 10 and costs no buffer reads).
     """
 
     name: str
@@ -69,40 +69,6 @@ class GemmJobSpec:
 
 
 @dataclass
-class GemmJob(GemmJobSpec):
-    """One dense matrix product to execute on the array.
-
-    ``data`` is ``(M, K)`` raw integers in ``data_fmt``; ``weights`` is
-    ``(K, N)`` raw integers in ``weight_fmt``.
-    """
-
-
-@dataclass
-class BatchedGemmJob(GemmJobSpec):
-    """``B`` images' activations against one shared weight matrix.
-
-    ``data`` is ``(B, M, K)``; ``weights`` is ``(K, N)`` and is shared by
-    the whole batch.  The engine stacks the activations into a single
-    ``(B*M, K)`` stream per weight tile, so every tile is loaded **once
-    per batch** instead of once per image — the paper's weight reuse,
-    extended across images.
-    """
-
-
-@dataclass
-class GroupedGemmJob(GemmJobSpec):
-    """``G`` independent same-shape GEMMs executed back to back.
-
-    ``data`` is ``(G, M, K)`` and ``weights`` is ``(G, K, N)`` — every
-    group has its *own* weights (e.g. per-image coupling coefficients in
-    the routing loop), so there is no cross-group tile reuse; the grouped
-    job exists so the simulator can execute the whole group with one
-    vectorized numpy call per K-chunk instead of ``G`` Python-level jobs.
-    Cycle accounting is exactly ``G`` sequential single GEMMs.
-    """
-
-
-@dataclass
 class GemmResult:
     """Result of one GEMM execution."""
 
@@ -111,20 +77,6 @@ class GemmResult:
     overlapped_cycles: int = 0
     #: The tiling the accounting was computed for (stream-pipeline input).
     plan: "TilingPlan | None" = None
-
-
-@dataclass
-class BatchedGemmResult:
-    """Result of one batched (or grouped) GEMM execution."""
-
-    acc: np.ndarray
-    stats: CycleStats
-    overlapped_cycles: int = 0
-    batch: int = 1
-    #: The tiling of one constituent GEMM (stream-pipeline input).
-    plan: "TilingPlan | None" = None
-    #: Sequential same-plan repetitions (1 for batched, ``G`` for grouped).
-    groups: int = 1
 
 
 @dataclass
@@ -230,25 +182,6 @@ def gemm_cycles(
     }
 
 
-def batched_gemm_cycles(
-    config: AcceleratorConfig,
-    batch: int,
-    m: int,
-    k: int,
-    n: int,
-    overlap: bool | None = None,
-) -> dict[str, int]:
-    """Closed-form cycles for a ``B``-image batched GEMM.
-
-    The batch stacks into a single ``(B*M, K)`` stream per weight tile, so
-    the accounting is exactly :func:`gemm_cycles` with ``M' = B * M`` —
-    tile loads and fill/drain amortize over the whole batch.
-    """
-    if batch < 1:
-        raise MappingError("batch size must be positive")
-    return gemm_cycles(config, batch * m, k, n, overlap=overlap)
-
-
 def gemm_stats(
     config: AcceleratorConfig,
     plan: TilingPlan,
@@ -337,111 +270,10 @@ class CapsAccAccelerator:
             )
         else:
             raise MappingError(f"unknown engine {engine!r}")
-        stats = self._account(plan, job.data_source, job.weight_source)
+        stats = gemm_stats(self.config, plan, job.data_source, job.weight_source)
+        self.count_reads(stats.accesses)
         overlapped = gemm_cycles(self.config, m, k, n, overlap=True)["total"]
         return GemmResult(acc=acc, stats=stats, overlapped_cycles=overlapped, plan=plan)
-
-    def run_batched_gemm(
-        self, job: BatchedGemmJob, engine: str = "fast"
-    ) -> BatchedGemmResult:
-        """Execute ``B`` images against one weight matrix as a stacked stream.
-
-        The ``(B, M, K)`` activations become one ``(B*M, K)`` stream per
-        weight tile, so the cycle accounting — and the stepped execution —
-        is exactly a single GEMM with ``M' = B*M``: tile loads are paid
-        once per batch.  Returns per-image results of shape ``(B, M, N)``.
-
-        With the default ``acc_fifo_depth=None`` the accumulator FIFO is
-        sized to the job (``B*M`` pending partial sums per column); a
-        fixed depth caps it, M-tiling the stacked stream into passes that
-        each re-load the weight tiles (accounted by :func:`gemm_cycles`
-        and executed pass by pass on the stepped engine).
-        """
-        data = np.asarray(job.data, dtype=np.int64)
-        weights = np.asarray(job.weights, dtype=np.int64)
-        if data.ndim != 3 or weights.ndim != 2 or data.shape[2] != weights.shape[0]:
-            raise ShapeError(
-                f"batched GEMM shapes inconsistent: data {data.shape},"
-                f" weights {weights.shape}"
-            )
-        batch, m, k = data.shape
-        n = weights.shape[1]
-        stacked = data.reshape(batch * m, k)
-        plan = plan_tiling(self.config, batch * m, k, n)
-        if engine == "fast":
-            acc = chunked_saturating_matmul(
-                stacked, weights, job.acc_fmt, self.config.rows
-            )
-        elif engine == "stepped":
-            acc = self.stepped_gemm(
-                stacked, weights, job.data_fmt, job.weight_fmt, job.acc_fmt, plan
-            )
-        else:
-            raise MappingError(f"unknown engine {engine!r}")
-        stats = self._account(plan, job.data_source, job.weight_source)
-        overlapped = batched_gemm_cycles(
-            self.config, batch, m, k, n, overlap=True
-        )["total"]
-        return BatchedGemmResult(
-            acc=acc.reshape(batch, m, n),
-            stats=stats,
-            overlapped_cycles=overlapped,
-            batch=batch,
-            plan=plan,
-        )
-
-    def run_grouped_gemm(
-        self, job: GroupedGemmJob, engine: str = "fast"
-    ) -> BatchedGemmResult:
-        """Execute ``G`` independent same-shape GEMMs back to back.
-
-        Results are bit-identical to ``G`` separate :meth:`run_gemm` calls
-        and the accounting is their exact sequential sum; the fast engine
-        computes the whole group with one vectorized call per K-chunk.
-        """
-        data = np.asarray(job.data, dtype=np.int64)
-        weights = np.asarray(job.weights, dtype=np.int64)
-        if (
-            data.ndim != 3
-            or weights.ndim != 3
-            or data.shape[0] != weights.shape[0]
-            or data.shape[2] != weights.shape[1]
-        ):
-            raise ShapeError(
-                f"grouped GEMM shapes inconsistent: data {data.shape},"
-                f" weights {weights.shape}"
-            )
-        groups, m, k = data.shape
-        n = weights.shape[2]
-        plan = plan_tiling(self.config, m, k, n)
-        if engine == "fast":
-            acc = chunked_saturating_matmul(data, weights, job.acc_fmt, self.config.rows)
-        elif engine == "stepped":
-            acc = np.stack(
-                [
-                    self.stepped_gemm(
-                        data[g],
-                        weights[g],
-                        job.data_fmt,
-                        job.weight_fmt,
-                        job.acc_fmt,
-                        plan,
-                    )
-                    for g in range(groups)
-                ]
-            )
-        else:
-            raise MappingError(f"unknown engine {engine!r}")
-        stats = self._account(plan, job.data_source, job.weight_source, count=groups)
-        overlapped = groups * gemm_cycles(self.config, m, k, n, overlap=True)["total"]
-        return BatchedGemmResult(
-            acc=acc,
-            stats=stats,
-            overlapped_cycles=overlapped,
-            batch=groups,
-            plan=plan,
-            groups=groups,
-        )
 
     def stepped_gemm(
         self,
@@ -483,18 +315,6 @@ class CapsAccAccelerator:
                 result[m_lo:m_hi, n_lo:n_hi] = acc_bank.drain()[:, : n_hi - n_lo]
             m_lo = m_hi
         return result
-
-    def _account(
-        self,
-        plan: TilingPlan,
-        data_source: str,
-        weight_source: str,
-        count: int = 1,
-    ) -> CycleStats:
-        """Accounting shared by all engines, charged to the buffer counters."""
-        stats = gemm_stats(self.config, plan, data_source, weight_source, count)
-        self.count_reads(stats.accesses)
-        return stats
 
     def count_reads(self, accesses: dict[str, int]) -> None:
         """Add the ``<buffer>.read`` words of ``accesses`` to the buffers.

@@ -1,11 +1,11 @@
 """Batched multi-image scheduling of *compiled* instruction streams.
 
-:class:`BatchScheduler` used to be a hand-written, CapsNet-specific job
-list.  It now consumes the graph→ISA compiler (:mod:`repro.compiler`): any
-network — a :class:`~repro.compiler.zoo.CompiledNetwork`, a
-:class:`~repro.capsnet.quantized.QuantizedCapsuleNet` (compiled on the
-fly, program memoized per architecture) or a zoo name string — lowers to
-one instruction stream, and a :class:`~repro.compiler.executor.StreamExecutor`
+:class:`BatchScheduler` consumes the graph→ISA compiler
+(:mod:`repro.compiler`): any network — a
+:class:`~repro.compiler.zoo.CompiledNetwork`, a
+:class:`~repro.capsnet.quantized.QuantizedCapsuleNet` (compiled on the fly,
+program memoized per architecture) or a zoo name string — lowers to one
+instruction stream, and a :class:`~repro.compiler.executor.StreamExecutor`
 runs it batch by batch:
 
 * **Convolutions** — the batch's im2col patches stack into a single
@@ -19,11 +19,11 @@ runs it batch by batch:
   per-(image, class) GEMMs execute as ``GROUPED_GEMM`` instructions whose
   accounting is their exact sequential sum.
 
-For the MNIST CapsNet this is ``compile(mnist_capsnet_graph())``: outputs
-*and* cycle counts are bit-identical to the frozen hand lowering
-(:class:`~repro.hw.legacy_scheduler.LegacyBatchScheduler`, asserted by the
-drift test) and, image for image, to
-:class:`~repro.mapping.execute.MappedInference`.
+Cycles and pipeline op timelines come from the compiled program
+(:mod:`repro.compiler.cost`), never from tracing an execution; the
+accounting is pinned by ``tests/compiler/fixtures/zoo_accounting.json``.
+For the MNIST CapsNet the outputs match
+:class:`~repro.mapping.execute.MappedInference` image for image.
 """
 
 from __future__ import annotations
@@ -33,6 +33,11 @@ from typing import Iterable, Sequence
 
 from dataclasses import dataclass
 
+from repro.compiler.cost import (
+    program_ops,
+    program_steady_cycles,
+    program_stream_timing,
+)
 from repro.compiler.executor import StreamExecutor
 from repro.compiler.zoo import CompiledNetwork, as_compiled
 from repro.errors import ShapeError
@@ -42,9 +47,6 @@ from repro.hw.pipeline import (
     DEFAULT_WINDOW,
     PipelineOp,
     StreamTiming,
-    activation_op,
-    cached_stream_timing,
-    job_ops,
 )
 from repro.hw.report import BatchResult, LayerReport, TraceEvent
 
@@ -55,8 +57,6 @@ __all__ = [
     "PipelinedStreamScheduler",
     "StreamResult",
     "TraceEvent",
-    "clear_traced_ops_cache",
-    "trace_ops",
 ]
 
 
@@ -92,9 +92,6 @@ class BatchScheduler:
             accelerator=accelerator,
             engine=engine,
         )
-        #: When set (a list), every job/activation is appended in execution
-        #: order — the stream pipeline's input.  ``None`` disables tracing.
-        self.trace: list[TraceEvent] | None = None
 
     @property
     def activation(self):
@@ -103,29 +100,10 @@ class BatchScheduler:
 
     def run_batch(self, images: np.ndarray) -> BatchResult:
         """Execute one batch of ``(B, H, W)`` or ``(B, C, H, W)`` images."""
-        return self._executor.run_batch(images, trace=self.trace)
+        return self._executor.run_batch(images)
 
 
 # ---- stream-level cross-batch pipelining -------------------------------------
-
-
-def trace_ops(config, events: Sequence[TraceEvent]) -> list[PipelineOp]:
-    """Expand one batch's trace into pipeline ops, tile for tile."""
-    ops: list[PipelineOp] = []
-    for event in events:
-        if event.kind == "gemm":
-            ops.extend(
-                job_ops(
-                    config,
-                    event.plan,
-                    groups=event.groups,
-                    weight_source=event.weight_source,
-                    layer=event.name,
-                )
-            )
-        else:
-            ops.append(activation_op(event.cycles, layer=event.name))
-    return ops
 
 
 @dataclass
@@ -165,29 +143,15 @@ class StreamResult:
         return self.overlapped_cycles / finish
 
 
-#: Traced per-batch op timelines, shared across scheduler instances:
-#: ``(network key, accel config, engine, batch)`` fully determines the
-#: trace (scheduling is shape-driven; the network key identifies the
-#: architecture, not the weights), so a stream scheduler rebuilt for the
-#: same shapes — a serving cost model rebuilt per run, a sweep point
-#: repeating an array size — reuses the settled timeline instead of
-#: re-running the engine probe.
-_TRACED_OPS_CACHE: dict[tuple, list[PipelineOp]] = {}
-
-
-def clear_traced_ops_cache() -> None:
-    """Drop every memoized engine-traced op timeline."""
-    _TRACED_OPS_CACHE.clear()
-
-
 class PipelinedStreamScheduler:
     """Schedules a *stream* of batches with cross-batch pipelining.
 
     Wraps a :class:`BatchScheduler`: every batch executes through the
     same engine (outputs bit-identical, image for image), while timing
-    comes from the stream schedule of :mod:`repro.hw.pipeline` — weight
-    tiles prestage across job/layer/batch boundaries and up to ``window``
-    batches keep the array hot through each other's activation passes.
+    comes from the stream schedule of :mod:`repro.hw.pipeline` over the
+    compiled program's op timelines — weight tiles prestage across
+    job/layer/batch boundaries and up to ``window`` batches keep the
+    array hot through each other's activation passes.
     """
 
     def __init__(
@@ -201,15 +165,6 @@ class PipelinedStreamScheduler:
         self.scheduler = BatchScheduler(network, accelerator=accelerator, engine=engine)
         self.window = window
         self.prestage_depth = prestage_depth
-        self._ops_memo: dict[int, list[PipelineOp]] = {}
-
-    def _ops_key(self, batch: int) -> tuple:
-        return (
-            self.compiled.key,
-            self.accelerator.config,
-            self.scheduler.engine,
-            batch,
-        )
 
     @property
     def compiled(self) -> CompiledNetwork:
@@ -225,50 +180,17 @@ class PipelinedStreamScheduler:
         return self.scheduler.accelerator
 
     def batch_ops(self, batch_size: int) -> list[PipelineOp]:
-        """Pipeline ops of one batch (shape-driven; probed and memoized).
-
-        The memo is two-level: per instance, then module-wide keyed by
-        (network key, accelerator config, engine, batch) — a scheduler
-        rebuilt for shapes another instance already traced skips the
-        engine probe entirely.
-        """
+        """Pipeline ops of one batch (shape-driven, shared across instances)."""
         if batch_size < 1:
             raise ShapeError("batch must contain at least one image")
-        if batch_size not in self._ops_memo:
-            cached = _TRACED_OPS_CACHE.get(self._ops_key(batch_size))
-            if cached is not None:
-                self._ops_memo[batch_size] = cached
-            else:
-                self.probe_batch(batch_size)
-        return self._ops_memo[batch_size]
-
-    def probe_batch(self, batch_size: int) -> BatchResult:
-        """Run a zero-image probe batch, memoizing its pipeline ops.
-
-        Returns the full :class:`BatchResult`, so one engine run serves
-        both the non-pipelined accounting (``overlapped_cycles``) and the
-        stream-pipeline ops — the serving cost model's cold/warm probes
-        share it.
-        """
-        if batch_size < 1:
-            raise ShapeError("batch must contain at least one image")
-        probe = np.zeros(
-            (batch_size,) + tuple(self.compiled.input_shape), dtype=np.float64
-        )
-        return self._run_traced(probe)
+        return program_ops(self.accelerator.config, self.compiled.program, batch_size)
 
     def probe_timing(self, batch_sizes: Sequence[int]) -> StreamTiming:
-        """Stream timing for a sequence of batch sizes, without execution.
-
-        Memoized through :func:`repro.hw.pipeline.cached_stream_timing`:
-        repeated identical probe streams return the settled schedule
-        instead of re-walking every tile (bit-identical — the cache
-        stores the first computation's result).
-        """
-        ops = [self.batch_ops(size) for size in batch_sizes]
-        return cached_stream_timing(
-            ops,
-            list(batch_sizes),
+        """Stream timing for a sequence of batch sizes, without execution."""
+        return program_stream_timing(
+            self.accelerator.config,
+            self.compiled.program,
+            batch_sizes,
             window=self.window,
             prestage_depth=self.prestage_depth,
         )
@@ -281,40 +203,19 @@ class PipelinedStreamScheduler:
         out, and settled marginals can oscillate with period two; tests
         assert stability across stream lengths).
         """
-        timing = self.probe_timing([batch_size] * max(6, stream_length))
-        return timing.steady_marginal_cycles
-
-    def run_stream(self, batches: Iterable[np.ndarray]) -> StreamResult:
-        """Execute a stream of batches; outputs bit-identical, timing pipelined."""
-        results: list[BatchResult] = []
-        ops: list[list[PipelineOp]] = []
-        for images in batches:
-            results.append(self._run_traced(np.asarray(images)))
-            ops.append(self._ops_memo[results[-1].batch])
-        if not results:
-            raise ShapeError("a stream needs at least one batch")
-        timing = cached_stream_timing(
-            ops,
-            [result.batch for result in results],
+        return program_steady_cycles(
+            self.accelerator.config,
+            self.compiled.program,
+            batch_size,
+            stream_length,
             window=self.window,
             prestage_depth=self.prestage_depth,
         )
-        return StreamResult(results=results, timing=timing)
 
-    def _run_traced(self, images: np.ndarray) -> BatchResult:
-        """Run one batch with tracing, memoizing its (shape-driven) ops."""
-        scheduler = self.scheduler
-        scheduler.trace = []
-        try:
-            result = scheduler.run_batch(images)
-        finally:
-            events, scheduler.trace = scheduler.trace, None
-        if result.batch not in self._ops_memo:
-            key = self._ops_key(result.batch)
-            ops = _TRACED_OPS_CACHE.get(key)
-            if ops is None:
-                ops = _TRACED_OPS_CACHE[key] = trace_ops(
-                    self.accelerator.config, events
-                )
-            self._ops_memo[result.batch] = ops
-        return result
+    def run_stream(self, batches: Iterable[np.ndarray]) -> StreamResult:
+        """Execute a stream of batches; outputs bit-identical, timing pipelined."""
+        results = [self.scheduler.run_batch(np.asarray(images)) for images in batches]
+        if not results:
+            raise ShapeError("a stream needs at least one batch")
+        timing = self.probe_timing([result.batch for result in results])
+        return StreamResult(results=results, timing=timing)

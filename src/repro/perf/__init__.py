@@ -8,7 +8,7 @@
   units.
 * :mod:`repro.perf.stream` — :class:`AnalyticStreamCost`, the closed-form
   cost of the stream-pipelined cross-batch schedule (cold and steady
-  state), cross-checked against the scheduler-traced timing.
+  state), cross-checked against the compiled program's timing.
 * :mod:`repro.perf.gpu` / :mod:`repro.perf.kernels` — the framework-op-level
   GPU model substituting the paper's GTX1070 + PyTorch measurements.
 * :mod:`repro.perf.calibration` — the single place where digitized paper

@@ -8,12 +8,12 @@ ops are derived from the shape-level stage descriptions of
 through the identical stream timing model.  This is the pipelined
 counterpart of :class:`~repro.serve.costs.AnalyticBatchCost`: orders of
 magnitude faster than probing the execution engine, and kept honest by
-:func:`stream_crosscheck` against the scheduler-traced ("stepped")
-accounting of :class:`~repro.hw.scheduler.PipelinedStreamScheduler`.
+:func:`stream_crosscheck` against the compiled program's exact timing
+(:class:`~repro.hw.scheduler.PipelinedStreamScheduler`).
 
 The two sides differ only in their inputs — the analytic ops include the
-mapping model's bulk-transfer steps, the scheduler trace reflects the
-engine's exact job interleaving — so agreement is tight (<2 %) but not
+mapping model's bulk-transfer steps, the program's ops reflect the
+compiled stream's exact job interleaving — so agreement is tight (<2 %) but not
 bit-exact, mirroring the ``AnalyticBatchCost`` / ``ScheduledBatchCost``
 relationship established for the non-pipelined path.
 """
@@ -200,7 +200,7 @@ def stream_crosscheck(
     batch_sizes: tuple[int, ...] = (1, 4, 8),
     rel_tol: float = 0.02,
 ) -> dict[int, dict[str, float]]:
-    """Compare scheduler-traced stream timing against the closed form.
+    """Compare the compiled program's stream timing against the closed form.
 
     ``scheduled`` is a :class:`~repro.hw.scheduler.PipelinedStreamScheduler`
     (duck-typed: anything with ``probe_timing``).  Per batch size, the

@@ -13,11 +13,12 @@ the same schedule; :func:`crosscheck` asserts the two agree to a small
 relative tolerance, keeping the fast analytic path honest.
 
 With ``pipeline=True`` both models additionally price the *warm* cost of
-stream pipelining (:mod:`repro.hw.pipeline`): an array that receives a
-batch back to back — dispatched the instant the previous batch finished —
-keeps its pipeline full, prestages the next batch's conv1 tiles under the
-previous batch's routing tail, and pays only the steady-state marginal
-cycles instead of the cold figure.  The warm cost is keyed by the
+stream pipelining (:mod:`repro.hw.pipeline`) over the compiled program's
+op timelines (:func:`~repro.compiler.cost.program_ops`): an array that
+receives a batch back to back — dispatched the instant the previous batch
+finished — keeps its pipeline full, prestages the next batch's conv1 tiles
+under the previous batch's routing tail, and pays only the steady-state
+marginal cycles instead of the cold figure.  The warm cost is keyed by the
 ``(prev_batch_size, batch_size)`` pair: a homogeneous probe stream of
 the batch size prices the ``prev == size`` case, and mixed-size
 back-to-back dispatches are probed from a two-size stream whose settled
@@ -64,7 +65,7 @@ from repro.hw.pipeline import (
     PipelineOp,
     cached_stream_timing,
 )
-from repro.hw.scheduler import BatchResult, BatchScheduler, PipelinedStreamScheduler
+from repro.hw.scheduler import BatchResult, BatchScheduler
 from repro.perf.model import CapsAccPerformanceModel
 from repro.perf.stream import PROBE_STREAM_LENGTH, AnalyticStreamCost
 
@@ -296,12 +297,11 @@ class ScheduledBatchCost:
         self._warm_memo: dict[int, int] = {}
         self._pair_memo: dict[tuple[int, int], int] = {}
         self._integrity_memo: dict[int, int] = {}
-        self._stream: PipelinedStreamScheduler | None = None
+        self._stream: _ProgramStream | None = None
         if pipeline:
-            self._stream = PipelinedStreamScheduler(
-                compiled,
-                accelerator=self.scheduler.accelerator,
-                engine=engine,
+            self._stream = _ProgramStream(
+                self.config,
+                compiled.program,
                 window=window,
                 prestage_depth=prestage_depth,
             )
@@ -351,11 +351,9 @@ class ScheduledBatchCost:
 
         Probes the scheduler with a zero-image batch; tiling — and
         therefore the accounting — is shape-driven, so the memoized value
-        is bit-identical to any real batch of the same size.  With
-        pipelining enabled the probe runs traced through the stream
-        scheduler, so the same engine run also feeds the warm cost.
-        Results persist in the process-wide probe cache, so a model
-        rebuilt for the same shapes skips the engine probe.
+        is bit-identical to any real batch of the same size.  Results
+        persist in the process-wide probe cache, so a model rebuilt for
+        the same shapes skips the engine probe.
         """
         if batch_size < 1:
             raise ConfigError("batch size must be positive")
@@ -363,14 +361,10 @@ class ScheduledBatchCost:
             key = self.signature() + ("cold", batch_size)
             cached = _PROBE_CACHE.get(key)
             if cached is None:
-                if self._stream is not None:
-                    result = self._stream.probe_batch(batch_size)
-                else:
-                    probe = np.zeros(
-                        (batch_size,) + tuple(self.compiled.input_shape),
-                        dtype=np.float64,
-                    )
-                    result = self.scheduler.run_batch(probe)
+                probe = np.zeros(
+                    (batch_size,) + tuple(self.compiled.input_shape), dtype=np.float64
+                )
+                result = self.scheduler.run_batch(probe)
                 cached = _PROBE_CACHE[key] = _batch_cycles(
                     result, self.accounting
                 ) + self.integrity_cycles(batch_size)
@@ -404,7 +398,7 @@ class ScheduledBatchCost:
         if prev_size is not None and prev_size != batch_size:
             return _pair_warm_cycles(
                 self._pair_memo,
-                self._stream.probe_timing,
+                self._stream.stream_timing,
                 prev_size,
                 batch_size,
                 self.batch_cycles(batch_size),
@@ -416,11 +410,10 @@ class ScheduledBatchCost:
             cached = _PROBE_CACHE.get(key)
             if cached is None:
                 cold = self.batch_cycles(batch_size)
-                steady = self._stream.probe_timing(
-                    [batch_size] * PROBE_STREAM_LENGTH
-                ).steady_marginal_cycles
                 cached = _PROBE_CACHE[key] = min(
-                    steady + self.integrity_cycles(batch_size), cold
+                    self._stream.steady_cycles(batch_size)
+                    + self.integrity_cycles(batch_size),
+                    cold,
                 )
             self._warm_memo[batch_size] = cached
         return self._warm_memo[batch_size]
@@ -482,6 +475,8 @@ class _ProgramStream:
     ``steady_cycles`` — but expands the op timeline from the network's
     compiled instruction stream (:func:`repro.compiler.cost.program_ops`),
     so *any* zoo network prices its pipelined warm costs in closed form.
+    Op lists come from that function's module-wide memo, so every rebuilt
+    model reuses the same lists and their settled stream schedules.
     """
 
     def __init__(
@@ -495,16 +490,11 @@ class _ProgramStream:
         self.program = program
         self.window = window
         self.prestage_depth = prestage_depth
-        self._ops_memo: dict[int, list[PipelineOp]] = {}
 
     def batch_ops(self, batch_size: int) -> list[PipelineOp]:
         if batch_size < 1:
             raise ConfigError("batch size must be positive")
-        if batch_size not in self._ops_memo:
-            self._ops_memo[batch_size] = program_ops(
-                self.config, self.program, batch_size
-            )
-        return self._ops_memo[batch_size]
+        return program_ops(self.config, self.program, batch_size)
 
     def stream_timing(self, batch_sizes):
         ops = [self.batch_ops(size) for size in batch_sizes]

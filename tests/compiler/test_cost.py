@@ -6,39 +6,28 @@ import pytest
 
 from repro.compiler.cost import (
     program_batch_cycles,
-    program_events,
-    program_ops,
     program_stats,
     program_steady_cycles,
     program_stream_timing,
 )
 from repro.compiler.zoo import get_network
-from repro.hw.scheduler import BatchScheduler, PipelinedStreamScheduler, trace_ops
+from repro.hw.scheduler import BatchScheduler, PipelinedStreamScheduler
 from tests.compiler.conftest import zoo_images
 
 
 @pytest.fixture(scope="module", params=["tiny", "mlp"])
 def priced(request, tiny_qnet):
-    """One traced execution per network to price against."""
+    """One execution per network to price against."""
     name = request.param
     network = get_network(name) if name != "tiny" else tiny_qnet
     scheduler = BatchScheduler(network)
-    scheduler.trace = []
     images = zoo_images(name, count=3)
-    result = scheduler.run_batch(images)
-    return scheduler, result, scheduler.trace
+    return scheduler, scheduler.run_batch(images)
 
 
 class TestClosedFormPricing:
-    def test_events_match_recorded_trace(self, priced):
-        scheduler, result, trace = priced
-        events = program_events(
-            scheduler.accelerator.config, scheduler.compiled.program, result.batch
-        )
-        assert events == trace
-
     def test_batch_cycles_match_execution(self, priced):
-        scheduler, result, _ = priced
+        scheduler, result = priced
         cycles = program_batch_cycles(
             scheduler.accelerator.config, scheduler.compiled.program, result.batch
         )
@@ -46,21 +35,14 @@ class TestClosedFormPricing:
         assert cycles["overlapped"] == result.overlapped_cycles
 
     def test_stats_match_execution(self, priced):
-        scheduler, result, _ = priced
+        scheduler, result = priced
         stats = program_stats(
             scheduler.accelerator.config, scheduler.compiled.program, result.batch
         )
         assert stats == result.total_stats
 
-    def test_ops_match_trace_expansion(self, priced):
-        scheduler, result, trace = priced
-        config = scheduler.accelerator.config
-        assert program_ops(config, scheduler.compiled.program, result.batch) == trace_ops(
-            config, trace
-        )
-
     def test_stream_timing_matches_pipelined_probe(self, priced):
-        scheduler, result, _ = priced
+        scheduler, result = priced
         pipelined = PipelinedStreamScheduler(scheduler.compiled)
         sizes = [result.batch] * 7
         timing = program_stream_timing(

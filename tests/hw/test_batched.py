@@ -1,34 +1,38 @@
-"""Equivalence tests for the batched / grouped GEMM execution paths.
+"""Accounting and equivalence of batched and grouped GEMMs on the array.
 
-The guarantees:
+A batch of ``B`` images against one weight matrix runs as a single
+stacked ``(B*M, K)`` GEMM; ``G`` independent same-shape GEMMs account as
+``gemm_stats(count=G)``.  The guarantees:
 
-* a batched job is bit-identical to ``B`` independent single-image runs,
+* a stacked batch is bit-identical to ``B`` independent single-image runs,
   on both engines;
-* the closed-form batched cycle accounting equals what the stepped engine
-  actually consumes for the stacked stream, tile by tile;
+* the closed-form cycle accounting equals what the stepped engine actually
+  consumes for the stacked stream, tile by tile;
 * batching amortizes weight-tile loads: cycles and weight traffic are
   strictly below ``B`` independent runs;
+* grouped accounting is exactly ``G`` single GEMMs;
 * the chunked saturating matmul (including its no-saturation BLAS fast
   path) matches the pure-int64 per-chunk reference even when values clip
   mid-accumulation.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.capsnet.hwops import QuantizedFormats, chunked_saturating_matmul
-from repro.errors import ShapeError
+from repro.errors import ConfigError, MappingError, ShapeError
 from repro.fixedpoint.formats import QFormat
 from repro.hw.accelerator import (
-    BatchedGemmJob,
     CapsAccAccelerator,
     GemmJob,
-    GroupedGemmJob,
-    batched_gemm_cycles,
     chunk_sizes,
     gemm_cycles,
+    gemm_stats,
     plan_tiling,
 )
+from repro.hw.config import AcceleratorConfig
 from repro.hw.systolic import SystolicArray
 
 FMTS = QuantizedFormats()
@@ -52,10 +56,15 @@ def reference_chunked(data, weights, acc_fmt, rows):
     return acc
 
 
-def make_batched_job(rng, batch, m, k, n, **kwargs):
-    data = rng.integers(-60, 60, size=(batch, m, k))
-    weights = rng.integers(-60, 60, size=(k, n))
-    return BatchedGemmJob("batched", data, weights, DATA, WEIGHT, ACC, **kwargs)
+def make_batch(rng, batch, m, k, n):
+    """``(B, M, K)`` activations and one shared ``(K, N)`` weight matrix."""
+    return rng.integers(-60, 60, size=(batch, m, k)), rng.integers(-60, 60, size=(k, n))
+
+
+def stacked_job(data, weights):
+    """The batch as one ``(B*M, K)`` stream per weight tile."""
+    batch, m, k = data.shape
+    return GemmJob("batched", data.reshape(batch * m, k), weights, DATA, WEIGHT, ACC)
 
 
 class TestChunkedSaturatingMatmul:
@@ -125,20 +134,18 @@ class TestBatchedGemm:
         self, rng, small_accel_config, batch, m, k, n
     ):
         accel = CapsAccAccelerator(small_accel_config)
-        job = make_batched_job(rng, batch, m, k, n)
-        batched = accel.run_batched_gemm(job, engine="fast")
-        assert batched.acc.shape == (batch, m, n)
+        data, weights = make_batch(rng, batch, m, k, n)
+        batched = accel.run_gemm(stacked_job(data, weights), engine="fast")
+        acc = batched.acc.reshape(batch, m, n)
         for b in range(batch):
-            single = accel.run_gemm(
-                GemmJob("single", job.data[b], job.weights, DATA, WEIGHT, ACC)
-            )
-            assert np.array_equal(batched.acc[b], single.acc)
+            single = accel.run_gemm(GemmJob("single", data[b], weights, DATA, WEIGHT, ACC))
+            assert np.array_equal(acc[b], single.acc)
 
     def test_engines_agree(self, rng, small_accel_config):
         accel = CapsAccAccelerator(small_accel_config)
-        job = make_batched_job(rng, 3, 4, 9, 6)
-        fast = accel.run_batched_gemm(job, engine="fast")
-        stepped = accel.run_batched_gemm(job, engine="stepped")
+        job = stacked_job(*make_batch(rng, 3, 4, 9, 6))
+        fast = accel.run_gemm(job, engine="fast")
+        stepped = accel.run_gemm(job, engine="stepped")
         assert np.array_equal(fast.acc, stepped.acc)
         assert fast.stats.total_cycles == stepped.stats.total_cycles
 
@@ -149,8 +156,7 @@ class TestBatchedGemm:
         """Sequential batched accounting equals real stepped cycles for the
         stacked ``(B*M, K)`` stream, tile by tile."""
         config = small_accel_config
-        job = make_batched_job(rng, batch, m, k, n)
-        stacked = job.data.reshape(batch * m, k)
+        job = stacked_job(*make_batch(rng, batch, m, k, n))
         array = SystolicArray(config, DATA, WEIGHT, ACC)
         measured = 0
         plan = plan_tiling(config, batch * m, k, n)
@@ -163,12 +169,11 @@ class TestBatchedGemm:
                 tile[: block.shape[0], : block.shape[1]] = block
                 measured += array.load_weights(tile, active_rows=chunk)
                 stream = np.zeros((batch * m, config.rows), dtype=np.int64)
-                stream[:, :chunk] = stacked[:, k_lo : k_lo + chunk]
+                stream[:, :chunk] = job.data[:, k_lo : k_lo + chunk]
                 measured += array.run_tile(stream).cycles
-        formula = batched_gemm_cycles(config, batch, m, k, n, overlap=False)
+        formula = gemm_cycles(config, batch * m, k, n, overlap=False)
         assert formula["total"] == measured
-        accel = CapsAccAccelerator(config)
-        result = accel.run_batched_gemm(job)
+        result = CapsAccAccelerator(config).run_gemm(job)
         assert result.stats.total_cycles == measured
 
     def test_batching_amortizes_tile_loads(self, rng, small_accel_config):
@@ -176,9 +181,9 @@ class TestBatchedGemm:
         (fewer exposed loads/drains) and in weight-buffer traffic."""
         accel = CapsAccAccelerator(small_accel_config)
         batch, m, k, n = 4, 3, 9, 6
-        job = make_batched_job(rng, batch, m, k, n)
+        job = stacked_job(*make_batch(rng, batch, m, k, n))
         accel.reset_counters()
-        batched = accel.run_batched_gemm(job)
+        batched = accel.run_gemm(job)
         batched_weight_reads = accel.weight_buffer.reads
         single = gemm_cycles(small_accel_config, m, k, n, overlap=False)["total"]
         assert batched.stats.total_cycles < batch * single
@@ -188,36 +193,27 @@ class TestBatchedGemm:
 
     def test_mac_count_scales_with_batch(self, rng, small_accel_config):
         accel = CapsAccAccelerator(small_accel_config)
-        result = accel.run_batched_gemm(make_batched_job(rng, 3, 4, 5, 6))
+        result = accel.run_gemm(stacked_job(*make_batch(rng, 3, 4, 5, 6)))
         assert result.stats.mac_count == 3 * 4 * 5 * 6
-        assert result.batch == 3
 
     def test_bad_shapes_rejected(self, rng, small_accel_config):
+        """A batch runs only once stacked, and only against matching ``K``."""
         accel = CapsAccAccelerator(small_accel_config)
-        job = BatchedGemmJob(
-            "bad",
-            np.zeros((2, 3, 4), dtype=np.int64),
-            np.zeros((5, 2), dtype=np.int64),
-            DATA,
-            WEIGHT,
-            ACC,
-        )
+        data, weights = make_batch(rng, 2, 3, 4, 5)
         with pytest.raises(ShapeError):
-            accel.run_batched_gemm(job)
+            accel.run_gemm(GemmJob("unstacked", data, weights, DATA, WEIGHT, ACC))
+        with pytest.raises(ShapeError):
+            accel.run_gemm(stacked_job(data, weights[:3]))
 
     def test_zero_batch_rejected(self, small_accel_config):
-        from repro.errors import MappingError
-
         with pytest.raises(MappingError):
-            batched_gemm_cycles(small_accel_config, 0, 2, 2, 2)
+            gemm_cycles(small_accel_config, 0 * 2, 2, 2)
 
 
 class TestFifoDepth:
     """A bounded accumulator FIFO forces M-tiling on long streams."""
 
     def test_plan_splits_m_passes(self, small_accel_config):
-        from dataclasses import replace
-
         bounded = replace(small_accel_config, acc_fifo_depth=5)
         plan = plan_tiling(bounded, 12, 9, 6)
         assert plan.m_passes == (5, 5, 2)
@@ -227,8 +223,6 @@ class TestFifoDepth:
         assert ideal.total_tile_loads == ideal.tiles
 
     def test_deep_fifo_matches_idealized_cycles(self, small_accel_config):
-        from dataclasses import replace
-
         deep = replace(small_accel_config, acc_fifo_depth=12)
         for overlap in (False, True):
             assert gemm_cycles(deep, 12, 9, 6, overlap=overlap) == gemm_cycles(
@@ -236,8 +230,6 @@ class TestFifoDepth:
             )
 
     def test_bounded_fifo_costs_more(self, small_accel_config):
-        from dataclasses import replace
-
         bounded = replace(small_accel_config, acc_fifo_depth=5)
         for overlap in (False, True):
             assert (
@@ -251,80 +243,58 @@ class TestFifoDepth:
         )
 
     def test_engines_bit_identical_with_bounded_fifo(self, rng, small_accel_config):
-        from dataclasses import replace
-
         bounded = replace(small_accel_config, acc_fifo_depth=5)
         accel = CapsAccAccelerator(bounded)
-        job = make_batched_job(rng, 3, 4, 9, 6)  # B*M = 12 > depth 5
-        fast = accel.run_batched_gemm(job, engine="fast")
-        stepped = accel.run_batched_gemm(job, engine="stepped")
+        job = stacked_job(*make_batch(rng, 3, 4, 9, 6))  # B*M = 12 > depth 5
+        fast = accel.run_gemm(job, engine="fast")
+        stepped = accel.run_gemm(job, engine="stepped")
         assert np.array_equal(fast.acc, stepped.acc)
         assert fast.stats.total_cycles == stepped.stats.total_cycles
-        ideal = CapsAccAccelerator(small_accel_config).run_batched_gemm(job)
+        ideal = CapsAccAccelerator(small_accel_config).run_gemm(job)
         assert np.array_equal(fast.acc, ideal.acc)
 
     def test_weight_traffic_scales_with_passes(self, rng, small_accel_config):
-        from dataclasses import replace
-
         bounded = replace(small_accel_config, acc_fifo_depth=5)
         accel = CapsAccAccelerator(bounded)
         accel.reset_counters()
-        accel.run_batched_gemm(make_batched_job(rng, 3, 4, 9, 6))
+        accel.run_gemm(stacked_job(*make_batch(rng, 3, 4, 9, 6)))
         assert accel.weight_buffer.reads == 3 * 9 * 6  # three M-passes
 
     def test_invalid_depth_rejected(self):
-        from repro.errors import ConfigError
-        from repro.hw.config import AcceleratorConfig
-
         with pytest.raises(ConfigError):
             AcceleratorConfig(acc_fifo_depth=0)
 
 
 class TestGroupedGemm:
+    """``G`` same-shape GEMMs with per-group weights (the routing jobs)."""
+
     def test_matches_independent_runs_and_sums_stats(self, rng, small_accel_config):
         accel = CapsAccAccelerator(small_accel_config)
         groups, m, k, n = 5, 3, 9, 4
         data = rng.integers(-60, 60, size=(groups, m, k))
         weights = rng.integers(-60, 60, size=(groups, k, n))
-        job = GroupedGemmJob("grp", data, weights, DATA, WEIGHT, ACC)
-        grouped = accel.run_grouped_gemm(job)
-        total = 0
+        grouped = chunked_saturating_matmul(data, weights, ACC, small_accel_config.rows)
+        total = None
         for g in range(groups):
-            single = accel.run_gemm(
-                GemmJob("one", data[g], weights[g], DATA, WEIGHT, ACC)
-            )
-            assert np.array_equal(grouped.acc[g], single.acc)
-            total += single.stats.total_cycles
-        assert grouped.stats.total_cycles == total
-        assert grouped.stats.mac_count == groups * m * k * n
+            single = accel.run_gemm(GemmJob("one", data[g], weights[g], DATA, WEIGHT, ACC))
+            assert np.array_equal(grouped[g], single.acc)
+            total = single.stats if total is None else total + single.stats
+        plan = plan_tiling(small_accel_config, m, k, n)
+        stats = gemm_stats(small_accel_config, plan, count=groups)
+        assert stats == total
+        assert stats.mac_count == groups * m * k * n
 
     def test_engines_agree(self, rng, small_accel_config):
         accel = CapsAccAccelerator(small_accel_config)
         data = rng.integers(-60, 60, size=(3, 2, 7))
         weights = rng.integers(-60, 60, size=(3, 7, 5))
-        job = GroupedGemmJob("grp", data, weights, DATA, WEIGHT, ACC)
-        fast = accel.run_grouped_gemm(job, engine="fast")
-        stepped = accel.run_grouped_gemm(job, engine="stepped")
-        assert np.array_equal(fast.acc, stepped.acc)
+        fast = chunked_saturating_matmul(data, weights, ACC, small_accel_config.rows)
+        for g in range(3):
+            job = GemmJob("one", data[g], weights[g], DATA, WEIGHT, ACC)
+            assert np.array_equal(fast[g], accel.run_gemm(job, engine="stepped").acc)
 
-    def test_no_cross_group_weight_amortization(self, rng, small_accel_config):
-        accel = CapsAccAccelerator(small_accel_config)
+    def test_no_cross_group_weight_amortization(self, small_accel_config):
         groups, m, k, n = 3, 2, 5, 4
-        data = rng.integers(-60, 60, size=(groups, m, k))
-        weights = rng.integers(-60, 60, size=(groups, k, n))
-        accel.reset_counters()
-        accel.run_grouped_gemm(GroupedGemmJob("grp", data, weights, DATA, WEIGHT, ACC))
-        assert accel.weight_buffer.reads == groups * k * n
-
-    def test_bad_shapes_rejected(self, rng, small_accel_config):
-        accel = CapsAccAccelerator(small_accel_config)
-        job = GroupedGemmJob(
-            "bad",
-            np.zeros((2, 3, 4), dtype=np.int64),
-            np.zeros((3, 4, 2), dtype=np.int64),
-            DATA,
-            WEIGHT,
-            ACC,
-        )
-        with pytest.raises(ShapeError):
-            accel.run_grouped_gemm(job)
+        plan = plan_tiling(small_accel_config, m, k, n)
+        stats = gemm_stats(small_accel_config, plan, count=groups)
+        assert stats.accesses["weight_buffer.read"] == groups * k * n

