@@ -9,7 +9,11 @@ reports, per batch size:
 * modeled hardware throughput (images/s at the configured clock) under
   double-buffered accounting — weight-tile loads amortize across the
   stacked batch stream;
-* achieved PE utilization.
+* achieved PE utilization;
+
+and, at the largest batch size, ``layers_ms``: the median wall time of
+each compiled layer (Conv1, PrimaryCaps, ClassCaps, every routing step)
+from the engine's own ``StreamExecutor.run_batch(..., timings=...)`` sink.
 
 Usage::
 
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 
@@ -29,6 +34,7 @@ import numpy as np
 
 from repro.capsnet.config import mnist_capsnet_config, tiny_capsnet_config
 from repro.capsnet.quantized import QuantizedCapsuleNet
+from repro.compiler.executor import StreamExecutor
 from repro.data.synthetic import SyntheticDigits
 from repro.hw.scheduler import BatchScheduler
 
@@ -73,6 +79,28 @@ def measure(
     }
 
 
+def layer_split(scheduler: BatchScheduler, images: np.ndarray, repeats: int) -> dict:
+    """Per-layer median wall milliseconds of one batch of ``images``."""
+    compiled = scheduler.compiled
+    executor = StreamExecutor(
+        compiled.program, compiled.params, compiled.formats, luts=compiled.luts
+    )
+    executor.run_batch(images)  # warm-up
+    samples = []
+    for _ in range(repeats):
+        timings: dict[str, float] = {}
+        executor.run_batch(images, timings=timings)
+        samples.append(timings)
+    return {
+        "batch_size": len(images),
+        "repeats": repeats,
+        "median_ms": {
+            layer: statistics.median(sample.get(layer, 0.0) for sample in samples) * 1e3
+            for layer in samples[0]
+        },
+    }
+
+
 def run_benchmark(args: argparse.Namespace) -> dict:
     network = tiny_capsnet_config() if args.network == "tiny" else mnist_capsnet_config()
     images = SyntheticDigits(size=network.image_size, seed=args.seed).generate(
@@ -91,12 +119,15 @@ def run_benchmark(args: argparse.Namespace) -> dict:
     baseline = rows[0]["wall_images_per_s"]
     for row in rows:
         row["wall_speedup_vs_batch1"] = row["wall_images_per_s"] / baseline
+    largest = max(row["batch_size"] for row in rows)
     return {
         "benchmark": "bench_batched",
         "network": args.network,
         "images": args.images,
         "repeats": args.repeats,
         "results": rows,
+        # The median of 25 batches steadies the full run's per-layer split.
+        "layers_ms": layer_split(scheduler, images[:largest], 3 if args.smoke else 25),
     }
 
 
@@ -116,6 +147,13 @@ def format_report(report: dict) -> str:
             f" {row['utilization']:5.1%}"
             f" {row['gemm_jobs_per_image']:9.1f}"
         )
+    split = report["layers_ms"]
+    lines.append(
+        f"per-layer engine ms at batch {split['batch_size']}"
+        f" (median of {split['repeats']}):"
+    )
+    ranked = sorted(split["median_ms"].items(), key=lambda item: -item[1])
+    lines.append("  " + "  ".join(f"{layer} {ms:.2f}" for layer, ms in ranked))
     return "\n".join(lines)
 
 

@@ -195,7 +195,8 @@ class Epilogue:
             exact32 = self._bias_max <= exact_integers(np.float32)
             self._bias_float = bias.astype(np.float32 if exact32 else np.float64)
         #: Per step: (shift, scale, whether negative codes round down by
-        #: a whole step, clip low, clip high, whether to truncate here).
+        #: a whole step, clip low, clip high, whether its rounding leaves
+        #: a fraction to truncate).
         self._plan = tuple(
             (
                 in_fmt.frac_bits - out_fmt.frac_bits,
@@ -203,9 +204,9 @@ class Epilogue:
                 in_fmt.frac_bits > out_fmt.frac_bits and not relu,
                 max(out_fmt.raw_min, 0) if relu else out_fmt.raw_min,
                 out_fmt.raw_max,
-                in_fmt.frac_bits > out_fmt.frac_bits and index < len(self.steps) - 1,
+                in_fmt.frac_bits > out_fmt.frac_bits,
             )
-            for index, (in_fmt, out_fmt, relu) in enumerate(self.steps)
+            for in_fmt, out_fmt, relu in self.steps
         )
         #: (bound, float dtype) -> :meth:`exact`, memoized: GEMM bounds
         #: repeat from batch to batch.
@@ -249,23 +250,29 @@ class Epilogue:
             bound = min(bound * scale, code_max(out_fmt))
         return True
 
-    def finish_float(self, acc: np.ndarray, bound: float, dtype) -> np.ndarray:
+    def finish_float(
+        self, acc: np.ndarray, bound: float, dtype, keep: bool = False
+    ) -> np.ndarray:
         """:meth:`finish` of the float product ``acc`` (``|acc| <= bound``),
-        returned as ``dtype`` codes.
+        returned as ``dtype`` codes (in ``acc``'s memory layout).
 
         When :meth:`exact` holds, the steps run in place on ``acc`` and the
         codes come out of one conversion: rounding half away from zero is
         ``trunc(x * 2**-s + copysign(0.5, x))``, its last truncation the
         conversion's own, and a ReLU folds into the clip of the reduction
         after it.  Otherwise ``acc`` is converted first and :meth:`finish`
-        runs on the codes.
+        runs on the codes.  ``keep`` leaves ``acc`` holding the codes too.
         """
         if not self.exact(bound, acc.dtype):
-            return self.finish(acc.astype(dtype))
+            codes = self.finish(acc.astype(dtype))
+            if keep:
+                np.copyto(acc, codes)
+            return codes
         if self.bias is not None:
             acc += self._bias_float
             np.clip(acc, self.acc_fmt.raw_min, self.acc_fmt.raw_max, out=acc)
-        for shift, scale, signed, low, high, truncate in self._plan:
+        last = len(self._plan) - 1
+        for index, (shift, scale, signed, low, high, truncate) in enumerate(self._plan):
             # After a ReLU a negative x rounds to at most 0 either way.
             negative = acc < 0 if signed else None
             if shift:
@@ -275,7 +282,7 @@ class Epilogue:
             if signed:
                 acc -= negative  # copysign(0.5, x), without its slow ufunc
             np.clip(acc, low, high, out=acc)
-            if truncate:
+            if truncate and (keep or index < last):
                 np.trunc(acc, out=acc)
         return acc.astype(dtype)
 
@@ -287,6 +294,8 @@ def saturating_matmul(
     chunk_rows: int,
     rowsum=None,
     epilogue: Epilogue | None = None,
+    out: np.ndarray | None = None,
+    transposed: bool = False,
 ) -> np.ndarray:
     """Integer GEMM with per-K-chunk saturation, batched over leading axes.
 
@@ -316,6 +325,15 @@ def saturating_matmul(
     :class:`ValueError`.  An ``epilogue`` is applied to the accumulator
     before it is returned, on the BLAS float result
     (:meth:`Epilogue.finish_float`) when the bound allows.
+
+    Two arguments choose only where the work lands, never a bit of the
+    result.  ``out``, a float array of the result's shape in any memory
+    layout, receives the codes as well: the float product is computed
+    into it, and the returned codes share its layout.  ``transposed``
+    issues the float product as ``(w.T @ data.T).T``, for ``data`` that
+    is the transposed view of contiguous ``(..., K, M)`` panels: BLAS then
+    reads every panel in memory order.  Inside the bound every partial
+    sum is exact, so no summation order can change the result.
     """
     operand = data.astype(weights.float.dtype, copy=False)
     if rowsum is None or float(rowsum) * weights.max > weights.limit:
@@ -328,15 +346,30 @@ def saturating_matmul(
         acc = _chunked_accumulation(
             np.asarray(data, dtype=np.int64), weights.raw, acc_fmt, chunk_rows
         ).astype(weights.raw.dtype, copy=False)
-        return acc if epilogue is None else epilogue.finish(acc)
-    out = _float_product(operand, weights)
+        acc = acc if epilogue is None else epilogue.finish(acc)
+        if out is not None:
+            np.copyto(out, acc)
+        return acc
+    product = _float_product(operand, weights, out, transposed)
     if epilogue is None:
-        return out.astype(weights.raw.dtype)
-    return epilogue.finish_float(out, float(rowsum) * weights.max, weights.raw.dtype)
+        return product.astype(weights.raw.dtype)
+    bound = float(rowsum) * weights.max
+    return epilogue.finish_float(product, bound, weights.raw.dtype, keep=out is not None)
 
 
-def _float_product(operand: np.ndarray, weights: StagedWeights) -> np.ndarray:
+def _float_product(
+    operand: np.ndarray,
+    weights: StagedWeights,
+    out: np.ndarray | None = None,
+    transposed: bool = False,
+) -> np.ndarray:
     """``operand @ weights.float`` as :func:`saturating_matmul` issues it."""
+    if transposed:
+        into = None if out is None else out.swapaxes(-1, -2)
+        product = np.matmul(weights.float.swapaxes(-1, -2), operand.swapaxes(-1, -2), out=into)
+        return product.swapaxes(-1, -2)
+    if out is not None:
+        return np.matmul(operand, weights.float, out=out)
     if weights.float.ndim == 2:
         # Stream the leading matrices' rows through the shared tile: in
         # one BLAS call, or, when that would turn serial per-matrix

@@ -34,9 +34,16 @@ program's per-image shapes).  Numerics and accounting are separate:
     :class:`~repro.capsnet.hwops.Epilogue`, run in place on the BLAS float
     result whenever the bound proves every intermediate an exact float
     integer, then converted to ``int32`` once;
-  - a register GEMMs read through ``TRANSPOSE``/``RESHAPE`` views
-    (``u_hat`` in the routing GEMMs) is converted to float once per
-    batch, when the float dtype holds its data format's codes exactly;
+  - routing is class-major: a ``GROUPED_GEMM`` reading its register
+    through ``TRANSPOSE`` views (``u_hat`` in the routing sums and
+    updates) reads a contiguous float panel per group, ``(B, J, I, D)``
+    for ``u_hat``, staged once per batch when the float dtype holds its
+    data format's codes exactly, and a sum runs as the transposed
+    product ``c.T @ u``; a ClassCaps run with BLAS-sized work per image
+    (MNIST's) computes straight into that panel, and then the routing
+    logits and coupling stay class-major too
+    (:meth:`StreamExecutor._stage_layouts` derives all of it from the
+    program's shapes and views);
   - instructions fed only by ``CONST`` (``%routing.b0``, the first
     routing softmax over its all-zero logits and that coupling's views)
     are evaluated once, per image, at construction, and read as
@@ -72,6 +79,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.capsnet.hwops import (
+    SERIAL_GEMM_MACS,
     Epilogue,
     StagedWeights,
     channels_last_order,
@@ -115,7 +123,7 @@ _REDUCTIONS = {
 }
 #: Corruption targets that land on an array instruction's operands.
 _ARRAY_TARGETS = ("weight", "accumulator")
-#: Ops that only re-view a register; GEMM operands are traced through them.
+#: Ops that only re-view a register; routing operands are traced through them.
 _VIEWS = (Opcode.TRANSPOSE, Opcode.RESHAPE)
 #: Ops evaluated once, per image, when every source is a constant.
 _FOLDABLE = frozenset(
@@ -139,13 +147,6 @@ def _epilogue(attrs: dict, bias: np.ndarray | None, reader: Instruction | None) 
     return Epilogue(attrs["acc_fmt"], bias, steps)
 
 
-def _view(instr: Instruction, src: np.ndarray) -> np.ndarray:
-    """``TRANSPOSE``/``RESHAPE`` of a batched register (no copy where numpy can)."""
-    if instr.opcode is Opcode.TRANSPOSE:
-        return src.transpose((0,) + tuple(p + 1 for p in instr.attrs["perm"]))
-    return src.reshape((src.shape[0],) + tuple(instr.attrs["shape"]))
-
-
 class _Fault(NamedTuple):
     """One call's corruption: the spec, whether checks are armed, and
     the array instruction it lands on."""
@@ -153,6 +154,56 @@ class _Fault(NamedTuple):
     spec: object
     verify: bool
     victim: int
+
+
+class _Panel(NamedTuple):
+    """How a routing GEMM reads its data operand on the fast engine.
+
+    ``root.transpose(layout)`` is the contiguous float copy staged once
+    per batch; the operand is that panel, or its transposed view (the
+    product then issued transposed) when ``transposed``.
+    """
+
+    root: str
+    layout: tuple[int, ...]
+    transposed: bool
+
+
+class _Run(NamedTuple):
+    """A capsule run: its closing ``CONCAT`` and stacked tiles.
+
+    A run whose register routing reads as panels is class-major: its
+    product lands straight in the panel ``layout`` and ``tiles`` hold the
+    leading ``split`` axes of each capsule's output shape in front, as
+    ``(*split axes, I, K, last axis)``.  ``into`` views the panel in the
+    product's axis order, ``back`` takes the product to ``(B, I, ...)``.
+    """
+
+    end: int
+    tiles: StagedWeights
+    split: int = 0
+    layout: tuple[int, ...] | None = None
+    into: tuple[int, ...] | None = None
+    back: tuple[int, ...] = (1, 0, 2)
+
+
+class _Order(NamedTuple):
+    """An ``ADD_SAT`` or ``SOFTMAX`` run on its sources' memory order:
+    ``perm`` views them contiguously, the softmax runs along ``axis``
+    and ``inverse`` views the result in program axis order."""
+
+    perm: tuple[int, ...]
+    axis: int
+    inverse: tuple[int, ...]
+
+
+def _capsule_major(a: np.ndarray, split: int) -> np.ndarray:
+    """``(*split axes, X, Y, last)`` -> ``(X, Y, N)``: a class-major run's
+    product or tiles in program (capsule-major) order."""
+    if not split:
+        return a
+    axes = (split, split + 1) + tuple(range(split)) + (a.ndim - 1,)
+    return a.transpose(axes).reshape(a.shape[split : split + 2] + (-1,))
 
 
 class _Gather(NamedTuple):
@@ -206,12 +257,14 @@ class StreamExecutor:
         self._epilogues: dict[int, Epilogue] = {}
         #: GEMM position -> the register its fused reader writes.
         self._fused: dict[int, str] = {}
-        #: Capsule run start -> (closing CONCAT position, stacked tiles).
-        self._runs: dict[int, tuple[int, StagedWeights]] = {}
+        #: Capsule run start -> its closing CONCAT, tiles and layout.
+        self._runs: dict[int, _Run] = {}
         #: GEMM position -> the IM2COL it gathers itself.
         self._gathers: dict[int, _Gather] = {}
-        #: GEMM position -> (root register, views from it to the data operand).
-        self._operands: dict[int, tuple[str, tuple[Instruction, ...]]] = {}
+        #: Fast engine: routing GEMM position -> its data operand's panel.
+        self._panels: dict[int, _Panel] = {}
+        #: Fast engine: ADD_SAT/SOFTMAX position -> the order it runs in.
+        self._orders: dict[int, _Order] = {}
         #: Registers computed from constants alone, per image (read-only).
         self._folded: dict[str, np.ndarray] = {}
         #: Batch size -> the folded registers broadcast over that batch.
@@ -303,14 +356,8 @@ class StreamExecutor:
                 if start is not None:
                     stacked = np.stack([weights.pop(p) for p in range(start + 2, pos, 4)])
                     acc_fmt = instructions[start + 2].attrs["acc_fmt"]
-                    self._runs[start] = (pos, StagedWeights(stacked, acc_fmt))
+                    self._runs[start] = _Run(pos, StagedWeights(stacked, acc_fmt))
                     self._epilogues[start] = _epilogue(instructions[start + 2].attrs, None, None)
-            if instr.opcode in (Opcode.GEMM, Opcode.GROUPED_GEMM):
-                root, views = instr.srcs[0], []
-                while root in producers and producers[root].opcode in _VIEWS:
-                    views.append(producers[root])
-                    root = producers[root].srcs[0]
-                self._operands[pos] = (root, tuple(reversed(views)))
         for pos, tile in weights.items():
             gather = self._gathers.get(pos)
             if gather is not None and self.engine == "fast":
@@ -322,10 +369,93 @@ class StreamExecutor:
             self._tiles[pos] = StagedWeights(tile, instructions[pos].attrs["acc_fmt"])
         if self.engine == "fast":
             self._fold(skip)
+            self._stage_layouts(producers, skip)
         self._skip = frozenset(skip)
         self._layers = [instr.layer or instr.opcode.name for instr in instructions]
         for start in self._runs:
             self._layers[start] = instructions[start + 2].layer or Opcode.GEMM.name
+
+    def _stage_layouts(self, producers: dict, skip: set) -> None:
+        """Lay routing out class-major, from the shapes and views alone.
+
+        A ``GROUPED_GEMM`` whose data operand is its root register seen
+        through ``TRANSPOSE`` views reads a contiguous float panel: the
+        group axes first, then the two matrix axes in the root's own
+        order, so each group's ``(M, K)`` or ``(K, M)`` matrix is one
+        block and GEMMs that differ only in which axis they contract
+        (``u_hat``'s sum and update) share it; the product is issued
+        transposed when the contraction axis comes first.
+
+        A capsule run whose register is such a root computes straight
+        into that layout when its capsules' last output axis stays
+        innermost, which keeps the axes BLAS writes contiguous, and each
+        image gives it BLAS-sized work
+        (:data:`~repro.capsnet.hwops.SERIAL_GEMM_MACS` multiply-accumulates
+        or more: MNIST's run, not the tiny network's): splitting the
+        capsules' output axes multiplies its BLAS calls, a fixed cost only
+        a large run's saved copy repays.  Otherwise the first routing GEMM
+        stages the panel with one copy.  With a class-major run, ``ADD_SAT``
+        and ``SOFTMAX`` run in the memory order their sources arrive in, so
+        the routing logits and coupling (read through ``TRANSPOSE`` views
+        of the update result) stay class-major too, and the next sum's
+        coupling tile is contiguous; on a network too small for that, the
+        transposes would cost more than the strides.
+        """
+        instructions = self.program.instructions
+        roots: dict[str, tuple[int, ...]] = {}
+        for pos, instr in enumerate(instructions):
+            if instr.opcode is not Opcode.GROUPED_GEMM:
+                continue
+            root, views = instr.srcs[0], []
+            while root in producers and producers[root].opcode in _VIEWS:
+                views.append(producers[root])
+                root = producers[root].srcs[0]
+            if not views or any(view.opcode is not Opcode.TRANSPOSE for view in views):
+                continue
+            axes = np.arange(len(views[0].attrs["perm"]) + 1)
+            for view in reversed(views):
+                axes = axes[[0] + [axis + 1 for axis in view.attrs["perm"]]]
+            layout = tuple(int(axis) for axis in axes[:-2]) + tuple(sorted(axes[-2:].tolist()))
+            self._panels[pos] = _Panel(root, layout, bool(axes[-2] > axes[-1]))
+            roots.setdefault(root, layout)
+        #: Register -> the axis order that views it contiguously.
+        layouts: dict[str, tuple[int, ...]] = {}
+        for start, run in self._runs.items():
+            layout = roots.get(instructions[run.end].dest)
+            big = run.tiles.raw.size >= SERIAL_GEMM_MACS  # MACs per image
+            if layout is None or layout[-1] != len(layout) - 1 or not big:
+                continue
+            layouts[instructions[run.end].dest] = layout
+            shape = tuple(instructions[start + 3].attrs["shape"])
+            split = len(shape) - 1
+            count, k = run.tiles.raw.shape[:2]
+            lead = tuple(range(2, 2 + split))
+            tiles = run.tiles.raw.reshape((count, k) + shape).transpose(lead + (0, 1, 2 + split))
+            order = lead + (1, 0, 2 + split)
+            self._runs[start] = run._replace(
+                tiles=StagedWeights(
+                    np.ascontiguousarray(tiles), instructions[start + 2].attrs["acc_fmt"]
+                ),
+                split=split,
+                layout=layout,
+                into=tuple(int(axis) for axis in np.argsort(layout)[list(order)]),
+                back=tuple(int(axis) for axis in np.argsort(order)),
+            )
+        for pos, instr in enumerate(instructions):
+            if pos in skip or not layouts:
+                continue
+            if instr.opcode is Opcode.TRANSPOSE:
+                perm = np.argsort((0,) + tuple(axis + 1 for axis in instr.attrs["perm"]))
+                src = layouts.get(instr.srcs[0], range(len(perm)))
+                layout = tuple(int(perm[axis]) for axis in src)
+                if layout != tuple(range(len(perm))):
+                    layouts[instr.dest] = layout
+            elif instr.opcode in (Opcode.ADD_SAT, Opcode.SOFTMAX):
+                layout = next((layouts[src] for src in instr.srcs if src in layouts), None)
+                if layout is not None:
+                    layouts[instr.dest] = layout
+                    inverse = tuple(int(axis) for axis in np.argsort(layout))
+                    self._orders[pos] = _Order(layout, layout.index(len(layout) - 1), inverse)
 
     def _fold(self, skip: set) -> None:
         """Evaluate, once and per image, every instruction fed by constants.
@@ -426,21 +556,31 @@ class StreamExecutor:
     # ---- numerics --------------------------------------------------------------
 
     def _product(
-        self, data: np.ndarray, tile: StagedWeights, attrs: dict, epilogue: Epilogue | None
+        self,
+        data: np.ndarray,
+        tile: StagedWeights,
+        attrs: dict,
+        epilogue: Epilogue | None,
+        out: np.ndarray | None = None,
+        transposed: bool = False,
     ) -> np.ndarray:
         """``(..., M, K) @ (..., K, N)`` on the selected engine, through
         ``epilogue`` when one is given.
 
         The fast engine passes the static row-sum bound of the data
-        format.  The stepped engine runs one array job per leading index
-        of a stacked tile, and one job over every leading row of a shared
-        2-D tile, as the accelerator would issue them.
+        format, and ``out`` and ``transposed`` (where the product lands,
+        how it is issued) to :func:`~repro.capsnet.hwops.saturating_matmul`.
+        The stepped engine runs one array job per leading index of a
+        stacked tile, and one job over every leading row of a shared 2-D
+        tile, as the accelerator would issue them.
         """
         acc_fmt = attrs["acc_fmt"]
         config = self.accelerator.config
         if self.engine == "fast":
             bound = data.shape[-1] * code_max(attrs["data_fmt"])
-            return saturating_matmul(data, tile, acc_fmt, config.rows, bound, epilogue)
+            return saturating_matmul(
+                data, tile, acc_fmt, config.rows, bound, epilogue, out, transposed
+            )
         data = np.asarray(data, dtype=np.int64)
         k, n = tile.raw.shape[-2:]
         if tile.raw.ndim == 2:
@@ -481,28 +621,29 @@ class StreamExecutor:
         )
 
     def _operand(
-        self, pos: int, env: dict, floats: dict, tile: StagedWeights
-    ) -> np.ndarray:
-        """The data operand of the GEMM at ``pos``.
+        self, pos: int, env: dict, panels: dict, tile: StagedWeights
+    ) -> tuple[np.ndarray, bool]:
+        """The data operand of the GEMM at ``pos``, and whether its
+        product is issued transposed.
 
-        On the fast engine it comes in ``tile``'s float dtype, from one
-        float copy per register and batch: GEMMs reading a register
-        through ``TRANSPOSE``/``RESHAPE`` views replay the views on it.
-        A data format with codes that dtype would round stays integer, so
-        the chunk loop reads the exact codes.
+        A routing GEMM on the fast engine reads its panel
+        (:meth:`_stage_layouts`) in ``tile``'s float dtype: one copy per
+        root, layout and batch, which the class-major capsule run writing
+        the root has already left in ``panels``.  Any other operand, and
+        one whose data format has codes that dtype would round (so the
+        chunk loop reads the exact codes), is its register.
         """
         instr = self.program.instructions[pos]
-        exact = code_max(instr.attrs["data_fmt"]) <= exact_integers(tile.float.dtype)
-        if self.engine != "fast" or not exact:
-            return env[instr.srcs[0]]
-        root, views = self._operands[pos]
-        key = (root, tile.float.dtype)
-        data = floats.get(key)
-        if data is None:
-            data = floats[key] = env[root].astype(tile.float.dtype)
-        for view in views:
-            data = _view(view, data)
-        return data
+        plan = self._panels.get(pos)
+        dtype = tile.float.dtype
+        if plan is None or code_max(instr.attrs["data_fmt"]) > exact_integers(dtype):
+            return env[instr.srcs[0]], False
+        key = (plan.root, plan.layout, dtype)
+        panel = panels.get(key)
+        if panel is None:
+            panel = env[plan.root].transpose(plan.layout).astype(dtype, order="C")
+            panels[key] = panel
+        return (panel.swapaxes(-1, -2), True) if plan.transposed else (panel, False)
 
     @staticmethod
     def _hits(fault: _Fault | None, pos: int, target: str) -> bool:
@@ -533,7 +674,7 @@ class StreamExecutor:
             )
         return corrupted.astype(tensor.dtype)
 
-    def _gemm(self, pos: int, env: dict, floats: dict, fault: _Fault | None) -> np.ndarray:
+    def _gemm(self, pos: int, env: dict, panels: dict, fault: _Fault | None) -> np.ndarray:
         """Execute the ``GEMM`` or ``GROUPED_GEMM`` at ``pos``, with its
         epilogue (and fused reader, whose register it returns).
 
@@ -565,7 +706,8 @@ class StreamExecutor:
         if gather is not None:
             acc = self._gathered(gather, env[gather.src], tile, attrs, finish)
         else:
-            acc = self._product(self._operand(pos, env, floats, tile), tile, attrs, finish)
+            data, transposed = self._operand(pos, env, panels, tile)
+            acc = self._product(data, tile, attrs, finish, transposed=transposed)
         if hit:
             if self._hits(fault, pos, "accumulator"):
                 acc = self._corrupt(fault, acc, -1, f"accumulator of {instr.layer}")
@@ -574,38 +716,52 @@ class StreamExecutor:
             acc = acc.reshape((len(acc),) + tuple(attrs["out_shape"]))
         return acc
 
-    def _capsule_run(self, start: int, env: dict, fault: _Fault | None) -> np.ndarray:
+    def _capsule_run(
+        self, start: int, env: dict, panels: dict, fault: _Fault | None
+    ) -> np.ndarray:
         """One ``(I, B, K) @ (I, K, N)`` contraction for a whole capsule run.
 
         Capsule ``i``'s GEMM streams the ``B`` vectors ``x[:, i]`` through
-        its private tile.  Corruption aimed at it flips the same element of
-        that tile or of its ``(B, 1, N)`` accumulator as the GEMM alone
-        would, and raises the same detection; the run's reduction then
-        runs on the integer accumulator.
+        its private tile.  A class-major run (:class:`_Run`) computes
+        into a fresh float panel, which its epilogue leaves holding the
+        codes; the panel goes to ``panels`` for routing and the ``int32``
+        register shares its layout.  Corruption aimed at a capsule flips
+        the same element of its tile or of its ``(B, 1, N)`` accumulator
+        as the GEMM alone would, and raises the same detection; the run's
+        reduction then runs on the integer accumulator.
         """
         instructions = self.program.instructions
-        end, tiles = self._runs[start]
+        run = self._runs[start]
         attrs = instructions[start + 2].attrs
         epilogue = self._epilogues[start]
-        count = len(tiles.raw)
+        count = run.tiles.raw.shape[run.split]
         data = env[instructions[start].srcs[0]][:, :count].transpose(1, 0, 2)
+        shape = (data.shape[1], count) + tuple(instructions[start + 3].attrs["shape"])
         index, offset = divmod(fault.victim - start - 2, 4) if fault else (-1, 0)
         hit = offset == 0 and 0 <= index < count and fault.spec.target in _ARRAY_TARGETS
-        acc = self._product(data, tiles, attrs, None if hit else epilogue)
-        if hit:
-            gemm = instructions[fault.victim]
-            if self._hits(fault, fault.victim, "weight"):
-                kind = f"weight tile {gemm.attrs['wreg']}"
-                weights = self._corrupt(fault, tiles.raw[index], -2, kind)
-                staged = StagedWeights(weights, attrs["acc_fmt"])
-                acc[index] = self._product(data[index], staged, attrs, None)
-            if self._hits(fault, fault.victim, "accumulator"):
-                acc[index] = self._corrupt(
-                    fault, acc[index][:, np.newaxis], -1, f"accumulator of {gemm.layer}"
-                )[:, 0]
-            acc = epilogue.finish(acc)
-        shape = tuple(instructions[start + 3].attrs["shape"])
-        return acc.transpose(1, 0, 2).reshape((data.shape[1], count) + shape)
+        panel = out = None
+        if run.layout is not None and not hit:
+            panel = np.empty([shape[axis] for axis in run.layout], run.tiles.float.dtype)
+            out = panel.transpose(run.into)
+        lead = data.reshape((1,) * run.split + data.shape)
+        acc = self._product(lead, run.tiles, attrs, None if hit else epilogue, out)
+        if panel is not None:
+            panels[(instructions[run.end].dest, run.layout, panel.dtype)] = panel
+        if not hit:
+            return acc.transpose(run.back).reshape(shape)
+        acc = _capsule_major(acc, run.split)
+        gemm = instructions[fault.victim]
+        if self._hits(fault, fault.victim, "weight"):
+            kind = f"weight tile {gemm.attrs['wreg']}"
+            tile = _capsule_major(np.take(run.tiles.raw, [index], axis=run.split), run.split)
+            weights = self._corrupt(fault, tile[0], -2, kind)
+            staged = StagedWeights(weights, attrs["acc_fmt"])
+            acc[index] = self._product(data[index], staged, attrs, None)
+        if self._hits(fault, fault.victim, "accumulator"):
+            acc[index] = self._corrupt(
+                fault, acc[index][:, np.newaxis], -1, f"accumulator of {gemm.layer}"
+            )[:, 0]
+        return epilogue.finish(acc).transpose(1, 0, 2).reshape(shape)
 
     # ---- execution -------------------------------------------------------------
 
@@ -634,8 +790,11 @@ class StreamExecutor:
             self._constants[batch] = registers
         return registers
 
-    def _execute(self, instr: Instruction, env: dict, batch: int) -> np.ndarray:
-        """The register an instruction outside the array writes."""
+    def _execute(
+        self, instr: Instruction, env: dict, batch: int, axis: int = -1
+    ) -> np.ndarray:
+        """The register an instruction outside the array writes (a
+        ``SOFTMAX`` along ``axis``)."""
         op, attrs = instr.opcode, instr.attrs
         src = env.get(instr.srcs[0]) if instr.srcs else None
         if op is Opcode.IM2COL:
@@ -645,14 +804,16 @@ class StreamExecutor:
         if op is Opcode.SQUASH:
             return self.activation.squash(src, attrs["in_fmt"])
         if op is Opcode.SOFTMAX:
-            return self.activation.softmax(src, axis=-1)
+            return self.activation.softmax(src, axis=axis)
         if op is Opcode.NORM:
             # Final length readout: the cycle model never charges it.
             return self.activation.norm(src, attrs["in_fmt"])[1]
         if op is Opcode.REQUANT:
             return requantize(src, attrs["from_fmt"], attrs["to_fmt"])
-        if op in _VIEWS:
-            return _view(instr, src)
+        if op is Opcode.TRANSPOSE:
+            return src.transpose((0,) + tuple(p + 1 for p in attrs["perm"]))
+        if op is Opcode.RESHAPE:
+            return src.reshape((src.shape[0],) + tuple(attrs["shape"]))
         if op is Opcode.SLICE:
             axis = attrs["axis"] + 1
             return src[(slice(None),) * axis + (slice(attrs["start"], attrs["stop"]),)]
@@ -705,8 +866,8 @@ class StreamExecutor:
             program.input: to_raw(images, program.input_fmt).astype(_REGISTER)
         }
         env.update(self._constant_registers(batch))
-        #: (register, float dtype) -> its float copy, for GEMM operands.
-        floats: dict[tuple, np.ndarray] = {}
+        #: (root register, layout, float dtype) -> its float panel.
+        panels: dict[tuple, np.ndarray] = {}
         outputs: dict[str, np.ndarray] = {}
         instructions, skip = program.instructions, self._skip
         pos = 0
@@ -720,10 +881,15 @@ class StreamExecutor:
             op = instr.opcode
             if pos in self._runs:
                 end = self._runs[pos][0]
-                env[instructions[end].dest] = self._capsule_run(pos, env, fault)
+                env[instructions[end].dest] = self._capsule_run(pos, env, panels, fault)
                 pos = end
             elif op is Opcode.GEMM or op is Opcode.GROUPED_GEMM:
-                env[self._fused.get(pos, instr.dest)] = self._gemm(pos, env, floats, fault)
+                env[self._fused.get(pos, instr.dest)] = self._gemm(pos, env, panels, fault)
+            elif pos in self._orders:
+                order = self._orders[pos]
+                views = {src: env[src].transpose(order.perm) for src in instr.srcs}
+                result = self._execute(instr, views, batch, order.axis)
+                env[instr.dest] = result.transpose(order.inverse)
             elif op is Opcode.ARGMAX:
                 src = env[instr.srcs[0]]
                 if fault is not None and fault.spec.target == "output":

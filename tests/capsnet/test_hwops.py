@@ -1,5 +1,7 @@
 """Unit tests for the bit-accurate quantized operators."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,6 +136,70 @@ class TestSaturatingMatmul:
         assert StagedWeights(weights, QFormat(25, 0)).raw.dtype == np.int32
         assert StagedWeights(weights, QFormat(40, 0)).raw.dtype == np.int64
         assert StagedWeights(weights.astype(np.int64), QFormat(25, 0)).raw.dtype == np.int64
+
+
+@st.composite
+def routing_cases(draw):
+    """A routing ``GROUPED_GEMM`` read from class-major ``u_hat`` panels.
+
+    ``form`` is ``sum`` (each group's ``(K, M)`` panel read as its
+    transpose) or ``update`` (``(M, K)`` panels read directly); ``edge``
+    puts the coupling maximum at the largest the format's static bound
+    ``K * 128 * max|w|`` keeps inside the float path (0), or one past it
+    with a row of extreme codes, so the chunk loop must run (1).
+    """
+    form = draw(st.sampled_from(["sum", "update"]))
+    edge = draw(st.sampled_from([0, 1]))
+    batch, groups = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    k = draw(st.sampled_from([1, 2, 7, 16, 33, 1152]))
+    m = draw(st.integers(1, 17))
+    acc_fmt = QFormat(draw(st.integers(max(14, (k * 128).bit_length() + 2), 25)), 12)
+    limit = min(acc_fmt.raw_max, -acc_fmt.raw_min, 2**24)
+    top = limit // (k * 128) + edge
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.integers(-128, 128, size=(batch, groups, m, k))
+    if edge:
+        data[0, 0, 0] = -128
+    weights = rng.integers(-top, top + 1, size=(batch, groups, k, 1))
+    weights.reshape(-1)[0] = top
+    reduce = draw(st.booleans())
+    chunk_rows = draw(st.sampled_from([4, 16]))
+    return form, edge, data.astype(np.int32), weights.astype(np.int32), acc_fmt, reduce, chunk_rows
+
+
+class TestClassMajorGroupedProduct:
+    @given(case=routing_cases(), into=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_chunked_integer_reference(self, case, into):
+        form, edge, data, weights, acc_fmt, reduce, chunk_rows = case
+        steps = ((acc_fmt, QFormat(8, 4), False),) if reduce else ()
+        epilogue = Epilogue(acc_fmt, None, steps)
+        acc = chunked_saturating_matmul(data, weights, acc_fmt, chunk_rows)
+        expected = epilogue.finish(acc)
+        staged = StagedWeights(weights, acc_fmt)
+        # The panel the executor stages: contiguous per group, (K, M) for
+        # the sum, (M, K) for the update.
+        transposed = form == "sum"
+        if transposed:
+            operand = np.ascontiguousarray(data.swapaxes(-1, -2), dtype=np.float32).swapaxes(-1, -2)
+        else:
+            operand = np.ascontiguousarray(data, dtype=np.float32)
+        out = np.empty(expected.shape[::-1], dtype=np.float32).T if into else None
+        rowsum = data.shape[-1] * 128
+        assert (rowsum * staged.max > staged.limit) == bool(edge)
+        loop = mock.patch.object(
+            hwops, "_chunked_accumulation", wraps=hwops._chunked_accumulation
+        )
+        with loop as chunked:
+            got = saturating_matmul(
+                operand, staged, acc_fmt, chunk_rows, rowsum, epilogue, out, transposed
+            )
+        assert chunked.called == bool(edge)
+        assert got.dtype == np.int32
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+        if out is not None:
+            assert np.array_equal(out, expected)
 
 
 def reference_epilogue(acc, bias, steps, acc_fmt):

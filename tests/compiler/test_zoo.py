@@ -71,6 +71,29 @@ class TestNarrowRegisters:
             if alias != "predictions":
                 assert value.dtype == np.int32, alias
 
+    def test_stored_routing_outputs_own_their_memory(self):
+        # u_hat and the routing state are laid out class-major in buffers
+        # made per batch: what one batch stores shares no memory with the
+        # next batch's outputs or with another output, and keeps the
+        # program's int32 shapes.
+        net = get_network("mnist")
+        executor = StreamExecutor(net.program, net.params, net.formats, luts=net.luts)
+        images = zoo_images("mnist", count=2)
+        shapes = {
+            "u_hat_raw": (2, 1152, 10, 16),
+            "coupling_raw": (2, 1152, 10),
+            "class_caps_raw": (2, 10, 16),
+        }
+        stored = []
+        for result in (executor.run_batch(images), executor.run_batch(images)):
+            for alias, shape in shapes.items():
+                value = result.outputs[alias]
+                assert value.dtype == np.int32 and value.shape == shape, alias
+                stored.append((alias, value))
+        for index, (alias, value) in enumerate(stored):
+            for other, later in stored[index + 1 :]:
+                assert not np.shares_memory(value, later), (alias, other)
+
     @staticmethod
     def _widened(program, opcode, attr, fmt):
         """``program`` with ``attr`` of its first ``opcode`` set to ``fmt``."""

@@ -246,18 +246,24 @@ class TestStreamExecutorABFT:
             stream.run_batch(images, corruption=spec, verify_checksums=True)
 
     @pytest.mark.parametrize(
-        "job", ["sum2", "update1", "primarycaps", "mnist:conv1", "mnist:primarycaps"]
+        "job",
+        [
+            "sum2", "update1", "primarycaps", "mnist:conv1", "mnist:primarycaps",
+            "mnist:sum1", "mnist:sum3", "mnist:update2",
+        ],
     )
     @pytest.mark.parametrize("target", ["weight", "accumulator"])
     def test_victim_on_a_staged_once_path(self, job, target):
-        # sum2 and update1 read u_hat through its once-per-batch float
-        # copy; primarycaps gathers its windows channels-last against
-        # weight rows permuted at staging.  On MNIST, PrimaryCaps is
-        # deep enough (9*256 rows per kernel row, N = 256) to run one
-        # GEMM per kernel row, and Conv1 runs its ReLU inside its
-        # epilogue.  A flip aimed at one must corrupt what the
-        # instruction alone would.  The reference runs the same program
-        # with each routing GEMM reading its own SLICE of u_hat, the
+        # The routing sums and updates read u_hat from the class-major
+        # float panels the ClassCaps run writes once per batch (a sum
+        # issues its product transposed); primarycaps gathers its
+        # windows channels-last against weight rows permuted at staging.
+        # On MNIST, PrimaryCaps is deep enough (9*256 rows per kernel
+        # row, N = 256) to run one GEMM per kernel row, and Conv1 runs
+        # its ReLU inside its epilogue.  A flip aimed at one must corrupt
+        # what the instruction alone would.  The reference runs the same
+        # program with each routing GEMM reading its own SLICE of u_hat
+        # (so no panel is staged and ClassCaps keeps program order), the
         # patches stored as a register, so every GEMM reads a
         # materialized operand in program row order, and every GEMM
         # result stored, so no reader is fused into its epilogue.
@@ -289,6 +295,7 @@ class TestStreamExecutorABFT:
         )
         assert stream._gathers and not unstaged._gathers
         assert stream._fused and not unstaged._fused
+        assert stream._panels and not unstaged._panels
         gemms = [
             pos
             for pos, instr in enumerate(program.instructions)
@@ -298,7 +305,10 @@ class TestStreamExecutorABFT:
         def victim(seed):
             return program.instructions[gemms[random.Random(seed).randrange(len(gemms))]]
 
-        count = 1 if network == "mnist" else 3
+        # Three images: on fewer, every seeded 16-bit flip of MNIST's
+        # sum3 accumulator lands on a component the squash saturates, so
+        # none reaches an output.
+        count = 3
         images = images_for(executor_for(network), count=count)[:, np.newaxis]
         clean = stream.run_batch(images)
 

@@ -82,6 +82,18 @@ class TestBenchPolicies:
         }
 
 
+class TestBenchBatched:
+    def test_smoke_records_the_per_layer_split(self, tmp_path):
+        out_path = tmp_path / "batched.json"
+        proc = run_bench("bench_batched.py", "--smoke", "--json", str(out_path))
+        assert proc.returncode == 0, proc.stderr
+        split = json.loads(out_path.read_text())["layers_ms"]
+        assert split["batch_size"] == 8
+        layers = {"conv1", "primarycaps", "classcaps_fc", "sum1", "sum2", "sum3"}
+        layers |= {"update1", "update2", "softmax2", "softmax3"}
+        assert layers <= split["median_ms"].keys()
+
+
 class TestBenchScale:
     @pytest.fixture(scope="class")
     def report(self, tmp_path_factory):
