@@ -47,11 +47,9 @@ import time
 
 import numpy as np
 
-from repro.capsnet.config import tiny_capsnet_config
 from repro.hw.config import AcceleratorConfig
 from repro.obs import RecordingTracer, well_formed_errors
 from repro.serve import (
-    AnalyticBatchCost,
     FaultPlan,
     ScheduledBatchCost,
     ServerConfig,
@@ -65,7 +63,7 @@ from repro.serve.compare import decision_diffs
 
 def build_server(fault_plan: FaultPlan | None = None) -> ServerConfig:
     accel = AcceleratorConfig()
-    cost = AnalyticBatchCost(network=tiny_capsnet_config(), accel_config=accel)
+    cost = ScheduledBatchCost("tiny", accel_config=accel)
     return ServerConfig.from_policy(
         "fifo",
         cost,
@@ -81,7 +79,7 @@ def timed_sim(server: ServerConfig, trace, tracer=None):
     """One recorded simulation; returns (report, wall seconds)."""
     simulator = ServingSimulator(trace, server=server, tracer=tracer)
     start = time.perf_counter()
-    report = simulator.run(with_crosscheck=False)
+    report = simulator.run()
     return report, time.perf_counter() - start
 
 
@@ -129,9 +127,7 @@ def run_benchmark(args: argparse.Namespace) -> dict:
     # the in-process engine (predicted planning costs; injected crash
     # ordinals fire in the executor threads).
     live_plan = FaultPlan(crash_batches=(1, 3), seed=args.fault_seed)
-    live_cost = ScheduledBatchCost(
-        network=tiny_capsnet_config(), accel_config=AcceleratorConfig()
-    )
+    live_cost = ScheduledBatchCost("tiny", accel_config=AcceleratorConfig())
     live_server = ServerConfig.from_policy(
         "fifo",
         live_cost,

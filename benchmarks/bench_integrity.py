@@ -47,7 +47,6 @@ import numpy as np
 
 from repro.obs import RecordingTracer, well_formed_errors
 from repro.serve import (
-    AnalyticBatchCost,
     FaultPlan,
     IntegrityPolicy,
     ScheduledBatchCost,
@@ -66,7 +65,7 @@ def build_server(
     integrity: IntegrityPolicy | str | None = None,
 ) -> ServerConfig:
     mode = integrity.mode if isinstance(integrity, IntegrityPolicy) else integrity
-    cost = AnalyticBatchCost(network="tiny", integrity=mode or "none")
+    cost = ScheduledBatchCost("tiny", integrity=mode or "none")
     return ServerConfig.from_policy(
         "fifo",
         cost,
@@ -94,9 +93,7 @@ def run_benchmark(args: argparse.Namespace) -> dict:
 
     # --- baseline hazard: no checks armed, the same plan serves
     # corrupted results silently (goodput still 1.0 — nothing fails).
-    unchecked = ServingSimulator(trace, server=build_server(plan)).run(
-        with_crosscheck=False
-    )
+    unchecked = ServingSimulator(trace, server=build_server(plan)).run()
     unchecked_stats = unchecked.faults or {}
 
     # --- checksum mode (traced): every in-envelope flip detected and
@@ -104,7 +101,7 @@ def run_benchmark(args: argparse.Namespace) -> dict:
     tracer = RecordingTracer()
     checked = ServingSimulator(
         trace, server=build_server(plan, "checksum"), tracer=tracer
-    ).run(with_crosscheck=False)
+    ).run()
     errors = well_formed_errors(tracer)
     checked_stats = checked.faults or {}
     corruptions = checked_stats.get("corruptions", 0)
@@ -122,13 +119,13 @@ def run_benchmark(args: argparse.Namespace) -> dict:
     canary_policy = IntegrityPolicy(mode="checksum+canary", canary_every=4)
     canaried = ServingSimulator(
         trace, server=build_server(plan, canary_policy)
-    ).run(with_crosscheck=False)
+    ).run()
     canary_stats = canaried.faults or {}
 
     # --- check-overhead ceiling: pricing the ABFT checksums into the
     # MNIST batch-8 cost stays within the 10% budget.
-    plain_cost = AnalyticBatchCost(network="mnist")
-    priced_cost = AnalyticBatchCost(network="mnist", integrity="checksum")
+    plain_cost = ScheduledBatchCost("mnist")
+    priced_cost = ScheduledBatchCost("mnist", integrity="checksum")
     overhead_ratio = priced_cost.batch_cycles(8) / plain_cost.batch_cycles(8)
 
     # --- live wall-clock detection through the real asyncio runtime and

@@ -37,7 +37,6 @@ import time
 
 import numpy as np
 
-from repro.capsnet.config import tiny_capsnet_config
 from repro.hw.config import AcceleratorConfig
 from repro.obs import RecordingTracer, build_chrome_trace, well_formed_errors
 from repro.serve import (
@@ -50,7 +49,7 @@ from repro.serve.compare import decision_diffs
 
 
 def build_server(accel: AcceleratorConfig) -> ServerConfig:
-    cost = ScheduledBatchCost(network=tiny_capsnet_config(), accel_config=accel)
+    cost = ScheduledBatchCost("tiny", accel_config=accel)
     return ServerConfig.from_policy(
         "fifo",
         cost,
@@ -65,7 +64,7 @@ def timed_run(server: ServerConfig, trace, tracer=None):
     """One recorded simulation; returns (report, wall seconds)."""
     simulator = ServingSimulator(trace, server=server, tracer=tracer)
     start = time.perf_counter()
-    report = simulator.run(with_crosscheck=False)
+    report = simulator.run()
     return report, time.perf_counter() - start
 
 

@@ -9,9 +9,7 @@ Two measurements, one JSON artifact:
   batch-1 ``steady / double-buffered`` ratio: stream pipelining keeps the
   array hot between batches, so the ratio must land at or below 0.9 on
   MNIST shapes (the acceptance bar; the compute-only lower bound is also
-  recorded to show the remaining headroom).  The closed-form
-  :class:`repro.perf.AnalyticStreamCost` is cross-checked against the
-  compiled program's timing as part of the run.
+  recorded to show the remaining headroom).
 * **Serving** — the discrete-event simulator on one saturating trace,
   pipeline off vs on: back-to-back batches pay the warm cost, so modeled
   throughput rises and the latency report gains the drain-saved term.
@@ -32,10 +30,8 @@ import time
 
 import numpy as np
 
-from repro.capsnet.config import mnist_capsnet_config, tiny_capsnet_config
-from repro.capsnet.quantized import QuantizedCapsuleNet
+from repro.compiler.zoo import get_network
 from repro.hw.scheduler import BatchScheduler, PipelinedStreamScheduler
-from repro.perf.stream import AnalyticStreamCost, stream_crosscheck
 from repro.serve import (
     BatchPolicy,
     ScheduledBatchCost,
@@ -44,18 +40,17 @@ from repro.serve import (
 )
 
 
-def engine_rows(args: argparse.Namespace, network) -> tuple[list[dict], dict]:
-    """Cold vs warm cycles/image per batch size, with the analytic crosscheck."""
-    qnet = QuantizedCapsuleNet(network)
-    scheduler = BatchScheduler(qnet)
-    pipelined = PipelinedStreamScheduler(qnet)
-    analytic = AnalyticStreamCost(network=network)
+def engine_rows(args: argparse.Namespace) -> tuple[list[dict], dict]:
+    """Cold vs warm cycles/image per batch size."""
+    compiled = get_network(args.network)
+    scheduler = BatchScheduler(compiled)
+    pipelined = PipelinedStreamScheduler(compiled)
     config = pipelined.accelerator.config
-    size = network.image_size
+    shape = tuple(compiled.input_shape)
     rows = []
     wall_start = time.perf_counter()
     for batch in args.batch_sizes:
-        result = scheduler.run_batch(np.zeros((batch, size, size)))
+        result = scheduler.run_batch(np.zeros((batch,) + shape))
         double_buffered = result.overlapped_cycles
         compute = result.total_stats.compute_cycles
         cold = pipelined.probe_timing([batch]).finish_cycles
@@ -72,25 +67,17 @@ def engine_rows(args: argparse.Namespace, network) -> tuple[list[dict], dict]:
                 "steady_vs_double_buffered": steady / double_buffered,
                 "compute_bound_ratio": compute / double_buffered,
                 "steady_images_per_second": batch * config.clock_mhz * 1e6 / steady,
-                "analytic_steady_cycles": analytic.steady_cycles(batch),
             }
         )
-    wall_seconds = time.perf_counter() - wall_start
-    check = stream_crosscheck(
-        pipelined, analytic, batch_sizes=tuple(args.batch_sizes)
-    )
-    return rows, {
-        "wall_seconds": wall_seconds,
-        "crosscheck": {str(batch): values for batch, values in check.items()},
-    }
+    return rows, {"wall_seconds": time.perf_counter() - wall_start}
 
 
-def serving_rows(args: argparse.Namespace, network) -> list[dict]:
+def serving_rows(args: argparse.Namespace) -> list[dict]:
     """Same saturating trace, pipeline off vs on."""
     rows = []
     costs = {
-        False: ScheduledBatchCost(network=network),
-        True: ScheduledBatchCost(network=network, pipeline=True),
+        False: ScheduledBatchCost(args.network),
+        True: ScheduledBatchCost(args.network, pipeline=True),
     }
     capacity = (
         args.arrays
@@ -135,9 +122,8 @@ def serving_rows(args: argparse.Namespace, network) -> list[dict]:
 
 
 def run_benchmark(args: argparse.Namespace) -> dict:
-    network = tiny_capsnet_config() if args.network == "tiny" else mnist_capsnet_config()
-    engine, engine_meta = engine_rows(args, network)
-    serving = serving_rows(args, network)
+    engine, engine_meta = engine_rows(args)
+    serving = serving_rows(args)
     batch1 = next(row for row in engine if row["batch"] == min(args.batch_sizes))
     pipelined_serving = next(row for row in serving if row["pipeline"])
     return {
@@ -186,11 +172,6 @@ def format_report(report: dict) -> str:
             f" {row['compute_bound_ratio']:13.3f}x"
             f" {row['steady_images_per_second']:10,.0f}"
         )
-    worst = max(
-        values["rel_error"]
-        for values in report["engine_meta"]["crosscheck"].values()
-    )
-    lines.append(f"analytic stream cost crosscheck: worst relative error {worst:.2%}")
     for row in report["serving"]:
         mode = "pipeline" if row["pipeline"] else "cold    "
         lines.append(

@@ -48,7 +48,6 @@ import sys
 
 import numpy as np
 
-from repro.capsnet.config import mnist_capsnet_config, tiny_capsnet_config
 from repro.serve import (
     SERVING_POLICIES,
     ScheduledBatchCost,
@@ -60,8 +59,7 @@ from repro.serve import (
 
 
 def run_benchmark(args: argparse.Namespace) -> dict:
-    network = tiny_capsnet_config() if args.network == "tiny" else mnist_capsnet_config()
-    cost = ScheduledBatchCost(network=network)
+    cost = ScheduledBatchCost(args.network)
     capacity_rps = (
         args.arrays * cost.config.clock_mhz * 1e6 / cost.batch_cycles(1)
     )

@@ -155,7 +155,7 @@ def run_benchmark(args: argparse.Namespace) -> dict:
     latency = saturated["last_latency"]
 
     # Decisions gate: virtual replay vs the simulator, exact-cost model.
-    exact = ScheduledBatchCost(network=network, accel_config=accel)
+    exact = ScheduledBatchCost("tiny", accel_config=accel)
     replay_server = ServerConfig.from_policy(
         "fifo",
         exact,

@@ -33,9 +33,8 @@ import time
 
 import numpy as np
 
-from repro.capsnet.config import mnist_capsnet_config, tiny_capsnet_config
 from repro.serve import (
-    AnalyticBatchCost,
+    ScheduledBatchCost,
     ServerConfig,
     ServingSimulator,
     poisson_trace,
@@ -45,8 +44,7 @@ PERCENTILE_KEYS = ("p50_us", "p95_us", "p99_us")
 
 
 def run_benchmark(args: argparse.Namespace) -> dict:
-    network = tiny_capsnet_config() if args.network == "tiny" else mnist_capsnet_config()
-    cost = AnalyticBatchCost(network=network)
+    cost = ScheduledBatchCost(args.network)
     capacity_rps = args.arrays * cost.config.clock_mhz * 1e6 / cost.batch_cycles(1)
     trace = poisson_trace(
         args.rate_multiplier * capacity_rps,

@@ -31,7 +31,6 @@ import sys
 
 import numpy as np
 
-from repro.capsnet.config import mnist_capsnet_config, tiny_capsnet_config
 from repro.data.synthetic import SyntheticDigits
 from repro.serve import BatchPolicy, ScheduledBatchCost, ServingSimulator, poisson_trace
 
@@ -71,11 +70,9 @@ def run_point(
 
 
 def run_benchmark(args: argparse.Namespace) -> dict:
-    network = tiny_capsnet_config() if args.network == "tiny" else mnist_capsnet_config()
-    cost = ScheduledBatchCost(network=network)
+    cost = ScheduledBatchCost(args.network)
     config = cost.config
-    # Warm up the engine (LUT ROMs, allocator arenas) and memoize the
-    # per-size costs the capacity calculation needs.
+    # Memoize the per-size costs the capacity calculation needs.
     capacity_rps = args.arrays * config.clock_mhz * 1e6 / cost.batch_cycles(1)
     cost.batch_cycles(args.max_batch)
 
@@ -85,7 +82,7 @@ def run_benchmark(args: argparse.Namespace) -> dict:
         BatchPolicy(max_batch=1, max_wait_us=0.0),
         BatchPolicy(max_batch=args.max_batch, max_wait_us=args.max_wait_us),
     ]
-    digits = SyntheticDigits(size=network.image_size, rng=rng)
+    digits = SyntheticDigits(size=cost.compiled.input_shape[-1], rng=rng)
     rows = []
     for multiplier in args.rate_multipliers:
         rate = multiplier * capacity_rps

@@ -416,7 +416,6 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
     from repro.errors import ConfigError
     from repro.obs import RecordingTracer, export_trace, pipeline_op_lane
     from repro.serve import (
-        AnalyticBatchCost,
         ScheduledBatchCost,
         ServerConfig,
         ServingSimulator,
@@ -441,40 +440,17 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         cost_by_network: dict[str, object] = {}
 
         def build_cost(network_name: str):
-            # One cost model (and per-batch-size memo) per distinct network.
-            # Every network comes from the model zoo; the analytic model
-            # prices the paper CapsNets through the validated closed-form
-            # perf model and everything else straight off its compiled
-            # instruction stream.
+            # One cost model (and per-batch-size memo) per distinct zoo
+            # network, priced from its compiled instruction stream.
             if network_name not in cost_by_network:
-                if args.cost == "analytic":
-                    network = (
-                        get_network(network_name).config
-                        if network_name in ("mnist", "tiny")
-                        else get_network(network_name)
-                    )
-                    cost_by_network[network_name] = AnalyticBatchCost(
-                        network=network,
-                        accel_config=accel_config,
-                        pipeline=args.pipeline,
-                    )
-                else:
-                    cost_by_network[network_name] = ScheduledBatchCost(
-                        qnet=get_network(network_name),
-                        accel_config=accel_config,
-                        accounting=args.accounting,
-                        pipeline=args.pipeline,
-                    )
+                cost_by_network[network_name] = ScheduledBatchCost(
+                    qnet=get_network(network_name),
+                    accel_config=accel_config,
+                    accounting=args.accounting,
+                    pipeline=args.pipeline,
+                )
             return cost_by_network[network_name]
 
-        if args.cost == "analytic":
-            if args.execute:
-                raise ConfigError("--execute needs the scheduled cost model")
-            if args.accounting != "overlapped":
-                raise ConfigError(
-                    "--accounting only applies to --cost scheduled (the"
-                    " analytic model always costs the overlapped schedule)"
-                )
         cost = build_cost(args.network)
 
         server = ServerConfig.from_cli_args(args, cost, accel_config=accel_config)
@@ -517,7 +493,6 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
                 )
             simulator = ServingSimulator(server=server, tenants=tenants, tracer=tracer)
             report = simulator.run(
-                with_crosscheck=False,
                 record_requests=not args.fast,
                 latency_bin_us=args.latency_bin_us,
             )
@@ -551,7 +526,6 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
                 tracer=tracer,
             )
             report = simulator.run(
-                with_crosscheck=args.cost == "scheduled",
                 record_requests=not args.fast,
                 latency_bin_us=args.latency_bin_us,
             )
@@ -559,25 +533,16 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         print(f"serve-sim: {error}", file=sys.stderr)
         return 2
     print(report.format_table())
-    if report.crosscheck:
-        worst = max(entry["rel_error"] for entry in report.crosscheck.values())
-        print(
-            f"  perf-model crosscheck: {len(report.crosscheck)} batch size(s),"
-            f" worst relative error {worst:.2%}"
-        )
-    elif args.cost == "scheduled" and args.accounting == "sequential":
-        print("  perf-model crosscheck skipped (it models the overlapped schedule)")
     if report.predictions is not None:
         shown = report.predictions[:16].tolist()
         suffix = f" ... ({report.completed} total)" if report.completed > 16 else ""
         print(f"  predictions: {shown}{suffix}")
     if tracer is not None:
-        # The op drill-down lane (paper Fig. 11) needs the memoized
-        # pipelined schedule, which only the pipeline=True scheduled
-        # cost carries; the default export stays schema-identical to
-        # `repro serve --trace-out`.
+        # The op drill-down lane (paper Fig. 11) needs the pipelined
+        # schedule, which only a pipeline=True cost prices; the default
+        # export stays schema-identical to `repro serve --trace-out`.
         op_lane = None
-        if args.pipeline and hasattr(cost, "pipeline_ops"):
+        if args.pipeline:
             op_lane = pipeline_op_lane(cost, args.max_batch)
         export_trace(tracer, args.trace_out, op_lane=op_lane)
         print(f"wrote {args.trace_out} ({len(tracer.events)} events)")
@@ -633,7 +598,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         if args.replay_virtual:
             # Deterministic mode: the runtime engine in virtual time, priced
-            # by the exact scheduled cost, checked decision-for-decision
+            # from the compiled program, checked decision-for-decision
             # against the discrete-event simulator.
             if args.metrics_listen:
                 raise ConfigError(
@@ -837,7 +802,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser = sub.add_parser(
         "sweep",
         help="design-space sweep: array / window / prestage grids through the"
-        " analytic stream model or the fast serving simulator",
+        " compiled program's stream timing or the fast serving simulator",
     )
     sweep_parser.add_argument(
         "--tier",
@@ -1042,12 +1007,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="add a tenant (repeatable): comma-separated key=value pairs,"
         " e.g. name=a,rate=400,requests=64,network=tiny,deadline-ms=10,"
         "weight=2 (unset keys inherit the top-level flags)",
-    )
-    serve_parser.add_argument(
-        "--cost",
-        choices=("scheduled", "analytic"),
-        default="scheduled",
-        help="batch cost model (scheduled = bit-exact batched engine)",
     )
     serve_parser.add_argument(
         "--accounting",

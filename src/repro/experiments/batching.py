@@ -108,7 +108,7 @@ class PolicyComparisonResult:
 
 
 def policy_comparison(
-    config: CapsNetConfig | None = None,
+    network: str = "mnist",
     accelerator: AcceleratorConfig | None = None,
     policies: tuple[str, ...] = ("fifo", "deadline", "greedy"),
     rate_multiplier: float = 2.5,
@@ -124,19 +124,18 @@ def policy_comparison(
     The arrival rate is ``rate_multiplier`` times the batch-1 service
     capacity (the ``bench_serving.py`` saturation scenario); every policy
     sees the same trace and the same per-request SLA of ``deadline_ms``.
-    Costs come from the closed-form model, so the comparison is cheap
-    enough for design-space sweeps.
+    Costs come from the zoo network's compiled program in closed form,
+    so the comparison is cheap enough for design-space sweeps.
     """
     from repro.serve import (
-        AnalyticBatchCost,
+        ScheduledBatchCost,
         ServerConfig,
         ServingSimulator,
         poisson_trace,
     )
 
-    config = config if config is not None else mnist_capsnet_config()
     accelerator = accelerator if accelerator is not None else AcceleratorConfig()
-    cost = AnalyticBatchCost(network=config, accel_config=accelerator)
+    cost = ScheduledBatchCost(network, accel_config=accelerator)
     capacity_rps = arrays * accelerator.clock_mhz * 1e6 / cost.batch_cycles(1)
     trace = poisson_trace(
         rate_multiplier * capacity_rps, requests, np.random.default_rng(seed)
@@ -235,7 +234,7 @@ def _admission_row(label: str, report) -> dict:
 
 
 def oracle_admission_study(
-    config: CapsNetConfig | None = None,
+    network: str = "mnist",
     accelerator: AcceleratorConfig | None = None,
     slacks_us: tuple[float, ...] = (0.0, 1000.0, 5000.0),
     rate_multiplier: float = 2.5,
@@ -260,7 +259,7 @@ def oracle_admission_study(
     """
     from repro.errors import ConfigError
     from repro.serve import (
-        AnalyticBatchCost,
+        ScheduledBatchCost,
         DeadlineAdmission,
         DeadlineBatcher,
         ServerConfig,
@@ -270,9 +269,8 @@ def oracle_admission_study(
 
     if max_iterations < 1:
         raise ConfigError("the oracle needs at least one simulation pass")
-    config = config if config is not None else mnist_capsnet_config()
     accelerator = accelerator if accelerator is not None else AcceleratorConfig()
-    cost = AnalyticBatchCost(network=config, accel_config=accelerator)
+    cost = ScheduledBatchCost(network, accel_config=accelerator)
     capacity_rps = arrays * accelerator.clock_mhz * 1e6 / cost.batch_cycles(1)
     trace = poisson_trace(
         rate_multiplier * capacity_rps, requests, np.random.default_rng(seed)

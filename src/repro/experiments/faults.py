@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.capsnet.config import CapsNetConfig, mnist_capsnet_config
 from repro.experiments.common import format_table
 from repro.hw.config import AcceleratorConfig
 
@@ -75,7 +74,7 @@ class IntegrityStudyResult:
 
 
 def run(
-    config: CapsNetConfig | None = None,
+    network: str = "mnist",
     accelerator: AcceleratorConfig | None = None,
     crash_rates: tuple[float, ...] = (0.0, 0.05, 0.15),
     attempt_budgets: tuple[int, ...] = (1, 3),
@@ -97,7 +96,7 @@ def run(
     injector — the no-fault baseline the overhead gate measures against.
     """
     from repro.serve import (
-        AnalyticBatchCost,
+        ScheduledBatchCost,
         FaultPlan,
         RetryPolicy,
         ServerConfig,
@@ -105,9 +104,8 @@ def run(
         poisson_trace,
     )
 
-    config = config if config is not None else mnist_capsnet_config()
     accelerator = accelerator if accelerator is not None else AcceleratorConfig()
-    cost = AnalyticBatchCost(network=config, accel_config=accelerator)
+    cost = ScheduledBatchCost(network, accel_config=accelerator)
     capacity_rps = arrays * accelerator.clock_mhz * 1e6 / cost.batch_cycles(1)
     trace = poisson_trace(
         rate_multiplier * capacity_rps, requests, np.random.default_rng(seed)
@@ -175,12 +173,11 @@ def run_integrity(
     corrupted-served fraction tracks the injection rate), checksum rows
     detect every in-envelope flip and retry it (corrupted-served is
     exactly zero), and the ``corrupt_rate=0`` rows isolate the pure
-    overhead of pricing the ABFT checksums into every batch.  The
-    network comes from the model zoo because integrity pricing needs a
-    compiled instruction stream to checksum.
+    overhead of pricing the ABFT checksums (from the zoo network's
+    compiled instruction stream) into every batch.
     """
     from repro.serve import (
-        AnalyticBatchCost,
+        ScheduledBatchCost,
         FaultPlan,
         ServerConfig,
         ServingSimulator,
@@ -189,9 +186,7 @@ def run_integrity(
 
     accelerator = accelerator if accelerator is not None else AcceleratorConfig()
     costs = {
-        mode: AnalyticBatchCost(
-            network=network, accel_config=accelerator, integrity=mode
-        )
+        mode: ScheduledBatchCost(network, accel_config=accelerator, integrity=mode)
         for mode in check_modes
     }
     baseline = next(iter(costs.values()))

@@ -6,9 +6,6 @@
 * :mod:`repro.perf.model` — :class:`CapsAccPerformanceModel`, producing the
   per-layer (Fig 16) and per-routing-step (Fig 17) numbers in real time
   units.
-* :mod:`repro.perf.stream` — :class:`AnalyticStreamCost`, the closed-form
-  cost of the stream-pipelined cross-batch schedule (cold and steady
-  state), cross-checked against the compiled program's timing.
 * :mod:`repro.perf.gpu` / :mod:`repro.perf.kernels` — the framework-op-level
   GPU model substituting the paper's GTX1070 + PyTorch measurements.
 * :mod:`repro.perf.calibration` — the single place where digitized paper
@@ -18,7 +15,6 @@
 
 from repro.perf.cycles import StagePerf, stage_performance
 from repro.perf.model import CapsAccPerformanceModel, InferencePerformance
-from repro.perf.stream import AnalyticStreamCost, stream_crosscheck
 from repro.perf.gpu import GpuDeviceProfile, GpuModel, gtx1070_paper_profile, gtx1070_ideal_profile
 from repro.perf.kernels import CapsNetGpuWorkload, ImplementationProfile
 from repro.perf.compare import SpeedupReport, compare_layers, compare_routing_steps
@@ -26,8 +22,6 @@ from repro.perf.compare import SpeedupReport, compare_layers, compare_routing_st
 __all__ = [
     "StagePerf",
     "stage_performance",
-    "AnalyticStreamCost",
-    "stream_crosscheck",
     "CapsAccPerformanceModel",
     "InferencePerformance",
     "GpuDeviceProfile",

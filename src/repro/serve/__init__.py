@@ -10,7 +10,7 @@ max-batch + max-wait rule, or the SLA-aware deadline batcher), and a
 **dispatch policy** places formed batches onto a pool of simulated
 arrays (:mod:`repro.serve.dispatcher` — least-recent, round-robin,
 prefer-warm, or greedy over heterogeneous array sizes), each advancing
-on the cycle-exact costs of the batched execution engine
+on the cycle-exact costs of the network's compiled program
 (:mod:`repro.serve.costs`).  A :class:`ServerConfig` composes one of
 each with the cost model; :class:`TenantSpec` lists describe
 multi-tenant runs (different networks/SLAs sharing one pool under
@@ -40,7 +40,7 @@ Quick start::
 
     rng = np.random.default_rng(7)
     trace = poisson_trace(rate_rps=400.0, count=64, rng=rng)
-    cost = ScheduledBatchCost()                   # paper MNIST network
+    cost = ScheduledBatchCost("mnist")            # paper MNIST network
     server = ServerConfig.from_policy(
         "deadline", cost, arrays=2, deadline_us=10_000.0
     )
@@ -65,10 +65,8 @@ from repro.serve.compare import (
 from repro.serve.core import PlacedBatch, ServingCore
 from repro.serve.costs import (
     ACCOUNTINGS,
-    AnalyticBatchCost,
     ScheduledBatchCost,
     clear_probe_cache,
-    crosscheck,
     probe_cache_size,
 )
 from repro.serve.faults import (
@@ -164,7 +162,6 @@ __all__ = [
     "TRACE_KINDS",
     "TRACE_TIME_KEYS",
     "AdmitAll",
-    "AnalyticBatchCost",
     "ArrayPool",
     "ArrayStats",
     "ArrivalTrace",
@@ -224,7 +221,6 @@ __all__ = [
     "clear_probe_cache",
     "compare_reports",
     "compare_reports_median",
-    "crosscheck",
     "decision_diffs",
     "decisions_identical",
     "load_fault_plan",

@@ -323,16 +323,14 @@ class ServingCore:
         return False
 
     def form_and_place(
-        self, now_us: float, pricer=None, force: bool = False
+        self, now_us: float, force: bool = False
     ) -> PlacedBatch | None:
         """Form the next ready batch and place it on an array.
 
         Returns ``None`` when no tenant is ready.  Among ready tenants
         the weighted-fair winner (smallest ``served/weight``) forms a
         batch, the dispatch policy picks the array, and the batch is
-        charged its warm-aware cost.  ``pricer(model, members, warm,
-        prev_size)`` overrides the cycle count (the simulator's execute
-        mode runs the real engine there).  ``force`` treats any
+        charged its warm-aware cost.  ``force`` treats any
         non-empty queue as ready — the live runtime's shutdown drain,
         which must flush coalescing remainders without waiting out
         their timeout.
@@ -379,9 +377,7 @@ class ServingCore:
         prev_size = pool.last_batch_size(array)
         prev_cost = pool.last_cost(array)
         model = self.bank.resolve(tenant.cost, pool.config_for(array))
-        if pricer is not None:
-            cycles = pricer(model, members, warm, prev_size)
-        elif warm:
+        if warm:
             cycles = model.warm_batch_cycles(size, prev_size, prev_cost=prev_cost)
         else:
             cycles = model.batch_cycles(size)

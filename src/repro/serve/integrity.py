@@ -10,10 +10,10 @@ corruption faults a :class:`~repro.serve.faults.FaultPlan` injects:
   checksums on every compiled ``GEMM``/``GROUPED_GEMM`` plus a cheap
   per-batch output fingerprint; ``checksum+canary`` adds periodic
   canary probes with known golden outputs.  The verification work is
-  priced into the cost models as an explicit overhead knob
-  (``integrity=`` on :class:`~repro.serve.costs.ScheduledBatchCost` /
-  :class:`~repro.serve.costs.AnalyticBatchCost`), so the throughput
-  cost of checking is part of every schedule and sweep.
+  priced into the cost model as an explicit overhead knob
+  (``integrity=`` on :class:`~repro.serve.costs.ScheduledBatchCost`,
+  from the compiled program of any network), so the throughput cost of
+  checking is part of every schedule and sweep.
 * ABFT helpers — :func:`column_checksums` (the Huang–Abraham column-sum
   invariant ``acc = data @ w  =>  acc @ 1 = data @ (w @ 1)`` holds
   exactly in the accelerator's int64 accumulators) and

@@ -41,7 +41,7 @@ from typing import Callable, Protocol, Sequence, runtime_checkable
 from repro.errors import ConfigError
 from repro.hw.config import AcceleratorConfig
 from repro.serve.batcher import BatchPolicy, DeadlineBatcher, QueuedRequest, RequestQueue
-from repro.serve.costs import AnalyticBatchCost, ScheduledBatchCost
+from repro.serve.costs import ScheduledBatchCost
 from repro.serve.dispatcher import (
     ArrayPool,
     BacklogGreedyDispatch,
@@ -545,7 +545,7 @@ class ServerConfig:
     on every arriving request that does not carry its own deadline.
     """
 
-    cost: ScheduledBatchCost | AnalyticBatchCost
+    cost: ScheduledBatchCost
     admission: AdmissionPolicy | None = None
     batching: BatchingPolicy | None = None
     dispatch: DispatchPolicy | None = None
@@ -598,7 +598,7 @@ class ServerConfig:
     def from_policy(
         cls,
         policy: str,
-        cost: ScheduledBatchCost | AnalyticBatchCost,
+        cost: ScheduledBatchCost,
         max_batch: int = 8,
         max_wait_us: float = 2000.0,
         slack_us: float = 0.0,
@@ -633,7 +633,7 @@ class ServerConfig:
     def from_cli_args(
         cls,
         args: argparse.Namespace,
-        cost: ScheduledBatchCost | AnalyticBatchCost,
+        cost: ScheduledBatchCost,
         accel_config: AcceleratorConfig | None = None,
     ) -> "ServerConfig":
         """Build a config from the shared CLI flags.
@@ -746,7 +746,7 @@ class TenantSpec:
 
     name: str
     trace: ArrivalTrace
-    cost: ScheduledBatchCost | AnalyticBatchCost | None = None
+    cost: ScheduledBatchCost | None = None
     deadline_us: float | None = None
     weight: float = 1.0
     admission: AdmissionPolicy | None = None
@@ -786,27 +786,14 @@ class CostBank:
 
 def _rebuild_cost(cost, config: AcceleratorConfig):
     """Clone a cost model onto a different accelerator configuration."""
-    if isinstance(cost, ScheduledBatchCost):
-        return ScheduledBatchCost(
-            qnet=cost.compiled,
-            accel_config=config,
-            accounting=cost.accounting,
-            engine=cost.engine,
-            pipeline=cost.pipeline,
-            window=cost.window,
-            prestage_depth=cost.prestage_depth,
-            integrity=cost.integrity,
-        )
-    if isinstance(cost, AnalyticBatchCost):
-        return AnalyticBatchCost(
-            network=cost.compiled if cost.compiled is not None else cost.network,
-            accel_config=config,
-            optimized_routing=cost.optimized_routing,
-            pipeline=cost.pipeline,
-            window=cost.window,
-            prestage_depth=cost.prestage_depth,
-            integrity=cost.integrity,
-        )
-    raise ConfigError(
-        "heterogeneous pools need a scheduled or analytic cost model"
+    if not isinstance(cost, ScheduledBatchCost):
+        raise ConfigError("heterogeneous pools need a ScheduledBatchCost")
+    return ScheduledBatchCost(
+        qnet=cost.compiled,
+        accel_config=config,
+        accounting=cost.accounting,
+        pipeline=cost.pipeline,
+        window=cost.window,
+        prestage_depth=cost.prestage_depth,
+        integrity=cost.integrity,
     )

@@ -328,7 +328,7 @@ class RuntimeEngine:
         return index
 
     def dispatch_ready(
-        self, now_us: float, pricer=None, force: bool = False
+        self, now_us: float, force: bool = False
     ) -> list[PlacedBatch]:
         """Form and place every batch that can start at ``now_us``.
 
@@ -341,7 +341,7 @@ class RuntimeEngine:
         placed_batches: list[PlacedBatch] = []
         pool = self.core.pool
         while pool.has_idle():
-            placed = self.core.form_and_place(now_us, pricer=pricer, force=force)
+            placed = self.core.form_and_place(now_us, force=force)
             if placed is None:
                 break
             placed.idle_accum_us = self._idle_accum

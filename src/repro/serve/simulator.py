@@ -17,8 +17,9 @@ three event kinds — request arrival, batch-completion, coalescing-timeout
    own :class:`~repro.hw.config.AcceleratorConfig` and per-configuration
    memoized cost model;
 4. the batch occupies the array for exactly the cycles the cost model
-   charges — bit-identical to ``BatchScheduler`` when the scheduled cost
-   model is used — and its completion frees the array.
+   charges — with :class:`~repro.serve.costs.ScheduledBatchCost`,
+   bit-identical to the compiled program run standalone — and its
+   completion frees the array.
 
 The classic constructor signature (``trace, policy, cost``) builds the
 equivalent :class:`~repro.serve.policies.ServerConfig` internally — the
@@ -31,8 +32,11 @@ Waiting time is attributed to *batching* (an array was idle; the policy
 chose to coalesce) vs *queueing* (all arrays busy) by integrating the
 any-array-idle indicator, so the decomposition sums exactly to the wait.
 
-In ``execute`` mode each dispatched batch also runs through the batched
-engine on the request's actual images, producing bit-exact predictions.
+In ``execute`` mode each dispatched batch also runs through the compiled
+network's instruction stream (one
+:class:`~repro.serve.workers.CompiledStreamExecutor`) on the request's
+actual images, producing bit-exact predictions; the cycles it is charged
+are the cost model's, exactly as without ``execute``.
 
 With ``pipeline=True`` (and a cost model built with ``pipeline=True``)
 a batch dispatched to an array at the exact instant the previous batch
@@ -86,7 +90,7 @@ from repro.serve.core import (
     TenantState,
     group_requeues,
 )
-from repro.serve.costs import AnalyticBatchCost, ScheduledBatchCost, crosscheck
+from repro.serve.costs import ScheduledBatchCost
 from repro.serve.dispatcher import ArrayPool, DispatchContext, LeastRecentDispatch
 from repro.serve.policies import AdmitAll, CostBank, ServerConfig, TenantSpec
 from repro.serve.sinks import RecordingSink, StreamingSink
@@ -100,6 +104,7 @@ from repro.serve.stats import (
     tenant_summary_from_streaming,
 )
 from repro.serve.trace import ArrivalTrace
+from repro.serve.workers import CompiledStreamExecutor
 
 # Event kinds, in tie-break order: completions free arrays before arrivals
 # at the same instant see the pool; timeouts run last.  (Shared with the
@@ -129,16 +134,16 @@ class ServingSimulator:
         baseline).  Classic positional argument; equivalent to setting
         ``ServerConfig.batching``.
     cost:
-        Per-batch cost model (:class:`~repro.serve.costs.ScheduledBatchCost`
-        or :class:`~repro.serve.costs.AnalyticBatchCost`).
+        Per-batch cost model (:class:`~repro.serve.costs.ScheduledBatchCost`).
     arrays:
         Number of identical accelerator arrays to shard batches across.
     images:
         Optional ``(count, H, W)`` request images, aligned with the trace.
         Required by ``execute`` mode (single-tenant only).
     execute:
-        Run every dispatched batch through the batched engine on its real
-        images (bit-exact predictions; slower).
+        Run every dispatched batch through the cost model's compiled
+        network on its real images (bit-exact predictions; slower).  The
+        cost model must carry a compiled program.
     pipeline:
         Charge back-to-back batches the stream-pipelined warm cost and
         prefer dispatching to the just-freed (still hot) array.  Requires
@@ -159,7 +164,7 @@ class ServingSimulator:
         self,
         trace: ArrivalTrace | None = None,
         policy=None,
-        cost: ScheduledBatchCost | AnalyticBatchCost | None = None,
+        cost: ScheduledBatchCost | None = None,
         arrays: int | None = None,
         images: np.ndarray | None = None,
         execute: bool = False,
@@ -229,8 +234,11 @@ class ServingSimulator:
                 raise ConfigError("execute mode is single-tenant only")
             if server.array_configs is not None:
                 raise ConfigError("execute mode needs a homogeneous array pool")
-            if not isinstance(self.cost, ScheduledBatchCost):
-                raise ConfigError("execute mode needs the scheduled (exact) cost model")
+            if getattr(self.cost, "compiled", None) is None:
+                raise ConfigError(
+                    "execute mode needs a cost model priced from a compiled"
+                    " program (ScheduledBatchCost)"
+                )
             if self.images is None:
                 raise ConfigError("execute mode needs per-request images")
         if self.pipeline:
@@ -243,6 +251,10 @@ class ServingSimulator:
             raise ShapeError(
                 f"{len(self.images)} images for {self.trace.count} requests"
             )
+        #: Runs execute mode's batches (built once, outside the timed runs).
+        self._executor = (
+            CompiledStreamExecutor(self.cost.compiled) if execute else None
+        )
         # Per-configuration cost models persist across run() calls (pure
         # memoization; probe results additionally persist process-wide in
         # the costs module's probe cache).
@@ -253,7 +265,6 @@ class ServingSimulator:
 
     def run(
         self,
-        with_crosscheck: bool = False,
         record_requests: bool = True,
         latency_bin_us: float = DEFAULT_LATENCY_BIN_US,
         sink=None,
@@ -284,25 +295,23 @@ class ServingSimulator:
         """
         if sink is not None:
             if isinstance(sink, RecordingSink):
-                return self._run_recorded(with_crosscheck, sink=sink)
+                return self._run_recorded(sink=sink)
             if isinstance(sink, StreamingSink):
                 if self.execute:
                     raise ConfigError("execute mode needs a RecordingSink")
                 self._check_tracer_path()
                 self._check_fault_path()
-                return self._run_streaming(
-                    with_crosscheck, sink.stats.bin_us, sink=sink
-                )
+                return self._run_streaming(sink.stats.bin_us, sink=sink)
             raise ConfigError(
                 "sink must be a RecordingSink or a StreamingSink"
             )
         if record_requests:
-            return self._run_recorded(with_crosscheck)
+            return self._run_recorded()
         if self.execute:
             raise ConfigError("execute mode needs record_requests=True")
         self._check_tracer_path()
         self._check_fault_path()
-        return self._run_streaming(with_crosscheck, latency_bin_us)
+        return self._run_streaming(latency_bin_us)
 
     def _check_tracer_path(self) -> None:
         """Reject the tracer + streaming-fast-path combination."""
@@ -337,9 +346,7 @@ class ServingSimulator:
                 " when an integrity mode is armed"
             )
 
-    def _run_recorded(
-        self, with_crosscheck: bool, sink: RecordingSink | None = None
-    ) -> ServingReport:
+    def _run_recorded(self, sink: RecordingSink | None = None) -> ServingReport:
         """The full-record event loop (the PR 4 behavior, bit-identical).
 
         The policy work — admission, batch formation, weighted-fair
@@ -388,19 +395,8 @@ class ServingSimulator:
         total = len(req_tenant)
 
         running: dict[int, PlacedBatch] = {}  # batch index -> in flight
-        predictions = np.full(total, -1, dtype=np.int64) if self.execute else None
-
-        pricer = None
-        if self.execute:
-            images = self.images
-
-            def pricer(model, members, warm, prev_size):
-                indices = [member.index for member in members]
-                cycles, result = model.execute(
-                    images[indices], warm=warm, prev_size=prev_size
-                )
-                predictions[indices] = result.predictions
-                return cycles
+        executor = self._executor
+        predictions = None if executor is None else np.full(total, -1, dtype=np.int64)
 
         # Integral of the any-array-idle indicator, for the batching vs
         # queueing attribution; sampled per request at arrival.
@@ -466,10 +462,15 @@ class ServingSimulator:
                 tracer.coalescing_timeout(now)
 
             while pool.has_idle():
-                placed = core.form_and_place(now, pricer=pricer)
+                placed = core.form_and_place(now)
                 if placed is None:
                     break
                 members = placed.members
+                if predictions is not None:
+                    indices = [member.index for member in members]
+                    predictions[indices] = executor.execute(
+                        placed.array, self.images[indices]
+                    )
                 detected = core.detects_corruption(placed)
                 batch_index = sink.on_batch(
                     tenant=placed.tenant.name,
@@ -520,8 +521,6 @@ class ServingSimulator:
             pool=pool,
             makespan=makespan,
             wall_seconds=time.perf_counter() - wall_start,
-            with_crosscheck=with_crosscheck,
-            batch_sizes={batch.size for batch in sink.batches},
             requests=sink.requests,
             batches=sink.batches,
             predictions=predictions,
@@ -542,8 +541,6 @@ class ServingSimulator:
         pool: ArrayPool,
         makespan: float,
         wall_seconds: float,
-        with_crosscheck: bool,
-        batch_sizes,
         requests: list[RequestRecord] | None = None,
         batches: list[BatchRecord] | None = None,
         predictions: np.ndarray | None = None,
@@ -551,34 +548,8 @@ class ServingSimulator:
         streaming: StreamingStats | None = None,
         faults: dict | None = None,
     ) -> ServingReport:
-        """Crosscheck gating + report assembly, shared by both paths."""
+        """Report assembly, shared by both paths."""
         server = self.server
-        check = None
-        if (
-            with_crosscheck
-            and not self.multi_tenant
-            and server.array_configs is None
-            and isinstance(self.cost, ScheduledBatchCost)
-            and self.cost.accounting == "overlapped"  # the schedule perf models
-        ):
-            # Pure CapsNets check against the closed-form perf model; other
-            # zoo entries (residual variants, baselines) check against
-            # their compiled-stream pricing instead.
-            pure_capsnet = (
-                self.cost.qnet is not None
-                and "res_w" not in self.cost.compiled.params
-            )
-            analytic = AnalyticBatchCost(
-                network=(
-                    self.cost.qnet.config if pure_capsnet else self.cost.compiled
-                ),
-                accel_config=self.cost.config,
-            )
-            sizes = tuple(sorted(batch_sizes))
-            check = {
-                str(size): values
-                for size, values in crosscheck(self.cost, analytic, sizes).items()
-            }
         return ServingReport(
             network=self.network_name,
             trace_name=(
@@ -612,7 +583,6 @@ class ServingSimulator:
             makespan_us=makespan,
             wall_seconds=wall_seconds,
             predictions=predictions,
-            crosscheck=check,
             tenants=tenant_entries,
             streaming=streaming,
             faults=faults,
@@ -620,7 +590,6 @@ class ServingSimulator:
 
     def _run_streaming(
         self,
-        with_crosscheck: bool,
         latency_bin_us: float,
         sink: StreamingSink | None = None,
     ) -> ServingReport:
@@ -1121,8 +1090,6 @@ class ServingSimulator:
             pool=pool,
             makespan=makespan,
             wall_seconds=time.perf_counter() - wall_start,
-            with_crosscheck=with_crosscheck,
-            batch_sizes=set(stats.batch_sizes),
             tenant_entries=tenant_entries,
             streaming=stats,
         )

@@ -506,7 +506,6 @@ class ServingReport:
     makespan_us: float
     wall_seconds: float
     predictions: np.ndarray | None = None
-    crosscheck: dict | None = None
     pipeline: bool = False
     #: Per-tenant breakdowns (None in single-tenant runs).
     tenants: list[dict] | None = None
@@ -707,7 +706,6 @@ class ServingReport:
             "wall_rps": self.wall_rps,
             "array_utilization": [stat["utilization"] for stat in self.array_stats],
             "latency_us": self.latency_summary(),
-            "crosscheck": self.crosscheck,
         }
 
     def format_table(self) -> str:

@@ -1,16 +1,17 @@
 """Design-space sweep engine: declarative grids over the cost models.
 
-The ROADMAP's design-space exploration — window / prestage-depth / array
-size through the closed-form stream model, serving policies through the
-fast simulator — needs thousands of cheap evaluations.  This package
+Design-space exploration — window / prestage-depth / array size through
+the compiled program's stream timing, serving policies through the fast
+simulator — needs thousands of cheap evaluations.  This package
 provides the three pieces:
 
 * :func:`~repro.sweep.grid.expand_grid` — declarative parameter grids
   (a mapping of axis name to values, expanded to the cartesian product
   in declaration order);
 * :class:`~repro.sweep.runner.SweepSpec` — one sweep description: the
-  tier (``analytic`` prices each point with
-  :class:`~repro.perf.stream.AnalyticStreamCost`; ``serving`` runs the
+  tier (``analytic`` prices each point from the network's compiled
+  program, :func:`~repro.compiler.cost.program_stream_timing`;
+  ``serving`` runs the
   streaming-fast serving simulator), the network, the swept axes, and
   the fixed serving settings;
 * :func:`~repro.sweep.runner.run_sweep` — evaluates every point,

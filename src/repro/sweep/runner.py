@@ -2,12 +2,13 @@
 
 Two evaluation tiers share one declarative grid:
 
-* ``analytic`` — each point is priced with the closed-form
-  :class:`~repro.perf.stream.AnalyticStreamCost` (steady-state and cold
-  cycles per image, modeled throughput, pipelined speedup over the
-  per-batch double-buffered schedule) plus the synthesis model's
-  area/power for the point's array size.  Cheap enough for wide grids —
-  this is the ROADMAP window / prestage / array-size exploration.
+* ``analytic`` — each point is priced from the network's compiled
+  program (:func:`~repro.compiler.cost.program_stream_timing`:
+  steady-state and cold cycles per image, modeled throughput, pipelined
+  speedup over the per-batch double-buffered schedule) plus the
+  synthesis model's area/power for the point's array size.  Cheap
+  enough for wide grids — this is the window / prestage / array-size
+  exploration.
 * ``serving`` — each point runs the discrete-event serving simulator in
   its ``record_requests=False`` streaming mode on a seeded saturating
   Poisson trace, reporting served throughput, latency percentiles, shed
@@ -84,7 +85,7 @@ class SweepSpec:
     max_attempts: int = 3
     #: Integrity axes: seeded silent-corruption injection rate and the
     #: check mode countering it (armed points also run the recording
-    #: path, and price the network off its compiled stream).
+    #: path).
     corrupt_rate: float = 0.0
     integrity: str = "none"
     fault_seed: int = 1
@@ -137,19 +138,6 @@ class SweepSpec:
         return expand_grid(self.axes)
 
 
-def _resolve_network(name: str):
-    """A point's network: the paper CapsNets as configs (the validated
-    closed-form perf-model path), every other zoo entry compiled."""
-    from repro.capsnet.config import mnist_capsnet_config, tiny_capsnet_config
-    from repro.compiler.zoo import get_network
-
-    if name == "tiny":
-        return tiny_capsnet_config()
-    if name == "mnist":
-        return mnist_capsnet_config()
-    return get_network(name)
-
-
 def _accel_config(array: int):
     from repro.hw.config import AcceleratorConfig
 
@@ -163,35 +151,25 @@ def _setting(spec: SweepSpec, point: dict, name: str):
 
 def evaluate_analytic_point(spec: SweepSpec, point: dict) -> dict:
     """Closed-form metrics of one (array, window, prestage, batch) point."""
-    from repro.perf.stream import AnalyticStreamCost
-    from repro.serve.costs import AnalyticBatchCost
-
-    from repro.capsnet.config import CapsNetConfig
-    from repro.serve.costs import _ProgramStream
+    from repro.compiler.cost import program_steady_cycles, program_stream_timing
+    from repro.compiler.zoo import get_network
+    from repro.serve.costs import ScheduledBatchCost
 
     array = int(_setting(spec, point, "array"))
     window = int(_setting(spec, point, "window"))
     prestage = int(_setting(spec, point, "prestage_depth"))
     batch = int(_setting(spec, point, "batch"))
     network_name = str(_setting(spec, point, "network"))
-    network = _resolve_network(network_name)
+    network = get_network(network_name)
     config = _accel_config(array)
-    if isinstance(network, CapsNetConfig):
-        stream = AnalyticStreamCost(
-            network=network,
-            accel_config=config,
-            window=window,
-            prestage_depth=prestage,
-        )
-    else:
-        # Zoo entries price straight off their compiled instruction stream.
-        stream = _ProgramStream(
-            config, network.program, window=window, prestage_depth=prestage
-        )
-    batch_cost = AnalyticBatchCost(network=network, accel_config=config)
-    steady = stream.steady_cycles(batch)
-    cold = stream.cold_cycles(batch)
-    double_buffered = batch_cost.batch_cycles(batch)
+    double_buffered = ScheduledBatchCost(network, accel_config=config).batch_cycles(
+        batch
+    )
+    pipelined = {"window": window, "prestage_depth": prestage}
+    steady = program_steady_cycles(config, network.program, batch, **pipelined)
+    cold = program_stream_timing(
+        config, network.program, [batch], **pipelined
+    ).finish_cycles
     steady_per_image = steady / batch
     row = {
         **point,
@@ -219,10 +197,11 @@ def evaluate_analytic_point(spec: SweepSpec, point: dict) -> dict:
 
 def evaluate_serving_point(spec: SweepSpec, point: dict) -> dict:
     """Fast-simulator metrics of one serving-configuration point."""
+    from repro.compiler.zoo import get_network
     from repro.serve import (
-        AnalyticBatchCost,
         FaultPlan,
         RetryPolicy,
+        ScheduledBatchCost,
         ServerConfig,
         ServingSimulator,
         poisson_trace,
@@ -242,18 +221,9 @@ def evaluate_serving_point(spec: SweepSpec, point: dict) -> dict:
     corrupt_rate = float(_setting(spec, point, "corrupt_rate"))
     integrity = str(_setting(spec, point, "integrity"))
     network_name = str(_setting(spec, point, "network"))
-    network = _resolve_network(network_name)
-    if integrity != "none":
-        # Integrity pricing checksums a compiled instruction stream, so
-        # armed points price the paper CapsNets off their zoo entries.
-        from repro.capsnet.config import CapsNetConfig
-        from repro.compiler.zoo import get_network
-
-        if isinstance(network, CapsNetConfig):
-            network = get_network(network_name)
     config = _accel_config(array)
-    cost = AnalyticBatchCost(
-        network=network,
+    cost = ScheduledBatchCost(
+        get_network(network_name),
         accel_config=config,
         pipeline=spec.pipeline,
         window=window,

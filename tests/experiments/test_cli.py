@@ -107,7 +107,7 @@ class TestSimulateCommand:
 
 
 class TestServeSimPolicies:
-    BASE = ["serve-sim", "--network", "tiny", "--cost", "analytic"]
+    BASE = ["serve-sim", "--network", "tiny"]
 
     def test_deadline_policy_reports_shedding(self, capsys):
         assert cli.main(

@@ -76,10 +76,8 @@ class TestBatching:
 class TestPolicyComparison:
     @pytest.fixture(scope="class")
     def result(self):
-        from repro.capsnet.config import tiny_capsnet_config
-
         return batching.policy_comparison(
-            config=tiny_capsnet_config(),
+            network="tiny",
             requests=64,
             deadline_ms=0.05,
             max_wait_us=50.0,
@@ -107,10 +105,8 @@ class TestPolicyComparison:
 class TestOracleAdmissionStudy:
     @pytest.fixture(scope="class")
     def result(self):
-        from repro.capsnet.config import tiny_capsnet_config
-
         return batching.oracle_admission_study(
-            config=tiny_capsnet_config(),
+            network="tiny",
             requests=64,
             deadline_ms=0.1,
             max_wait_us=50.0,
@@ -136,13 +132,10 @@ class TestOracleAdmissionStudy:
         assert 1 <= result.oracle_iterations <= 8
 
     def test_zero_iteration_budget_rejected(self):
-        from repro.capsnet.config import tiny_capsnet_config
         from repro.errors import ConfigError
 
         with pytest.raises(ConfigError):
-            batching.oracle_admission_study(
-                config=tiny_capsnet_config(), max_iterations=0
-            )
+            batching.oracle_admission_study(network="tiny", max_iterations=0)
 
     def test_goodput_accounts_shed_and_missed(self, result):
         for row in result.rows:

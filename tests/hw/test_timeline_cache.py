@@ -10,17 +10,14 @@ from repro.hw.pipeline import (
     timeline_cache_stats,
 )
 from repro.hw.scheduler import PipelinedStreamScheduler
-from repro.perf.stream import AnalyticStreamCost, clear_analytic_ops_cache
-from repro.serve.costs import AnalyticBatchCost, ScheduledBatchCost, clear_probe_cache
+from repro.serve.costs import ScheduledBatchCost, clear_probe_cache
 
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
     clear_timeline_caches()
-    clear_analytic_ops_cache()
     yield
     clear_timeline_caches()
-    clear_analytic_ops_cache()
 
 
 def timings_equal(a, b):
@@ -84,17 +81,16 @@ class TestStreamTimingCache:
         ops = PipelinedStreamScheduler(tiny_qnet).batch_ops(2)
         assert PipelinedStreamScheduler(tiny_qnet).batch_ops(2) is ops
         assert ScheduledBatchCost(tiny_qnet, pipeline=True).pipeline_ops(2) is ops
-        assert AnalyticBatchCost(tiny_qnet, pipeline=True).pipeline_ops(2) is ops
 
     def test_rebuilt_program_costs_add_no_stream_timings(self):
         assert (
-            AnalyticBatchCost("tiny", pipeline=True).pipeline_ops(2)
-            is AnalyticBatchCost("tiny", pipeline=True).pipeline_ops(2)
+            ScheduledBatchCost("tiny", pipeline=True).pipeline_ops(2)
+            is ScheduledBatchCost("tiny", pipeline=True).pipeline_ops(2)
         )
         sizes = []
         for _ in range(3):
             clear_probe_cache()
-            cost = AnalyticBatchCost("tiny", pipeline=True)
+            cost = ScheduledBatchCost("tiny", pipeline=True)
             cost.warm_batch_cycles(2)
             cost.warm_batch_cycles(2, prev_size=3)
             stats = timeline_cache_stats()
@@ -117,18 +113,3 @@ class TestStreamTimingCache:
         again = pipelined.run_stream([tiny_images[:2], tiny_images[2:4]])
         assert timings_equal(stream.timing, again.timing)
 
-
-class TestAnalyticOpsCache:
-    def test_instances_share_batch_ops(self, tiny_config):
-        first = AnalyticStreamCost(network=tiny_config)
-        ops = first.batch_ops(4)
-        # A different window shares the ops (ops are window-independent).
-        second = AnalyticStreamCost(network=tiny_config, window=3)
-        assert second.batch_ops(4) is ops
-
-    def test_steady_cycles_survive_cache_clears(self, tiny_config):
-        cost = AnalyticStreamCost(network=tiny_config)
-        steady = cost.steady_cycles(2)
-        clear_timeline_caches()
-        clear_analytic_ops_cache()
-        assert AnalyticStreamCost(network=tiny_config).steady_cycles(2) == steady

@@ -5,13 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.serve import AnalyticBatchCost, ServerConfig, poisson_trace, uniform_trace
+from repro.serve import ScheduledBatchCost, ServerConfig, poisson_trace, uniform_trace
 
 
 @pytest.fixture(scope="module")
-def tiny_cost(tiny_config):
-    """Cheap analytic cost model — no engine probes in these tests."""
-    return AnalyticBatchCost(network=tiny_config)
+def tiny_cost():
+    """Closed-form program pricing of the tiny network."""
+    return ScheduledBatchCost("tiny")
 
 
 @pytest.fixture(scope="module")

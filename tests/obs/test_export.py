@@ -32,7 +32,6 @@ from repro.obs.export import PIPELINE_PID, SERVING_PID
 from repro.obs.tracer import EVENT_KINDS
 from repro.serve import (
     ScheduledBatchCost,
-    ServerConfig,
     ServingSimulator,
     replay_virtual,
 )
@@ -118,23 +117,23 @@ def test_schema_identity_sim_vs_virtual_replay(server, busy_trace):
     assert sim_schema == live_schema
 
 
-def test_op_lane_present_only_for_pipelined_cost(tiny_config):
-    pipelined = ScheduledBatchCost(network=tiny_config, pipeline=True)
+def test_op_lane_present_only_for_pipelined_cost():
+    pipelined = ScheduledBatchCost("tiny", pipeline=True)
     lane = pipeline_op_lane(pipelined, batch_size=2, batches=2)
     assert lane
     assert all(event["pid"] == PIPELINE_PID for event in lane)
     categories = {event.get("cat") for event in lane if event["ph"] == "X"}
     assert {"op", "load"} <= categories
 
-    cold = ScheduledBatchCost(network=tiny_config, pipeline=False)
+    cold = ScheduledBatchCost("tiny", pipeline=False)
     with pytest.raises(ConfigError):
         pipeline_op_lane(cold, batch_size=2)
 
 
-def test_op_lane_changes_schema_but_not_serving_lanes(traced_run, tiny_config):
+def test_op_lane_changes_schema_but_not_serving_lanes(traced_run):
     tracer, _ = traced_run
     plain = build_chrome_trace(tracer)
-    pipelined = ScheduledBatchCost(network=tiny_config, pipeline=True)
+    pipelined = ScheduledBatchCost("tiny", pipeline=True)
     lane = pipeline_op_lane(pipelined, batch_size=2, batches=2)
     augmented = build_chrome_trace(tracer, op_lane=lane)
     plain_schema = trace_schema(plain)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.hw.pipeline import cached_stream_timing
 from repro.serve import (
-    AnalyticBatchCost,
     ScheduledBatchCost,
     ServerConfig,
     ServingSimulator,
@@ -13,17 +12,18 @@ from repro.serve import (
     probe_cache_size,
     uniform_trace,
 )
+from repro.serve import costs
 from repro.serve.costs import PAIR_PROBE_PREFIX, PAIR_PROBE_SUFFIX
 
 
 @pytest.fixture(scope="module")
-def tiny_pipe(tiny_config):
-    return AnalyticBatchCost(network=tiny_config, pipeline=True)
+def tiny_pipe():
+    return ScheduledBatchCost("tiny", pipeline=True)
 
 
 @pytest.fixture(scope="module")
-def mnist_pipe(mnist_config):
-    return AnalyticBatchCost(network=mnist_config, pipeline=True)
+def mnist_pipe():
+    return ScheduledBatchCost("mnist", pipeline=True)
 
 
 class TestCrossNetworkWarmCost:
@@ -61,7 +61,7 @@ class TestCrossNetworkWarmCost:
     def test_same_network_prev_cost_falls_back_to_own_pair(
         self, tiny_pipe, tiny_config
     ):
-        twin = AnalyticBatchCost(network=tiny_config, pipeline=True)
+        twin = ScheduledBatchCost(tiny_config, pipeline=True)
         assert tiny_pipe.warm_batch_cycles(2, 4, prev_cost=twin) == (
             tiny_pipe.warm_batch_cycles(2, 4)
         )
@@ -69,19 +69,17 @@ class TestCrossNetworkWarmCost:
             tiny_pipe.warm_batch_cycles(2, 4)
         )
 
-    def test_unpipelined_predecessor_falls_back(self, tiny_pipe, mnist_config):
-        plain = AnalyticBatchCost(network=mnist_config)  # no pipeline ops
+    def test_unpipelined_predecessor_falls_back(self, tiny_pipe):
+        plain = ScheduledBatchCost("mnist")  # no pipeline ops
         assert tiny_pipe.warm_batch_cycles(2, 4, prev_cost=plain) == (
             tiny_pipe.warm_batch_cycles(2, 4)
         )
 
-    def test_scheduled_model_supports_cross_pairs(self, tiny_qnet, tiny_pipe):
+    def test_scheduled_model_supports_cross_pairs(self, tiny_qnet, mnist_pipe):
         scheduled = ScheduledBatchCost(qnet=tiny_qnet, pipeline=True)
-        # Scheduled receiver, analytic predecessor of a different network:
-        # the op model is network-agnostic, so mixing model kinds works.
-        from repro.capsnet.config import mnist_capsnet_config
-
-        prev = AnalyticBatchCost(network=mnist_capsnet_config(), pipeline=True)
+        # A receiver built from a quantized network, a predecessor from a
+        # zoo name: the op model is network-agnostic, so mixing works.
+        prev = mnist_pipe
         cross = scheduled.warm_batch_cycles(1, 2, prev_cost=prev)
         assert 0 < cross <= scheduled.batch_cycles(1)
 
@@ -145,7 +143,9 @@ class TestCrossTenantServing:
 
 
 class TestProbeCache:
-    def test_probe_results_persist_across_model_instances(self, tiny_qnet):
+    def test_probe_results_persist_across_model_instances(
+        self, tiny_qnet, monkeypatch
+    ):
         clear_probe_cache()
         first = ScheduledBatchCost(qnet=tiny_qnet, pipeline=True)
         cold = first.batch_cycles(2)
@@ -154,20 +154,21 @@ class TestProbeCache:
         assert cached >= 2
 
         # A rebuilt model with identical parameters must answer from the
-        # cache without ever touching the execution engine.
+        # cache without pricing the program again.
         second = ScheduledBatchCost(qnet=tiny_qnet, pipeline=True)
 
         def boom(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("engine probe ran despite a cache hit")
+            raise AssertionError("program priced despite a cache hit")
 
-        second.scheduler.run_batch = boom
+        monkeypatch.setattr(costs, "program_batch_cycles", boom)
+        monkeypatch.setattr(costs, "program_steady_cycles", boom)
         assert second.batch_cycles(2) == cold
         assert second.warm_batch_cycles(2) == warm
         assert probe_cache_size() == cached
 
-    def test_clear_probe_cache(self, tiny_config):
+    def test_clear_probe_cache(self):
         clear_probe_cache()
-        AnalyticBatchCost(network=tiny_config).batch_cycles(1)
+        ScheduledBatchCost("tiny").batch_cycles(1)
         assert probe_cache_size() == 1
         clear_probe_cache()
         assert probe_cache_size() == 0

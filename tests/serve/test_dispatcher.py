@@ -86,16 +86,15 @@ class TestBacklogGreedyRegression:
     def heterogeneous_run(self, dispatch):
         import numpy as np
 
-        from repro.capsnet.config import tiny_capsnet_config
         from repro.hw.config import AcceleratorConfig
         from repro.serve import (
-            AnalyticBatchCost,
             ArrivalTrace,
+            ScheduledBatchCost,
             ServerConfig,
             ServingSimulator,
         )
 
-        cost = AnalyticBatchCost(network=tiny_capsnet_config())
+        cost = ScheduledBatchCost("tiny")
         accel = AcceleratorConfig()
         server = ServerConfig.from_policy(
             "fifo",
@@ -130,15 +129,14 @@ class TestBacklogGreedyRegression:
     def test_homogeneous_pool_is_unaffected(self):
         import numpy as np
 
-        from repro.capsnet.config import tiny_capsnet_config
         from repro.serve import (
-            AnalyticBatchCost,
             ArrivalTrace,
+            ScheduledBatchCost,
             ServerConfig,
             ServingSimulator,
         )
 
-        cost = AnalyticBatchCost(network=tiny_capsnet_config())
+        cost = ScheduledBatchCost("tiny")
         trace = ArrivalTrace("burst", 1.0 + 0.001 * np.arange(64))
 
         def run(dispatch):

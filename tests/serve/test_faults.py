@@ -14,10 +14,10 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.serve import (
-    AnalyticBatchCost,
     FaultInjector,
     FaultPlan,
     RetryPolicy,
+    ScheduledBatchCost,
     ServerConfig,
     ServingSimulator,
     decision_diffs,
@@ -29,8 +29,8 @@ from repro.serve.core import group_requeues
 
 
 @pytest.fixture(scope="module")
-def tiny_cost(tiny_config):
-    return AnalyticBatchCost(network=tiny_config)
+def tiny_cost():
+    return ScheduledBatchCost("tiny")
 
 
 def fault_server(cost, plan=None, retry=None, **overrides):

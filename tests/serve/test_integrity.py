@@ -18,13 +18,12 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.serve import (
-    CHECK_MODES,
-    AnalyticBatchCost,
     CorruptionSpec,
     DegradedModeAdmission,
     DetectedCorruptionError,
     FaultPlan,
     IntegrityPolicy,
+    ScheduledBatchCost,
     ServerConfig,
     ServingSimulator,
     decision_diffs,
@@ -64,8 +63,8 @@ def images_for(executor: CompiledStreamExecutor, count: int = 2) -> np.ndarray:
 
 
 @pytest.fixture(scope="module")
-def tiny_cost(tiny_config):
-    return AnalyticBatchCost(network=tiny_config)
+def tiny_cost():
+    return ScheduledBatchCost("tiny")
 
 
 def integrity_server(cost, plan=None, integrity=None, **overrides):
@@ -467,7 +466,7 @@ class TestSimulatedCorruption:
         assert report.goodput == 1.0  # silent: nothing fails
 
     def test_checksum_mode_serves_zero_corrupted(self, tiny_cost):
-        cost = AnalyticBatchCost(network="tiny", integrity="checksum")
+        cost = ScheduledBatchCost("tiny", integrity="checksum")
         plan = FaultPlan(corrupt_rate=0.2, seed=5)
         report = ServingSimulator(
             saturating_trace(),
@@ -480,7 +479,7 @@ class TestSimulatedCorruption:
         assert faults["retries"] > 0  # detections feed the retry machinery
 
     def test_output_target_evades_checksums(self, tiny_cost):
-        cost = AnalyticBatchCost(network="tiny", integrity="checksum")
+        cost = ScheduledBatchCost("tiny", integrity="checksum")
         plan = FaultPlan(
             corrupt_rate=0.2, corrupt_target="output", seed=5
         )
@@ -494,7 +493,7 @@ class TestSimulatedCorruption:
         assert faults["corrupted_served"] > 0
 
     def test_canary_mode_probes_and_detects(self, tiny_cost):
-        cost = AnalyticBatchCost(network="tiny", integrity="checksum+canary")
+        cost = ScheduledBatchCost("tiny", integrity="checksum+canary")
         plan = FaultPlan(corrupt_rate=0.3, seed=5)
         report = ServingSimulator(
             saturating_trace(),
@@ -606,40 +605,42 @@ class TestSimLiveIntegrityIdentity:
 
 class TestIntegrityPricing:
     def test_checksum_mode_prices_higher(self):
-        plain = AnalyticBatchCost(network="tiny")
-        checked = AnalyticBatchCost(network="tiny", integrity="checksum")
+        plain = ScheduledBatchCost("tiny")
+        checked = ScheduledBatchCost("tiny", integrity="checksum")
         for batch in (1, 4, 8):
             assert checked.batch_cycles(batch) > plain.batch_cycles(batch)
             assert checked.integrity_cycles(batch) > 0
             assert plain.integrity_cycles(batch) == 0
 
     def test_overhead_scales_with_batch(self):
-        checked = AnalyticBatchCost(network="tiny", integrity="checksum")
+        checked = ScheduledBatchCost("tiny", integrity="checksum")
         assert checked.integrity_cycles(8) > checked.integrity_cycles(1)
 
     def test_signature_distinguishes_modes(self):
-        plain = AnalyticBatchCost(network="tiny")
-        checked = AnalyticBatchCost(network="tiny", integrity="checksum")
+        plain = ScheduledBatchCost("tiny")
+        checked = ScheduledBatchCost("tiny", integrity="checksum")
         assert plain.signature() != checked.signature()
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError):
-            AnalyticBatchCost(network="tiny", integrity="everything")
+            ScheduledBatchCost("tiny", integrity="everything")
 
-    def test_perf_model_path_cannot_price_checks(self, tiny_config):
-        # The closed-form CapsNet path has no instruction stream to
-        # checksum; integrity pricing demands a compiled network.
-        with pytest.raises(ConfigError):
-            AnalyticBatchCost(network=tiny_config, integrity="checksum")
+    def test_capsnet_config_prices_checks(self, tiny_config):
+        # A CapsNetConfig compiles to the same instruction stream as its
+        # zoo entry, so it prices the same checksum overhead.
+        by_config = ScheduledBatchCost(tiny_config, integrity="checksum")
+        by_name = ScheduledBatchCost("tiny", integrity="checksum")
+        assert by_config.integrity_cycles(4) == by_name.integrity_cycles(4) > 0
+        assert by_config.batch_cycles(4) == by_name.batch_cycles(4)
 
     def test_overhead_within_ceiling_on_mnist(self):
-        plain = AnalyticBatchCost(network="mnist")
-        checked = AnalyticBatchCost(network="mnist", integrity="checksum")
+        plain = ScheduledBatchCost("mnist")
+        checked = ScheduledBatchCost("mnist", integrity="checksum")
         ratio = checked.batch_cycles(8) / plain.batch_cycles(8)
         assert 1.0 < ratio <= 1.10
 
     def test_server_config_normalizes_mode_strings(self):
-        cost = AnalyticBatchCost(network="tiny", integrity="checksum")
+        cost = ScheduledBatchCost("tiny", integrity="checksum")
         server = ServerConfig(cost=cost, integrity="checksum")
         assert isinstance(server.integrity, IntegrityPolicy)
         assert server.integrity.checks

@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.serve import (
-    AnalyticBatchCost,
     BatchPolicy,
     ScheduledBatchCost,
     ServingSimulator,
@@ -43,21 +42,38 @@ class TestWarmCosts:
         with pytest.raises(ConfigError):
             ScheduledBatchCost(qnet=tiny_qnet, accounting="sequential", pipeline=True)
 
-    def test_analytic_warm_at_most_cold(self, tiny_config):
-        analytic = AnalyticBatchCost(network=tiny_config, pipeline=True)
-        for batch in (1, 4):
-            assert analytic.warm_batch_cycles(batch) <= analytic.batch_cycles(batch)
+    def test_warm_cycles_per_image_improve_with_batch(self, cost):
+        assert cost.warm_batch_cycles(8) / 8 < cost.warm_batch_cycles(1)
 
-    def test_analytic_warm_needs_pipeline_flag(self, tiny_config):
+    def test_analytic_warm_at_most_cold(self):
+        residual = ScheduledBatchCost("tiny-res", pipeline=True)
+        for batch in (1, 4):
+            assert residual.warm_batch_cycles(batch) <= residual.batch_cycles(batch)
+
+    def test_analytic_warm_needs_pipeline_flag(self):
         with pytest.raises(ConfigError):
-            AnalyticBatchCost(network=tiny_config).warm_batch_cycles(1)
+            ScheduledBatchCost("tiny").warm_batch_cycles(1)
 
     def test_execute_returns_warm_cycles_and_identical_outputs(self, cost, tiny_images):
-        cold_cycles, cold_result = cost.execute(tiny_images[:2], warm=False)
-        warm_cycles, warm_result = cost.execute(tiny_images[:2], warm=True)
-        assert cold_cycles == cost.batch_cycles(2)
-        assert warm_cycles == cost.warm_batch_cycles(2)
-        np.testing.assert_array_equal(cold_result.predictions, warm_result.predictions)
+        """Execute mode charges the same warm and cold cycles as a
+        cost-only run; only the predictions are added."""
+        images = np.concatenate([tiny_images] * 5)
+        trace = saturating_trace(cost, count=len(images))
+
+        def run(execute: bool):
+            return ServingSimulator(
+                trace,
+                BatchPolicy(max_batch=4, max_wait_us=20.0),
+                cost,
+                images=images,
+                execute=execute,
+                pipeline=True,
+            ).run()
+
+        executed, priced = run(True), run(False)
+        assert executed.warm_batches > 0
+        assert executed.batches == priced.batches
+        assert executed.makespan_us == priced.makespan_us
 
 
 class TestWarmDispatch:
@@ -160,9 +176,9 @@ class TestWarmDispatch:
 class TestPairKeyedWarmCosts:
     """The warm cost is keyed by the (prev_batch_size, batch_size) pair."""
 
-    def test_pair_reduces_to_homogeneous_when_sizes_match(self, cost, tiny_config):
-        analytic = AnalyticBatchCost(network=tiny_config, pipeline=True)
-        for model in (cost, analytic):
+    def test_pair_reduces_to_homogeneous_when_sizes_match(self, cost):
+        by_name = ScheduledBatchCost("tiny-res", pipeline=True)
+        for model in (cost, by_name):
             assert model.warm_batch_cycles(4, 4) == model.warm_batch_cycles(4)
             assert model.warm_batch_cycles(2, None) == model.warm_batch_cycles(2)
 
@@ -199,18 +215,11 @@ class TestPairKeyedWarmCosts:
             )
             assert cost.warm_batch_cycles(current, prev) == expected
 
-    def test_analytic_pair_crosschecks_scheduled(self, cost, tiny_config):
-        analytic = AnalyticBatchCost(network=tiny_config, pipeline=True)
-        for prev, current in [(4, 1), (1, 4), (8, 2)]:
-            exact = cost.warm_batch_cycles(current, prev)
-            model = analytic.warm_batch_cycles(current, prev)
-            assert abs(model - exact) / exact < 0.05
-
-    def test_invalid_prev_size_rejected(self, cost, tiny_config):
-        analytic = AnalyticBatchCost(network=tiny_config, pipeline=True)
-        for model in (cost, analytic):
-            with pytest.raises(ConfigError):
-                model.warm_batch_cycles(4, 0)
+    def test_invalid_prev_size_rejected(self, cost):
+        with pytest.raises(ConfigError, match="previous batch size"):
+            cost.warm_batch_cycles(4, 0)
+        with pytest.raises(ConfigError, match="batch size must be positive"):
+            cost.warm_batch_cycles(0, 4)
 
     def test_simulator_charges_pair_cost_on_mixed_handoff(self, cost):
         """A solo batch, then four requests queued while it runs: the
@@ -230,11 +239,21 @@ class TestPairKeyedWarmCosts:
             cost.config.cycles_to_us(cost.drain_saved_cycles(4, prev_size=1))
         )
 
-    def test_execute_charges_pair_cost(self, cost, tiny_images):
-        cycles, result = cost.execute(tiny_images[:2], warm=True, prev_size=4)
-        assert cycles == cost.warm_batch_cycles(2, prev_size=4)
-        cold_cycles, cold_result = cost.execute(tiny_images[:2])
-        np.testing.assert_array_equal(result.predictions, cold_result.predictions)
+    def test_execute_charges_pair_cost(self, cost, tiny_qnet, tiny_images):
+        images = np.concatenate([tiny_images, tiny_images[:1]])
+        report = ServingSimulator(
+            replay_trace([0.0, 1.0, 2.0, 3.0, 4.0]),
+            BatchPolicy(max_batch=4, max_wait_us=0.0),
+            cost,
+            images=images,
+            execute=True,
+            pipeline=True,
+        ).run()
+        assert [batch.size for batch in report.batches] == [1, 4]
+        assert report.batches[1].cycles == cost.warm_batch_cycles(4, prev_size=1)
+        np.testing.assert_array_equal(
+            report.predictions, tiny_qnet.predict_batch(images)
+        )
 
 
 class TestWarmArrayPreference:

@@ -9,7 +9,6 @@ from repro.errors import ConfigError
 from repro.hw.config import AcceleratorConfig
 from repro.serve import (
     AdmitAll,
-    AnalyticBatchCost,
     ArrayPool,
     BatchPolicy,
     ChainedAdmission,
@@ -403,13 +402,15 @@ class TestHeterogeneousPool:
         # Two arrays with the same configuration share one model.
         assert bank.resolve(cost, AcceleratorConfig().with_array(8, 8)) is rebuilt
 
-    def test_cost_bank_rebuilds_analytic(self, tiny_config):
-        analytic = AnalyticBatchCost(network=tiny_config)
+    def test_cost_bank_rebuilds_analytic(self):
+        by_name = ScheduledBatchCost("tiny", integrity="checksum")
         small = AcceleratorConfig().with_array(8, 8)
-        rebuilt = CostBank().resolve(analytic, small)
-        assert isinstance(rebuilt, AnalyticBatchCost)
+        rebuilt = CostBank().resolve(by_name, small)
+        assert isinstance(rebuilt, ScheduledBatchCost)
         assert rebuilt.config == small
-        assert rebuilt.batch_cycles(1) != analytic.batch_cycles(1)
+        assert rebuilt.compiled is by_name.compiled
+        assert rebuilt.integrity == "checksum"
+        assert rebuilt.batch_cycles(1) != by_name.batch_cycles(1)
 
     def test_execute_mode_rejects_heterogeneous_pool(self, cost, tiny_images):
         configs = (AcceleratorConfig(), AcceleratorConfig().with_array(8, 8))
@@ -424,9 +425,9 @@ class TestHeterogeneousPool:
 
 
 class TestMultiTenant:
-    def two_tenant_report(self, cost, tiny_config, weights=(1.0, 1.0), count=48):
+    def two_tenant_report(self, cost, weights=(1.0, 1.0), count=48):
         """Two tenants, each offered ~1x one array's capacity (2x total)."""
-        analytic = AnalyticBatchCost(network=tiny_config)
+        by_name = ScheduledBatchCost("tiny")
         rate = cost.config.clock_mhz * 1e6 / cost.batch_cycles(1)
         rng = np.random.default_rng(5)
         tenants = [
@@ -438,7 +439,7 @@ class TestMultiTenant:
             TenantSpec(
                 name="b",
                 trace=poisson_trace(rate, count, rng),
-                cost=analytic,
+                cost=by_name,
                 weight=weights[1],
             ),
         ]
@@ -447,8 +448,8 @@ class TestMultiTenant:
         )
         return ServingSimulator(server=server, tenants=tenants).run()
 
-    def test_neither_tenant_starves_at_2x_saturation(self, cost, tiny_config):
-        report = self.two_tenant_report(cost, tiny_config)
+    def test_neither_tenant_starves_at_2x_saturation(self, cost):
+        report = self.two_tenant_report(cost)
         assert report.tenants is not None
         by_name = {entry["tenant"]: entry for entry in report.tenants}
         assert by_name["a"]["served"] == 48
@@ -462,17 +463,17 @@ class TestMultiTenant:
         mean_b = by_name["b"]["latency_us"]["mean_us"]
         assert 0.5 < mean_a / mean_b < 2.0
 
-    def test_weighted_tenant_gets_priority(self, cost, tiny_config):
-        fair = self.two_tenant_report(cost, tiny_config, weights=(1.0, 1.0))
-        skewed = self.two_tenant_report(cost, tiny_config, weights=(4.0, 1.0))
+    def test_weighted_tenant_gets_priority(self, cost):
+        fair = self.two_tenant_report(cost, weights=(1.0, 1.0))
+        skewed = self.two_tenant_report(cost, weights=(4.0, 1.0))
         fair_a = {e["tenant"]: e for e in fair.tenants}["a"]
         skewed_a = {e["tenant"]: e for e in skewed.tenants}["a"]
         assert (
             skewed_a["latency_us"]["mean_us"] < fair_a["latency_us"]["mean_us"]
         )
 
-    def test_tenant_breakdown_in_report(self, cost, tiny_config):
-        report = self.two_tenant_report(cost, tiny_config)
+    def test_tenant_breakdown_in_report(self, cost):
+        report = self.two_tenant_report(cost)
         payload = report.to_dict()
         assert payload["tenants"] == report.tenants
         assert "tenant a" in report.format_table()
@@ -492,13 +493,13 @@ class TestMultiTenant:
                 tenants=[TenantSpec(name="a", trace=trace)],
             )
 
-    def test_shared_spec_policy_instance_not_cross_bound(self, cost, tiny_config):
+    def test_shared_spec_policy_instance_not_cross_bound(self, cost):
         """One DeadlineBatcher instance reused by two TenantSpecs must not
         end up predicting from the last-bound tenant's cost model."""
         from repro.serve.simulator import _Tenant
 
         shared = DeadlineBatcher(max_batch=4)
-        other = AnalyticBatchCost(network=tiny_config)
+        other = ScheduledBatchCost("mlp")  # a different network
         server = ServerConfig(cost=cost)
         trace = uniform_trace(100.0, 4)
         first = _Tenant(
@@ -580,17 +581,15 @@ class TestLegacyEquivalence:
         second = [batch.array for batch in simulator.run().batches]
         assert first == second
 
-    def test_tenants_do_not_share_chained_admission_state(
-        self, cost, tiny_config
-    ):
+    def test_tenants_do_not_share_chained_admission_state(self, cost):
         """Server-default policies are deep-copied per tenant: with a
         chained deadline+queue-limit admission, each tenant's deadline
         shedder keeps its own cost predictor instead of all tenants
         predicting from the last-bound tenant's network."""
         from repro.serve.simulator import _Tenant
 
-        other = AnalyticBatchCost(
-            network=tiny_config, accel_config=AcceleratorConfig().with_array(4, 4)
+        other = ScheduledBatchCost(
+            "tiny", accel_config=AcceleratorConfig().with_array(4, 4)
         )
         server = ServerConfig.from_policy(
             "deadline", cost, deadline_us=1000.0, queue_limit=5

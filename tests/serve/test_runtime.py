@@ -25,9 +25,9 @@ from repro.data.synthetic import SyntheticDigits
 from repro.errors import ConfigError
 from repro.hw.config import AcceleratorConfig
 from repro.serve import (
-    AnalyticBatchCost,
     MeasuredBatchCost,
     RequestShedError,
+    ScheduledBatchCost,
     ServerConfig,
     ServingRuntime,
     ServingSimulator,
@@ -48,8 +48,8 @@ pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
 
 @pytest.fixture(scope="module")
-def tiny_cost(tiny_config):
-    return AnalyticBatchCost(network=tiny_config)
+def tiny_cost():
+    return ScheduledBatchCost("tiny")
 
 
 @pytest.fixture(scope="module")

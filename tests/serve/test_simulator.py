@@ -6,8 +6,8 @@ import pytest
 from repro.errors import ConfigError, ShapeError
 from repro.hw.scheduler import BatchScheduler
 from repro.serve import (
-    AnalyticBatchCost,
     BatchPolicy,
+    MeasuredBatchCost,
     ScheduledBatchCost,
     ServingSimulator,
     poisson_trace,
@@ -168,15 +168,30 @@ class TestExecuteModeAndValidation:
         ).run()
         assert np.array_equal(report.predictions, tiny_qnet.predict_batch(tiny_images))
 
-    def test_crosscheck_attached(self, cost):
-        report = ServingSimulator(
-            overload_trace(cost, count=16), BatchPolicy(max_batch=4), cost
-        ).run(with_crosscheck=True)
-        assert report.crosscheck
-        assert all(entry["rel_error"] <= 0.02 for entry in report.crosscheck.values())
+    def test_execute_charges_the_cost_models_cycles(self, cost, tiny_images):
+        """Executing changes only the predictions: batch records,
+        latencies and makespan equal a cost-only run of the same trace."""
+        images = np.concatenate([tiny_images] * 4)
+        trace = overload_trace(cost, count=len(images))
 
-    def test_analytic_cost_runs(self, tiny_config):
-        cost = AnalyticBatchCost(network=tiny_config)
+        def run(execute: bool):
+            return ServingSimulator(
+                trace,
+                BatchPolicy(max_batch=4, max_wait_us=30.0),
+                cost,
+                images=images,
+                execute=execute,
+            ).run()
+
+        executed, priced = run(True), run(False)
+        assert executed.batches == priced.batches
+        assert executed.requests == priced.requests
+        assert executed.makespan_us == priced.makespan_us
+        assert priced.predictions is None
+        assert (executed.predictions >= 0).all()
+
+    def test_analytic_cost_runs(self):
+        cost = ScheduledBatchCost("tiny")
         report = ServingSimulator(
             poisson_trace(1000.0, 8, np.random.default_rng(0)),
             BatchPolicy(max_batch=4),
@@ -184,13 +199,15 @@ class TestExecuteModeAndValidation:
         ).run()
         assert report.completed == 8
 
-    def test_execute_needs_scheduled_cost_and_images(self, cost, tiny_config):
+    def test_execute_needs_scheduled_cost_and_images(self, cost, tiny_images):
         trace = replay_trace([1.0, 2.0])
-        with pytest.raises(ConfigError):
+        measured = MeasuredBatchCost(cost.config, [(1, 50.0), (4, 120.0)])
+        with pytest.raises(ConfigError, match="compiled program"):
             ServingSimulator(
                 trace,
                 BatchPolicy(),
-                AnalyticBatchCost(network=tiny_config),
+                measured,
+                images=tiny_images[:2],
                 execute=True,
             )
         with pytest.raises(ConfigError):

@@ -5,8 +5,8 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.serve import (
-    AnalyticBatchCost,
     RecordingSink,
+    ScheduledBatchCost,
     ServerConfig,
     ServingSimulator,
     StreamingSink,
@@ -27,8 +27,8 @@ def virtual_dict(report):
 
 
 @pytest.fixture(scope="module")
-def tiny_cost(tiny_config):
-    return AnalyticBatchCost(network=tiny_config)
+def tiny_cost():
+    return ScheduledBatchCost("tiny")
 
 
 @pytest.fixture(scope="module")

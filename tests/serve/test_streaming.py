@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.serve import (
-    AnalyticBatchCost,
     LatencyHistogram,
+    ScheduledBatchCost,
     ServerConfig,
     ServingSimulator,
     StreamingStats,
@@ -24,13 +24,13 @@ PCTL_KEYS = ("p50_us", "p95_us", "p99_us")
 
 
 @pytest.fixture(scope="module")
-def tiny_cost(tiny_config):
-    return AnalyticBatchCost(network=tiny_config)
+def tiny_cost():
+    return ScheduledBatchCost("tiny")
 
 
 @pytest.fixture(scope="module")
-def tiny_pipeline_cost(tiny_config):
-    return AnalyticBatchCost(network=tiny_config, pipeline=True)
+def tiny_pipeline_cost():
+    return ScheduledBatchCost("tiny", pipeline=True)
 
 
 def capacity_rps(cost):
@@ -231,8 +231,6 @@ class TestStreamingSimulation:
         assert "latency" in report.format_table()
 
     def test_execute_requires_record_mode(self, tiny_qnet, tiny_images):
-        from repro.serve import ScheduledBatchCost
-
         cost = ScheduledBatchCost(qnet=tiny_qnet)
         trace = replay_trace(np.array([1.0, 2.0, 3.0, 4.0]))
         simulator = ServingSimulator(
@@ -258,9 +256,7 @@ class TestStreamingSimulation:
         # (Module-level config: hypothesis forbids function-scoped
         # fixtures inside @given; the global probe cache keeps repeated
         # cost-model construction cheap.)
-        from repro.capsnet.config import tiny_capsnet_config
-
-        cost = AnalyticBatchCost(network=tiny_capsnet_config())
+        cost = ScheduledBatchCost("tiny")
         trace = poisson_trace(
             multiplier * capacity_rps(cost), count, np.random.default_rng(seed)
         )

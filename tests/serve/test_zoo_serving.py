@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.compiler.zoo import get_network, zoo_names
+from repro.hw.scheduler import BatchScheduler, PipelinedStreamScheduler
 from repro.serve import (
-    AnalyticBatchCost,
     CompiledStreamExecutor,
     ScheduledBatchCost,
     ServerConfig,
@@ -21,50 +21,47 @@ from tests.compiler.conftest import zoo_images
 class TestZooCosts:
     @pytest.mark.parametrize("name", ["tiny", "mlp", "cnn", "tiny-res"])
     def test_program_pricing_matches_scheduled(self, name):
-        """The analytic program path is bit-exact against real scheduling."""
-        scheduled = ScheduledBatchCost(qnet=name, pipeline=True)
-        analytic = AnalyticBatchCost(network=name, pipeline=True)
-        assert analytic.network_key == scheduled.network_key
+        """Program pricing is bit-exact against real scheduling: cold
+        cycles against an executed batch, warm cycles against the
+        pipelined stream scheduler's settled marginal."""
+        cost = ScheduledBatchCost(qnet=name, pipeline=True)
+        images = zoo_images(name, count=4)
+        stream = PipelinedStreamScheduler(name)
         for batch in (1, 4):
-            assert analytic.batch_cycles(batch) == scheduled.batch_cycles(batch)
-            assert analytic.warm_batch_cycles(
-                batch, batch
-            ) == scheduled.warm_batch_cycles(batch, batch)
+            executed = BatchScheduler(name).run_batch(images[:batch])
+            assert cost.batch_cycles(batch) == executed.overlapped_cycles
+            assert cost.warm_batch_cycles(batch, batch) == min(
+                stream.steady_state_cycles(batch), executed.overlapped_cycles
+            )
 
     def test_network_key_is_shared_across_cost_kinds(self, tiny_qnet, tiny_config):
         by_name = ScheduledBatchCost(qnet="tiny")
         by_qnet = ScheduledBatchCost(qnet=tiny_qnet)
-        by_config = AnalyticBatchCost(network=tiny_config)
+        by_config = ScheduledBatchCost(qnet=tiny_config)
         assert by_name.network_key == by_qnet.network_key == by_config.network_key
-
-    def test_signatures_distinguish_pricing_paths(self, tiny_config):
-        analytic_model = AnalyticBatchCost(network=tiny_config)
-        analytic_program = AnalyticBatchCost(network="tiny-res")
-        assert analytic_model.signature()[0] == "analytic"
-        assert analytic_program.signature()[0] == "analytic-program"
 
     def test_every_zoo_network_prices(self):
         for name in zoo_names():
-            cost = AnalyticBatchCost(network=name, pipeline=True)
+            cost = ScheduledBatchCost(name, pipeline=True)
             assert cost.batch_cycles(2) > 0
 
 
 class TestZooSimulation:
     def test_multi_tenant_zoo_trace(self):
         """Mixed zoo tenants share one pool under weighted-fair service."""
-        cost = AnalyticBatchCost(network="tiny", pipeline=True)
+        cost = ScheduledBatchCost("tiny", pipeline=True)
         server = ServerConfig.from_policy("fifo", cost, arrays=2, max_batch=4)
         tenants = [
             TenantSpec(name="caps", trace=uniform_trace(2000.0, 10)),
             TenantSpec(
                 name="mlp",
                 trace=uniform_trace(1500.0, 10),
-                cost=AnalyticBatchCost(network="mlp", pipeline=True),
+                cost=ScheduledBatchCost("mlp", pipeline=True),
             ),
             TenantSpec(
                 name="res",
                 trace=uniform_trace(1000.0, 10),
-                cost=AnalyticBatchCost(network="tiny-res", pipeline=True),
+                cost=ScheduledBatchCost("tiny-res", pipeline=True),
                 weight=2.0,
             ),
         ]
@@ -92,7 +89,7 @@ class TestCompiledStreamExecutor:
         executor = CompiledStreamExecutor(network)
         images = zoo_images("mlp", count=4)
         predictions = executor.execute(0, images)
-        want = ScheduledBatchCost(qnet="mlp").execute(images)[1].predictions
+        want = BatchScheduler("mlp").run_batch(images).predictions
         assert np.array_equal(predictions, want)
         executor.close()
 

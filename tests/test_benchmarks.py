@@ -38,9 +38,9 @@ class TestBenchPolicies:
     def test_trace_file_replay(self, tmp_path, tiny_config):
         # A tiny-scale replay log: saturating arrivals, each with its own
         # absolute deadline, a few without.
-        from repro.serve import AnalyticBatchCost
+        from repro.serve import ScheduledBatchCost
 
-        cost = AnalyticBatchCost(network=tiny_config)
+        cost = ScheduledBatchCost("tiny")
         capacity = cost.config.clock_mhz * 1e6 / cost.batch_cycles(1)
         rng = np.random.default_rng(4)
         times = np.cumsum(rng.exponential(1e6 / (2.5 * capacity), size=48))
