@@ -2,8 +2,8 @@
 
 Two measurements, one JSON artifact:
 
-* **Engine** — per batch size, the double-buffered ``BatchScheduler``
-  figure (the non-pipelined per-batch cost), the pipelined cold cost (one
+* **Engine** — per batch size, the double-buffered figure of the
+  compiled program (the non-pipelined per-batch cost), the pipelined cold cost (one
   batch alone, pipeline empty) and the steady-state warm cost (marginal
   cycles of a batch in a homogeneous stream).  The headline is the
   batch-1 ``steady / double-buffered`` ratio: stream pipelining keeps the
@@ -30,8 +30,9 @@ import time
 
 import numpy as np
 
+from repro.compiler.cost import program_batch_cycles, program_stats
 from repro.compiler.zoo import get_network
-from repro.hw.scheduler import BatchScheduler, PipelinedStreamScheduler
+from repro.hw.scheduler import PipelinedStreamScheduler
 from repro.serve import (
     BatchPolicy,
     ScheduledBatchCost,
@@ -43,16 +44,14 @@ from repro.serve import (
 def engine_rows(args: argparse.Namespace) -> tuple[list[dict], dict]:
     """Cold vs warm cycles/image per batch size."""
     compiled = get_network(args.network)
-    scheduler = BatchScheduler(compiled)
     pipelined = PipelinedStreamScheduler(compiled)
     config = pipelined.accelerator.config
-    shape = tuple(compiled.input_shape)
+    program = compiled.program
     rows = []
     wall_start = time.perf_counter()
     for batch in args.batch_sizes:
-        result = scheduler.run_batch(np.zeros((batch,) + shape))
-        double_buffered = result.overlapped_cycles
-        compute = result.total_stats.compute_cycles
+        double_buffered = program_batch_cycles(config, program, batch)["overlapped"]
+        compute = program_stats(config, program, batch).compute_cycles
         cold = pipelined.probe_timing([batch]).finish_cycles
         steady = pipelined.steady_state_cycles(batch, stream_length=args.stream_length)
         rows.append(

@@ -1,6 +1,6 @@
 """Live serving runtime benchmark: real req/s and the sim-vs-live gates.
 
-Exercises :mod:`repro.serve.runtime` four ways on the tiny network:
+Exercises :mod:`repro.serve.runtime` three ways on the tiny network:
 
 * **Peak throughput** — a saturating burst of real requests served
   in-process through the compiled instruction stream (dynamic
@@ -18,10 +18,6 @@ Exercises :mod:`repro.serve.runtime` four ways on the tiny network:
   latency distribution is batching-shaped rather than queue-shaped and
   host noise used to dominate single runs.  The variance-aware gate is
   what makes this regime gateable at all.
-* **Virtual-replay decisions gate** — the same trace replayed through
-  the runtime engine in virtual time must make exactly the decisions
-  the simulator makes (same sheds, batches, placements, timings).
-  This is deterministic; any diff is a scheduling-path divergence.
 
 Usage::
 
@@ -44,9 +40,9 @@ import numpy as np
 from repro.capsnet.config import tiny_capsnet_config
 from repro.data.synthetic import SyntheticDigits
 from repro.hw.config import AcceleratorConfig
-from repro.serve import ScheduledBatchCost, ServerConfig, ServingSimulator, make_trace
-from repro.serve.compare import compare_reports_median, decision_diffs
-from repro.serve.runtime import MeasuredBatchCost, ServingRuntime, replay_virtual
+from repro.serve import ServerConfig, ServingSimulator, make_trace
+from repro.serve.compare import compare_reports_median
+from repro.serve.runtime import MeasuredBatchCost, ServingRuntime
 from repro.serve.trace import ArrivalTrace
 from repro.serve.workers import CompiledStreamExecutor
 
@@ -154,24 +150,6 @@ def run_benchmark(args: argparse.Namespace) -> dict:
     report = saturated["last_report"]
     latency = saturated["last_latency"]
 
-    # Decisions gate: virtual replay vs the simulator, exact-cost model.
-    exact = ScheduledBatchCost("tiny", accel_config=accel)
-    replay_server = ServerConfig.from_policy(
-        "fifo",
-        exact,
-        max_batch=8,
-        max_wait_us=2000.0,
-        dispatch="greedy-backlog",
-        arrays=2,
-        network_name="tiny",
-    )
-    replay_trace_arrivals = make_trace(
-        "poisson", args.replay_rps, args.replay_requests, rng
-    )
-    sim_report = ServingSimulator(replay_trace_arrivals, server=replay_server).run()
-    live_replay = replay_virtual(replay_server, replay_trace_arrivals)
-    diffs = decision_diffs(sim_report, live_replay)
-
     executor.close()
     return {
         "benchmark": "bench_runtime",
@@ -190,16 +168,10 @@ def run_benchmark(args: argparse.Namespace) -> dict:
             "p99_live_us": latency["p99_us"],
             "crosscheck_within_tol": 1.0 if saturated["gate"]["within_tol"] else 0.0,
             "paced_within_tol": 1.0 if paced["gate"]["within_tol"] else 0.0,
-            "replay_decisions_identical": 1.0 if not diffs else 0.0,
         },
         "sim_vs_live": saturated["gate"],
         "sim_vs_live_paced": paced["gate"],
         "live_rps_trials": saturated["rps_values"],
-        "replay": {
-            "requests": args.replay_requests,
-            "batches": live_replay.batch_count,
-            "diffs": diffs,
-        },
     }
 
 
@@ -227,13 +199,6 @@ def format_report(report: dict) -> str:
             f" (tol {gate['p99_us']['tolerance']:.0%}) ->"
             f" {'within' if headline[flag] else 'OUTSIDE'} median gate"
         )
-    lines.append(
-        f"  virtual replay: {report['replay']['requests']} requests,"
-        f" {report['replay']['batches']} batches ->"
-        f" {'decision-identical' if headline['replay_decisions_identical'] else 'DIVERGED'}"
-    )
-    for diff in report["replay"]["diffs"][:5]:
-        lines.append(f"    {diff}")
     return "\n".join(lines)
 
 
@@ -255,10 +220,6 @@ def main(argv: list[str] | None = None) -> int:
         help="offered rate of the saturating burst",
     )
     parser.add_argument(
-        "--replay-requests", type=int, default=None, help="virtual-replay trace length"
-    )
-    parser.add_argument("--replay-rps", type=float, default=4000.0)
-    parser.add_argument(
         "--trials",
         type=int,
         default=None,
@@ -279,8 +240,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--max-batch must be at least 8 (the gate batches >= 8)")
     if args.requests is None:
         args.requests = 4000 if args.smoke else 20000
-    if args.replay_requests is None:
-        args.replay_requests = 400 if args.smoke else 2000
     if args.trials is None:
         args.trials = 3 if args.smoke else 5
     if args.trials < 1:

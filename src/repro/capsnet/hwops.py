@@ -264,7 +264,8 @@ class Epilogue:
         runs on the codes.  ``keep`` leaves ``acc`` holding the codes too.
         """
         if not self.exact(bound, acc.dtype):
-            codes = self.finish(acc.astype(dtype))
+            # A widening reduction's codes still fit the register dtype.
+            codes = self.finish(acc.astype(dtype)).astype(dtype, copy=False)
             if keep:
                 np.copyto(acc, codes)
             return codes
@@ -346,7 +347,8 @@ def saturating_matmul(
         acc = _chunked_accumulation(
             np.asarray(data, dtype=np.int64), weights.raw, acc_fmt, chunk_rows
         ).astype(weights.raw.dtype, copy=False)
-        acc = acc if epilogue is None else epilogue.finish(acc)
+        if epilogue is not None:
+            acc = epilogue.finish(acc).astype(weights.raw.dtype, copy=False)
         if out is not None:
             np.copyto(out, acc)
         return acc

@@ -19,7 +19,6 @@ Usage::
     python -m repro.cli serve-sim --pipeline --trace-file arrivals.jsonl
     python -m repro.cli serve-sim --fast --requests 1000000   # streaming stats
     python -m repro.cli serve --rate 8000 --requests 2000 --max-batch 128
-    python -m repro.cli serve --replay-virtual --requests 500  # decisions gate
     python -m repro.cli serve --listen 127.0.0.1:8707   # JSONL request socket
 
 The CLI is a thin shell over :mod:`repro.experiments`; everything it prints
@@ -564,15 +563,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.data.synthetic import SyntheticDigits
     from repro.errors import ConfigError
     from repro.obs import RecordingTracer, ServingMetrics, export_trace, serve_metrics
-    from repro.serve import (
-        ScheduledBatchCost,
-        ServerConfig,
-        ServingSimulator,
-        load_trace_file,
-        make_trace,
-    )
-    from repro.serve.compare import compare_reports, decision_diffs
-    from repro.serve.runtime import MeasuredBatchCost, ServingRuntime, replay_virtual
+    from repro.serve import ServerConfig, ServingSimulator, load_trace_file, make_trace
+    from repro.serve.compare import compare_reports
+    from repro.serve.runtime import MeasuredBatchCost, ServingRuntime
     from repro.serve.trace import ArrivalTrace
     from repro.serve.workers import CompiledStreamExecutor, ProcessWorkerPool
 
@@ -596,45 +589,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             trace = make_trace(args.trace, args.rate, args.requests, rng, **trace_kwargs)
         tracer = RecordingTracer() if args.trace_out else None
 
-        if args.replay_virtual:
-            # Deterministic mode: the runtime engine in virtual time, priced
-            # from the compiled program, checked decision-for-decision
-            # against the discrete-event simulator.
-            if args.metrics_listen:
-                raise ConfigError(
-                    "--metrics-listen needs the wall-clock runtime (virtual"
-                    " replay has no scrape interval)"
-                )
-            cost = ScheduledBatchCost(
-                qnet=compiled, accel_config=accel_config, pipeline=args.pipeline
-            )
-            server = ServerConfig.from_cli_args(args, cost, accel_config=accel_config)
-            live = replay_virtual(server, trace, tracer=tracer)
-            sim = ServingSimulator(trace, server=server).run()
-            diffs = decision_diffs(sim, live)
-            print(live.format_table())
-            if diffs:
-                print(f"  VIRTUAL REPLAY DIVERGED from the simulator ({len(diffs)} diffs):")
-                for diff in diffs[:10]:
-                    print(f"    {diff}")
-                return 1
-            print(
-                f"  virtual replay matches the simulator decision-for-decision"
-                f" ({live.completed} served, {live.batch_count} batches)"
-            )
-            if tracer is not None:
-                export_trace(tracer, args.trace_out)
-                print(f"wrote {args.trace_out} ({len(tracer.events)} events)")
-            if args.json:
-                with open(args.json, "w") as handle:
-                    json.dump(live.to_dict(), handle, indent=2)
-                print(f"wrote {args.json}")
-            return 0
-
         if args.pipeline:
             raise ConfigError(
                 "--pipeline is simulation-only (a live host has no warm-cost"
-                " model); use --replay-virtual or serve-sim"
+                " model); use serve-sim"
             )
         if args.array_sizes:
             raise ConfigError(
@@ -1092,12 +1050,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="HOST:PORT",
         help="expose live Prometheus metrics (counters, gauges, windowed"
         " p50/p99) over HTTP while the run is in flight",
-    )
-    live_parser.add_argument(
-        "--replay-virtual",
-        action="store_true",
-        help="replay the trace through the runtime engine in virtual time and"
-        " crosscheck every policy decision against the simulator",
     )
     live_parser.add_argument(
         "--crosscheck",

@@ -14,13 +14,17 @@ on the cycle-exact costs of the network's compiled program
 (:mod:`repro.serve.costs`).  A :class:`ServerConfig` composes one of
 each with the cost model; :class:`TenantSpec` lists describe
 multi-tenant runs (different networks/SLAs sharing one pool under
-weighted-fair service).  The discrete-event loop and the latency
-decomposition (queueing / batching / compute) live in
-:mod:`repro.serve.simulator`; reports in :mod:`repro.serve.stats`.
+weighted-fair service).  The simulator lives in
+:mod:`repro.serve.simulator` (its recorded loop is
+:func:`~repro.serve.runtime.run_virtual`); reports and the latency
+decomposition (queueing / batching / compute) in
+:mod:`repro.serve.stats`.
 
 The same policy engine also serves *live*: the time-source-agnostic
-core (:mod:`repro.serve.core`) runs under either a virtual clock (the
-simulator, or :func:`replay_virtual`) or the wall clock
+core (:mod:`repro.serve.core`), driven by one
+:class:`~repro.serve.runtime.RuntimeEngine`, runs under either a virtual
+clock (the simulator's recorded path, :func:`replay_virtual`) or the
+wall clock
 (:class:`ServingRuntime` in :mod:`repro.serve.runtime` — real requests,
 real batches through the quantized engine via
 :mod:`repro.serve.workers`).  Both paths emit the same
@@ -60,7 +64,6 @@ from repro.serve.compare import (
     compare_reports,
     compare_reports_median,
     decision_diffs,
-    decisions_identical,
 )
 from repro.serve.core import PlacedBatch, ServingCore
 from repro.serve.costs import (
@@ -222,7 +225,6 @@ __all__ = [
     "compare_reports",
     "compare_reports_median",
     "decision_diffs",
-    "decisions_identical",
     "load_fault_plan",
     "load_trace_file",
     "make_serving_policy",

@@ -2,13 +2,13 @@
 
 Both the discrete-event simulator and the live runtime emit the same
 report type, so checking that the simulator predicts the live system
-(and that the runtime engine reproduces the simulator exactly in virtual
-time) reduces to comparing two reports:
+(or that two deterministic runs decided alike) reduces to comparing two
+reports:
 
-* :func:`decision_diffs` / :func:`decisions_identical` — exact policy
-  equivalence for deterministic replays: same sheds, same per-request
-  timings, same batch formation and placement.  This is the CI gate that
-  keeps the runtime's scheduling path from drifting off the simulator's.
+* :func:`decision_diffs` — exact policy
+  equivalence of two deterministic recorded runs: same sheds, same
+  per-request timings, same batch formation and placement (a traced run
+  against an untraced one, say: tracers must steer nothing).
 * :func:`compare_reports` — statistical agreement for wall-clock runs:
   live latency percentiles within a relative tolerance of the simulated
   ones.
@@ -31,9 +31,9 @@ MAX_DIFFS = 20
 def _request_rows(report: ServingReport) -> list[tuple]:
     """Per-request decisions, order-normalized.
 
-    Global request indices can differ between drivers (the simulator
-    numbers arrivals trace-by-trace in a pre-pass, the replay driver in
-    event order), so rows are keyed by observable timings instead.
+    Global request indices follow admission order, which differs
+    between a live run and its simulation, so rows are keyed by
+    observable timings instead.
     """
     return sorted(
         (
@@ -92,11 +92,6 @@ def decision_diffs(sim: ServingReport, live: ServingReport) -> list[str]:
             if len(diffs) >= MAX_DIFFS:
                 return diffs
     return diffs
-
-
-def decisions_identical(sim: ServingReport, live: ServingReport) -> bool:
-    """Whether two recorded reports made exactly the same decisions."""
-    return not decision_diffs(sim, live)
 
 
 def compare_reports(

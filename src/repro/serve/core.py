@@ -1,20 +1,23 @@
 """Time-source-agnostic serving core: queues, policies, placement.
 
-:class:`ServingCore` is the policy engine both serving front-ends drive:
+:class:`ServingCore` is the policy engine every serving driver runs,
+through :class:`~repro.serve.runtime.RuntimeEngine`:
 
-* the discrete-event :class:`~repro.serve.simulator.ServingSimulator`
+* :func:`~repro.serve.runtime.run_virtual` (the recorded path of the
+  discrete-event :class:`~repro.serve.simulator.ServingSimulator`)
   advances a virtual clock over an event heap and asks the core to form
   and place batches at each event instant;
-* the live :mod:`~repro.serve.runtime` asks the same questions at
-  wall-clock instants, with real request payloads behind the queues.
+* the live :class:`~repro.serve.runtime.ServingRuntime` asks the same
+  questions at wall-clock instants, with real request payloads behind
+  the queues.
 
 The core never reads a clock — every entry point takes an explicit
 ``now_us`` — and never records results: outcomes flow through a
 :class:`~repro.serve.sinks.CompletionSink` owned by the driver.  That
-split is what makes "simulator vs runtime" two drivers of one engine
-rather than two engines, and it is why a replayed trace produces
-*identical policy decisions* in both (the crosscheck the tests and the
-runtime benchmark gate on).
+split is what makes "simulator vs runtime" two clocks on one engine
+rather than two engines.  (The simulator's streaming fast path inlines
+the classic policies instead and shares only :class:`TenantState` and
+:class:`DurationProbe`.)
 
 The placement step (:meth:`ServingCore.form_and_place`) reproduces the
 historical recorded-path arithmetic operation for operation, so the
@@ -43,9 +46,10 @@ from repro.serve.faults import FaultInjector, FaultStats, RetryPolicy
 from repro.serve.integrity import CanaryStream, IntegrityPolicy
 from repro.serve.policies import CostBank, ServerConfig, TenantSpec
 
-# Event kinds shared by the discrete-event drivers (simulator and the
-# virtual-time replay), in tie-break order: completions free arrays
-# before arrivals at the same instant see the pool; timeouts run last.
+# Event kinds shared by the discrete-event loops (run_virtual and the
+# simulator's streaming path), in tie-break order: completions free
+# arrays before arrivals at the same instant see the pool; timeouts run
+# last.
 # The fault kinds sort after the classic three, so a fault-free run's
 # event ordering is bit-identical to the pre-fault engine.
 EVENT_DONE, EVENT_ARRIVE, EVENT_TIMEOUT = 0, 1, 2

@@ -1,8 +1,8 @@
 """Live serving runtime: real requests on the simulated accelerator.
 
 The discrete-event :class:`~repro.serve.simulator.ServingSimulator` and
-this runtime drive the SAME policy engine
-(:class:`~repro.serve.core.ServingCore`) behind the SAME
+this runtime drive the SAME engine (:class:`RuntimeEngine` around
+:class:`~repro.serve.core.ServingCore`) behind the SAME
 :class:`~repro.serve.policies.ServerConfig`; the only differences are
 who supplies the time (a :class:`~repro.serve.clock.Clock` — virtual vs
 monotonic) and what a batch *is* (a priced duration vs a real numpy
@@ -20,9 +20,11 @@ Three layers, each usable on its own:
 * :class:`RuntimeEngine` — the time-source-agnostic serving state
   machine: offer / dispatch-ready / complete at caller-supplied
   instants, idle-integral bookkeeping, sink reporting, report assembly.
-  :func:`replay_virtual` drives it from a virtual clock over a trace,
-  reproducing the simulator's policy decisions *exactly* (the
-  decisions-identical CI gate).
+  :func:`run_virtual` drives it from a virtual clock over its tenants'
+  traces; that loop is the simulator's recorded path
+  (:meth:`ServingSimulator.run <repro.serve.simulator.ServingSimulator.run>`)
+  and :func:`replay_virtual`, so a simulated run and the live runtime
+  share every line of serving logic but the clock.
 * :class:`ServingRuntime` — the asyncio front-end: in-process
   ``await submit(image)``, paced open-loop load
   (:meth:`ServingRuntime.run_load`), and a JSONL socket server
@@ -62,10 +64,11 @@ from repro.serve.core import (
     ServingCore,
     group_requeues,
 )
+from repro.serve.dispatcher import ArrayPool
 from repro.serve.faults import InjectedCrashError
-from repro.serve.policies import ServerConfig, TenantSpec
+from repro.serve.policies import CostBank, ServerConfig, TenantSpec
 from repro.serve.sinks import CompletionSink, RecordingSink, StreamingSink
-from repro.serve.stats import ServingReport
+from repro.serve.stats import RequestRecord, ServingReport, percentile_summary
 from repro.serve.trace import ArrivalTrace
 from repro.serve.workers import CompiledStreamExecutor, WorkerCrashError
 
@@ -230,8 +233,8 @@ class RuntimeEngine:
     """Time-source-agnostic serving engine around a :class:`ServingCore`.
 
     Every method takes an explicit ``now_us``; the caller owns the clock
-    — :func:`replay_virtual` advances a virtual one over an event heap
-    (bit-matching the simulator), :class:`ServingRuntime` passes
+    — :func:`run_virtual` advances a virtual one over an event heap
+    (the simulator's recorded path), :class:`ServingRuntime` passes
     monotonic wall time.  The engine owns what both need: the idle-time
     integral for the batching/queueing attribution, the per-request
     arrival snapshots, sink reporting, and report assembly.
@@ -243,6 +246,7 @@ class RuntimeEngine:
         tenants: list[TenantSpec] | None = None,
         sink: CompletionSink | None = None,
         tracer=None,
+        bank: CostBank | None = None,
     ) -> None:
         specs = (
             list(tenants)
@@ -253,7 +257,7 @@ class RuntimeEngine:
             raise ConfigError("the tenants list needs at least one tenant")
         self.server = server
         self.sink = sink if sink is not None else RecordingSink()
-        self.core = ServingCore(server, specs, tracer=tracer)
+        self.core = ServingCore(server, specs, bank=bank, tracer=tracer)
         self.offered = 0
         self.makespan_us = 0.0
         self._idle_accum = 0.0
@@ -280,7 +284,7 @@ class RuntimeEngine:
 
         Returns ``(global index, admitted)``.  ``deadline_us`` is an
         absolute instant; when omitted the tenant's relative SLA (if
-        any) is stamped on, exactly like the simulator's pre-pass.
+        any) is stamped on.
         """
         self.tick(now_us)
         state = self.core.tenants[tenant]
@@ -332,8 +336,7 @@ class RuntimeEngine:
     ) -> list[PlacedBatch]:
         """Form and place every batch that can start at ``now_us``.
 
-        Mirrors the simulator's dispatch loop: while an array is idle
-        and a tenant is ready, place a batch.  ``force`` flushes
+        While an array is idle and a tenant is ready, place a batch.  ``force`` flushes
         non-ready remainders (shutdown drain).  Each placed batch is
         stamped with the idle integral for the sink's wait attribution.
         """
@@ -352,17 +355,15 @@ class RuntimeEngine:
         """A placed batch finished at ``now_us``: free the array, report
         to the sink.
 
-        :func:`replay_virtual` completes at the predicted
-        ``placed.done_us``, bit-identical with the simulator; the live
-        runtime at the wall instant its loop takes the batch back from
-        the worker.
+        :func:`run_virtual` completes at the predicted
+        ``placed.done_us``; the live runtime at the wall instant its
+        loop takes the batch back from the worker.
         """
         self.tick(now_us)
         self.core.release(placed.array, now_us)
         if placed.corrupt is not None:
             # Undetected corruption: the batch completes and its members
-            # are served wrong answers — counted, traced (same order as
-            # the simulator's done handler for stream identity).
+            # are served wrong answers — counted, then traced.
             self.core.served_corrupt(placed, now_us)
         tracer = self.core.tracer
         if tracer.enabled:
@@ -402,9 +403,8 @@ class RuntimeEngine:
         retries, failed, quarantined = self.core.fail_batch(placed, now_us)
         members = placed.members
         snapshots = self._snapshots
-        # Record the crashed batch itself (the simulator records batches
-        # at placement, so decision identity requires the crashed ones in
-        # the table too).  ``done_us`` is the completion it was predicted
+        # Record the crashed batch itself (execute mode and the batch
+        # table count it).  ``done_us`` is the completion it was predicted
         # to reach; retried members keep their snapshots so the batch
         # that eventually completes them attributes the full wait.
         self.sink.on_batch(
@@ -458,80 +458,156 @@ class RuntimeEngine:
         trace_name: str = "live",
         offered_rps: float = 0.0,
         wall_seconds: float = 0.0,
+        predictions: np.ndarray | None = None,
     ) -> ServingReport:
-        """Assemble the same :class:`ServingReport` the simulator emits."""
-        server = self.server
-        pool = self.core.pool
+        """The run so far as a :class:`ServingReport`.
+
+        Multi-tenant runs recorded per request add each tenant's entry,
+        computed here rather than per request.
+        """
+        core = self.core
         sink = self.sink
-        makespan = self.makespan_us
-        return ServingReport(
-            network=server.network_name,
+        streaming = sink.stats if isinstance(sink, StreamingSink) else None
+        tenants = core.tenants
+        return assemble_report(
+            self.server,
+            core.pool,
+            self.makespan_us,
             trace_name=trace_name,
             offered_rps=offered_rps,
-            policy=server.policy_json(),
-            arrays=server.arrays,
-            clock_mhz=server.cost.config.clock_mhz,
-            accounting=getattr(server.cost, "accounting", "overlapped"),
-            pipeline=server.pipeline,
+            wall_seconds=wall_seconds,
             requests=sink.requests,
             batches=sink.batches,
-            array_stats=[
-                {
-                    "array": stat.array,
-                    "busy_us": stat.busy_us,
-                    "batches": stat.batches,
-                    "requests": stat.requests,
-                    "warm_batches": stat.warm_batches,
-                    "utilization": stat.utilization(makespan),
-                }
-                for stat in pool.stats
-            ],
-            makespan_us=makespan,
-            wall_seconds=wall_seconds,
-            streaming=sink.stats if isinstance(sink, StreamingSink) else None,
+            predictions=predictions,
+            tenants=(
+                _tenant_summaries(tenants, sink.requests)
+                if len(tenants) > 1 and streaming is None
+                else None
+            ),
+            streaming=streaming,
             faults=(
-                self.core.fault_stats.to_dict()
-                if self.core.injector is not None or self.core.fault_stats.any
+                core.fault_stats.to_dict()
+                if core.injector is not None or core.fault_stats.any
                 else None
             ),
         )
 
 
-def replay_virtual(
+def assemble_report(
     server: ServerConfig,
-    trace: ArrivalTrace | None = None,
-    tenants: list[TenantSpec] | None = None,
-    sink: CompletionSink | None = None,
-    tracer=None,
+    pool: ArrayPool,
+    makespan_us: float,
+    *,
+    trace_name: str,
+    offered_rps: float,
+    wall_seconds: float,
+    requests: list[RequestRecord] | None = None,
+    batches: list | None = None,
+    predictions: np.ndarray | None = None,
+    tenants: list[dict] | None = None,
+    streaming=None,
+    faults: dict | None = None,
 ) -> ServingReport:
-    """Replay a trace through the runtime engine in virtual time.
+    """The one :class:`ServingReport` assembler every driver ends in."""
+    return ServingReport(
+        network=server.network_name,
+        trace_name=trace_name,
+        offered_rps=offered_rps,
+        policy=server.policy_json(),
+        arrays=server.arrays,
+        clock_mhz=server.cost.config.clock_mhz,
+        accounting=getattr(server.cost, "accounting", "overlapped"),
+        pipeline=server.pipeline,
+        requests=requests if requests is not None else [],
+        batches=batches if batches is not None else [],
+        array_stats=[
+            {
+                "array": stat.array,
+                "busy_us": stat.busy_us,
+                "batches": stat.batches,
+                "requests": stat.requests,
+                "warm_batches": stat.warm_batches,
+                "utilization": stat.utilization(makespan_us),
+            }
+            for stat in pool.stats
+        ],
+        makespan_us=makespan_us,
+        wall_seconds=wall_seconds,
+        predictions=predictions,
+        tenants=tenants,
+        streaming=streaming,
+        faults=faults,
+    )
 
-    The deterministic half of the sim-vs-live crosscheck: the same
-    event order as :meth:`ServingSimulator._run_recorded` (completions,
-    arrivals, timeouts on one heap; predicted completions), but driven
-    through :class:`RuntimeEngine` — the exact code path the live
-    runtime uses.  With the same :class:`ServerConfig` and trace, the
-    resulting report's policy decisions (sheds, batch formation,
-    placement, per-request timings) are identical to the simulator's.
+
+def trace_label(tenants) -> tuple[str, float]:
+    """``(trace name, offered req/s)`` of a run over the tenants' traces."""
+    if len(tenants) == 1:
+        return tenants[0].trace.name, tenants[0].trace.offered_rps
+    return (
+        "+".join(f"{t.name}:{t.trace.name}" for t in tenants),
+        sum(t.trace.offered_rps for t in tenants),
+    )
+
+
+def _tenant_summaries(tenants, requests: list[RequestRecord]) -> list[dict]:
+    """Per-tenant request/shed/latency breakdown for the report."""
+    total_served = sum(1 for record in requests if not record.shed)
+    summaries = []
+    for tenant in tenants:
+        records = [requests[index] for index in tenant.global_indices]
+        served = [record for record in records if not record.shed]
+        summaries.append(
+            {
+                "tenant": tenant.name,
+                "weight": tenant.weight,
+                "offered": len(records),
+                "served": len(served),
+                "shed": len(records) - len(served),
+                "served_share": (
+                    len(served) / total_served if total_served else 0.0
+                ),
+                "deadline_misses": sum(
+                    1 for record in records if record.missed_deadline
+                ),
+                "latency_us": percentile_summary(
+                    np.array([record.latency_us for record in served])
+                ),
+            }
+        )
+    return summaries
+
+
+def run_virtual(
+    engine: RuntimeEngine,
+    executor=None,
+    images: np.ndarray | None = None,
+) -> ServingReport:
+    """Run ``engine`` over its tenants' traces in virtual time.
+
+    Completions, arrivals, timeouts and the fault events share one heap;
+    completions free arrays before arrivals at the same instant see the
+    pool, and each batch completes (or crashes) at its predicted instant.
+    Batches reach the sink as they complete, so ``report.batches`` is in
+    completion order, as in the live runtime.
+
+    With an ``executor``, every recorded batch then runs on its members'
+    ``images``, in table order, crashed batches included, so a retried
+    request ends with its completing batch's prediction; the report's
+    ``wall_seconds`` covers that execution too.
     """
-    if tenants is None:
-        if trace is None:
-            raise ConfigError("a trace (or a tenants list) is required")
-        tenants = [TenantSpec(name=server.network_name, trace=trace)]
-    elif trace is not None:
-        raise ConfigError("pass either a trace or a tenants list, not both")
     wall_start = time.perf_counter()
-    engine = RuntimeEngine(server, tenants, sink=sink, tracer=tracer)
-
+    core = engine.core
+    heappush = heapq.heappush
     events: list[tuple[float, int, int, tuple]] = []
     seq = 0
-    for state in engine.core.tenants:
+    for state in core.tenants:
         if state.trace is None:
             raise ConfigError(f"tenant {state.name!r} has no trace to replay")
         deadlines = state.trace.deadlines_us
         for local, arrival in enumerate(state.trace.times_us):
-            # Same deadline resolution as the simulator's pre-pass: a
-            # finite recorded deadline wins over the relative SLA.
+            # A finite recorded deadline wins; requests without their
+            # own get the configured relative SLA (if any).
             if deadlines is not None and math.isfinite(deadlines[local]):
                 deadline = float(deadlines[local])
             elif state.deadline_us is not None:
@@ -548,8 +624,8 @@ def replay_virtual(
     next_batch = 0
 
     while events:
+        # Every engine call below advances the idle integral first.
         now, kind, _, payload = heapq.heappop(events)
-        engine.tick(now)
         if kind == EVENT_ARRIVE:
             order, deadline = payload
             engine.offer(now, arrival_us=now, deadline_us=deadline, tenant=order)
@@ -557,81 +633,84 @@ def replay_virtual(
             placed = running.pop(payload)
             engine.complete(now, placed)
         elif kind == EVENT_CRASH:
-            # Same fault handling as the simulator's recorded loop, so a
-            # faulted replay makes identical retry/quarantine decisions.
+            # The doomed batch surfaces as a crash at its detection
+            # instant; the core contains the damage to this batch.
             placed = running.pop(payload)
             retries, failed, quarantined = engine.fail_batch(now, placed)
+            order = placed.tenant.order
             for at_us, group in group_requeues(retries):
-                heapq.heappush(
-                    events,
-                    (at_us, EVENT_REQUEUE, seq, (placed.tenant.order, group)),
-                )
+                heappush(events, (at_us, EVENT_REQUEUE, seq, (order, group)))
                 seq += 1
             if quarantined:
-                heapq.heappush(
-                    events,
-                    (
-                        now + engine.core.retry.recovery_us,
-                        EVENT_RECOVER,
-                        seq,
-                        placed.array,
-                    ),
-                )
+                recover_at = now + core.retry.recovery_us
+                heappush(events, (recover_at, EVENT_RECOVER, seq, placed.array))
                 seq += 1
         elif kind == EVENT_REQUEUE:
             order, requests = payload
             engine.requeue(now, order, requests)
         elif kind == EVENT_RECOVER:
             engine.recover(now, payload)
-        elif engine.core.tracer.enabled:
+        elif core.tracer.enabled:
             # EVENT_TIMEOUT carries no state (readiness re-evaluates
             # below); it only surfaces as an observability event.
-            engine.core.tracer.coalescing_timeout(now)
+            core.tracer.coalescing_timeout(now)
 
         for placed in engine.dispatch_ready(now):
             running[next_batch] = placed
             if placed.fault:
-                detect = placed.dispatch_us + engine.core.fault_plan.detect_delay_us(
+                detect = placed.dispatch_us + core.fault_plan.detect_delay_us(
                     placed.duration_us
                 )
-                heapq.heappush(events, (detect, EVENT_CRASH, seq, next_batch))
-            elif engine.core.detects_corruption(placed):
-                # Same detection instant as the simulator: the checksum
-                # layer catches the corruption when the batch finishes.
-                heapq.heappush(
-                    events, (placed.done_us, EVENT_CRASH, seq, next_batch)
-                )
+                heappush(events, (detect, EVENT_CRASH, seq, next_batch))
+            elif core.detects_corruption(placed):
+                # The checksum layer catches the corruption when the batch
+                # finishes computing: the array was busy for the full
+                # span, then the batch fails like a crash.
+                heappush(events, (placed.done_us, EVENT_CRASH, seq, next_batch))
             else:
-                heapq.heappush(
-                    events, (placed.done_us, EVENT_DONE, seq, next_batch)
-                )
+                heappush(events, (placed.done_us, EVENT_DONE, seq, next_batch))
             seq += 1
             next_batch += 1
 
-        if engine.core.pool.has_idle():
+        if core.pool.has_idle():
             for deadline in engine.pending_timeouts(now):
                 if deadline not in scheduled_timeouts:
                     scheduled_timeouts.add(deadline)
-                    heapq.heappush(
-                        events, (max(deadline, now), EVENT_TIMEOUT, seq, ())
-                    )
+                    heappush(events, (max(deadline, now), EVENT_TIMEOUT, seq, ()))
                     seq += 1
 
-    only = engine.core.tenants[0]
-    multi = len(engine.core.tenants) > 1
+    predictions = None
+    if executor is not None:
+        predictions = np.full(engine.offered, -1, dtype=np.int64)
+        for batch in engine.sink.batches:
+            indices = batch.request_indices
+            predictions[indices] = executor.execute(batch.array, images[indices])
+    trace_name, offered_rps = trace_label(core.tenants)
     return engine.build_report(
-        trace_name=(
-            only.trace.name
-            if not multi
-            else "+".join(f"{t.name}:{t.trace.name}" for t in engine.core.tenants)
-        ),
-        offered_rps=(
-            only.trace.offered_rps
-            if not multi
-            else sum(t.trace.offered_rps for t in engine.core.tenants)
-        ),
+        trace_name=trace_name,
+        offered_rps=offered_rps,
         wall_seconds=time.perf_counter() - wall_start,
+        predictions=predictions,
     )
+
+
+def replay_virtual(
+    server: ServerConfig,
+    trace: ArrivalTrace | None = None,
+    tenants: list[TenantSpec] | None = None,
+    sink: CompletionSink | None = None,
+    tracer=None,
+) -> ServingReport:
+    """Replay a trace through a fresh :class:`RuntimeEngine` in virtual
+    time (:func:`run_virtual`): the simulator's recorded run, on the code
+    path the live runtime uses."""
+    if tenants is None:
+        if trace is None:
+            raise ConfigError("a trace (or a tenants list) is required")
+        tenants = [TenantSpec(name=server.network_name, trace=trace)]
+    elif trace is not None:
+        raise ConfigError("pass either a trace or a tenants list, not both")
+    return run_virtual(RuntimeEngine(server, tenants, sink=sink, tracer=tracer))
 
 
 class ServingRuntime:

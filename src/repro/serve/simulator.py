@@ -32,11 +32,12 @@ Waiting time is attributed to *batching* (an array was idle; the policy
 chose to coalesce) vs *queueing* (all arrays busy) by integrating the
 any-array-idle indicator, so the decomposition sums exactly to the wait.
 
-In ``execute`` mode each dispatched batch also runs through the compiled
+In ``execute`` mode every recorded batch also runs through the compiled
 network's instruction stream (one
-:class:`~repro.serve.workers.CompiledStreamExecutor`) on the request's
-actual images, producing bit-exact predictions; the cycles it is charged
-are the cost model's, exactly as without ``execute``.
+:class:`~repro.serve.workers.CompiledStreamExecutor`) on its requests'
+actual images once the run is over, producing bit-exact predictions; the
+cycles it is charged are the cost model's, exactly as without
+``execute``.
 
 With ``pipeline=True`` (and a cost model built with ``pipeline=True``)
 a batch dispatched to an array at the exact instant the previous batch
@@ -51,7 +52,10 @@ instead of assuming the receiving tenant's own pair cost.
 Two execution paths produce the report:
 
 * ``record_requests=True`` (default) — the full per-request /
-  per-batch tables, exactly the PR 4 behavior (bit-identical reports).
+  per-batch tables.  This path has no event loop of its own: it is
+  :func:`~repro.serve.runtime.run_virtual`, the live runtime's
+  :class:`~repro.serve.runtime.RuntimeEngine` driven over a virtual
+  clock, so ``report.batches`` lists batches in completion order.
 * ``record_requests=False`` — the **streaming fast path**: the same
   policy decisions (identical offered/completed/shed counts and batch
   formation), but every served request folds into O(1)-memory
@@ -79,46 +83,29 @@ from repro.obs.tracer import NULL_TRACER
 from repro.serve.batcher import BatchPolicy, QueuedRequest
 from repro.serve.core import (
     EVENT_ARRIVE,
-    EVENT_CRASH,
     EVENT_DONE,
-    EVENT_RECOVER,
-    EVENT_REQUEUE,
     EVENT_TIMEOUT,
     DurationProbe,
-    PlacedBatch,
-    ServingCore,
     TenantState,
-    group_requeues,
 )
 from repro.serve.costs import ScheduledBatchCost
 from repro.serve.dispatcher import ArrayPool, DispatchContext, LeastRecentDispatch
 from repro.serve.policies import AdmitAll, CostBank, ServerConfig, TenantSpec
+from repro.serve.runtime import RuntimeEngine, assemble_report, run_virtual, trace_label
 from repro.serve.sinks import RecordingSink, StreamingSink
 from repro.serve.stats import (
     DEFAULT_LATENCY_BIN_US,
-    BatchRecord,
-    RequestRecord,
     ServingReport,
     StreamingStats,
-    percentile_summary,
     tenant_summary_from_streaming,
 )
 from repro.serve.trace import ArrivalTrace
 from repro.serve.workers import CompiledStreamExecutor
 
 # Event kinds, in tie-break order: completions free arrays before arrivals
-# at the same instant see the pool; timeouts run last.  (Shared with the
-# live runtime's virtual-time replay via repro.serve.core.)  The fault
-# kinds sort after the classic three, so fault-free runs order events
-# bit-identically to the pre-fault engine.
+# at the same instant see the pool; timeouts run last (shared with
+# repro.serve.runtime.run_virtual via repro.serve.core).
 _DONE, _ARRIVE, _TIMEOUT = EVENT_DONE, EVENT_ARRIVE, EVENT_TIMEOUT
-_CRASH, _REQUEUE, _RECOVER = EVENT_CRASH, EVENT_REQUEUE, EVENT_RECOVER
-
-# The per-tenant state and the warm-aware duration probe moved to
-# repro.serve.core (the simulator and the live runtime share them);
-# legacy aliases keep the old private names importable.
-_Tenant = TenantState
-_DurationProbe = DurationProbe
 
 
 class ServingSimulator:
@@ -293,20 +280,27 @@ class ServingSimulator:
         :class:`~repro.errors.ConfigError` rather than silently
         recording nothing.
         """
-        if sink is not None:
-            if isinstance(sink, RecordingSink):
-                return self._run_recorded(sink=sink)
-            if isinstance(sink, StreamingSink):
-                if self.execute:
-                    raise ConfigError("execute mode needs a RecordingSink")
-                self._check_tracer_path()
-                self._check_fault_path()
-                return self._run_streaming(sink.stats.bin_us, sink=sink)
-            raise ConfigError(
-                "sink must be a RecordingSink or a StreamingSink"
+        if sink is None and record_requests:
+            sink = RecordingSink()
+        if isinstance(sink, RecordingSink):
+            engine = RuntimeEngine(
+                self.server,
+                self.tenant_specs,
+                sink=sink,
+                tracer=self.tracer,
+                bank=self._bank,
             )
-        if record_requests:
-            return self._run_recorded()
+            return run_virtual(engine, self._executor, self.images)
+        if sink is not None:
+            if not isinstance(sink, StreamingSink):
+                raise ConfigError(
+                    "sink must be a RecordingSink or a StreamingSink"
+                )
+            if self.execute:
+                raise ConfigError("execute mode needs a RecordingSink")
+            self._check_tracer_path()
+            self._check_fault_path()
+            return self._run_streaming(sink.stats.bin_us, sink=sink)
         if self.execute:
             raise ConfigError("execute mode needs record_requests=True")
         self._check_tracer_path()
@@ -346,248 +340,6 @@ class ServingSimulator:
                 " when an integrity mode is armed"
             )
 
-    def _run_recorded(self, sink: RecordingSink | None = None) -> ServingReport:
-        """The full-record event loop (the PR 4 behavior, bit-identical).
-
-        The policy work — admission, batch formation, weighted-fair
-        tenant selection, dispatch, warm-aware costing — lives in the
-        shared :class:`~repro.serve.core.ServingCore`; this loop owns
-        only what is inherently discrete-event: the heap, the virtual
-        clock, the idle-time integral, and the sink reporting.
-        """
-        wall_start = time.perf_counter()
-        if sink is None:
-            sink = RecordingSink()
-        core = ServingCore(
-            self.server, self.tenant_specs, bank=self._bank, tracer=self.tracer
-        )
-        tracer = core.tracer
-        tenants = core.tenants
-        pool = core.pool
-
-        # Global arrival pre-pass: one sink record per request across all
-        # tenants, plus the arrival events.
-        req_tenant: list[int] = []
-        req_deadline: list[float] = []
-        events: list[tuple[float, int, int, int]] = []
-        seq = 0
-        for tenant in tenants:
-            deadlines = tenant.trace.deadlines_us
-            for local, arrival in enumerate(tenant.trace.times_us):
-                # A finite recorded deadline wins; requests without their
-                # own get the configured relative SLA (if any).
-                if deadlines is not None and math.isfinite(deadlines[local]):
-                    deadline = float(deadlines[local])
-                elif tenant.deadline_us is not None:
-                    deadline = float(arrival) + tenant.deadline_us
-                else:
-                    deadline = math.inf
-                index = sink.on_arrival(
-                    float(arrival), deadline_us=deadline, tenant=tenant.name
-                )
-                req_tenant.append(tenant.order)
-                req_deadline.append(deadline)
-                tenant.global_indices.append(index)
-                events.append((float(arrival), _ARRIVE, seq, index))
-                seq += 1
-        heapq.heapify(events)
-        scheduled_timeouts: set[float] = set()
-        total = len(req_tenant)
-
-        running: dict[int, PlacedBatch] = {}  # batch index -> in flight
-        executor = self._executor
-        predictions = None if executor is None else np.full(total, -1, dtype=np.int64)
-
-        # Integral of the any-array-idle indicator, for the batching vs
-        # queueing attribution; sampled per request at arrival.
-        idle_accum = 0.0
-        last_time = 0.0
-        idle_at_arrival = np.zeros(total, dtype=np.float64)
-        makespan = 0.0
-
-        while events:
-            now, kind, _, payload = heapq.heappop(events)
-            if pool.has_idle():
-                idle_accum += now - last_time
-            last_time = now
-
-            if kind == _ARRIVE:
-                idle_at_arrival[payload] = idle_accum
-                tenant = tenants[req_tenant[payload]]
-                request = QueuedRequest(
-                    index=payload,
-                    arrival_us=now,
-                    deadline_us=req_deadline[payload],
-                )
-                if not core.offer(tenant, request, now):
-                    sink.on_shed(payload)
-            elif kind == _DONE:
-                placed = running.pop(payload)
-                core.release(placed.array, now)
-                if placed.corrupt is not None:
-                    # Undetected corruption: the batch completes and its
-                    # members are served wrong answers — counted, traced.
-                    core.served_corrupt(placed, now)
-                if tracer.enabled:
-                    tracer.batch_completed(now, placed)
-                makespan = max(makespan, now)
-            elif kind == _CRASH:
-                # The doomed batch surfaces as a crash at its detection
-                # instant; the core contains the damage to this batch.
-                placed = running.pop(payload)
-                retries, failed, quarantined = core.fail_batch(placed, now)
-                for request in failed:
-                    sink.on_failed(request.index)
-                tenant_order = placed.tenant.order
-                for at_us, group in group_requeues(retries):
-                    heapq.heappush(
-                        events, (at_us, _REQUEUE, seq, (tenant_order, group))
-                    )
-                    seq += 1
-                if quarantined:
-                    heapq.heappush(
-                        events,
-                        (now + core.retry.recovery_us, _RECOVER, seq, placed.array),
-                    )
-                    seq += 1
-                makespan = max(makespan, now)
-            elif kind == _REQUEUE:
-                tenant_order, requests = payload
-                core.requeue(tenants[tenant_order], list(requests), now)
-            elif kind == _RECOVER:
-                core.recover(payload, now)
-            elif tracer.enabled:
-                # _TIMEOUT carries no state (readiness is re-evaluated
-                # below); it only surfaces as an observability event.
-                tracer.coalescing_timeout(now)
-
-            while pool.has_idle():
-                placed = core.form_and_place(now)
-                if placed is None:
-                    break
-                members = placed.members
-                if predictions is not None:
-                    indices = [member.index for member in members]
-                    predictions[indices] = executor.execute(
-                        placed.array, self.images[indices]
-                    )
-                detected = core.detects_corruption(placed)
-                batch_index = sink.on_batch(
-                    tenant=placed.tenant.name,
-                    array=placed.array,
-                    size=placed.size,
-                    dispatch_us=placed.dispatch_us,
-                    done_us=placed.done_us,
-                    cycles=placed.cycles,
-                    warm=placed.warm,
-                    drain_saved_us=placed.drain_saved_us,
-                    member_indices=[m.index for m in members],
-                    member_arrivals=[m.arrival_us for m in members],
-                    member_deadlines=[m.deadline_us for m in members],
-                    member_idle_snaps=[idle_at_arrival[m.index] for m in members],
-                    idle_accum_us=idle_accum,
-                    crashed=placed.fault or detected,
-                )
-                running[batch_index] = placed
-                if placed.fault:
-                    detect = placed.dispatch_us + core.fault_plan.detect_delay_us(
-                        placed.duration_us
-                    )
-                    heapq.heappush(events, (detect, _CRASH, seq, batch_index))
-                elif detected:
-                    # The checksum layer catches the corruption when the
-                    # batch finishes computing — the array was busy for the
-                    # full span, then the batch fails like a crash.
-                    heapq.heappush(
-                        events, (placed.done_us, _CRASH, seq, batch_index)
-                    )
-                else:
-                    heapq.heappush(
-                        events, (placed.done_us, _DONE, seq, batch_index)
-                    )
-                seq += 1
-
-            if pool.has_idle():
-                for deadline in core.pending_timeouts(now):
-                    if deadline not in scheduled_timeouts:
-                        scheduled_timeouts.add(deadline)
-                        heapq.heappush(
-                            events, (max(deadline, now), _TIMEOUT, seq, 0)
-                        )
-                        seq += 1
-
-        return self._finish_report(
-            tenants=tenants,
-            pool=pool,
-            makespan=makespan,
-            wall_seconds=time.perf_counter() - wall_start,
-            requests=sink.requests,
-            batches=sink.batches,
-            predictions=predictions,
-            tenant_entries=(
-                _tenant_summaries(tenants, sink.requests)
-                if self.multi_tenant
-                else None
-            ),
-            faults=(
-                core.fault_stats.to_dict() if core.injector is not None else None
-            ),
-        )
-
-    def _finish_report(
-        self,
-        *,
-        tenants: list[_Tenant],
-        pool: ArrayPool,
-        makespan: float,
-        wall_seconds: float,
-        requests: list[RequestRecord] | None = None,
-        batches: list[BatchRecord] | None = None,
-        predictions: np.ndarray | None = None,
-        tenant_entries: list[dict] | None = None,
-        streaming: StreamingStats | None = None,
-        faults: dict | None = None,
-    ) -> ServingReport:
-        """Report assembly, shared by both paths."""
-        server = self.server
-        return ServingReport(
-            network=self.network_name,
-            trace_name=(
-                self.trace.name
-                if not self.multi_tenant
-                else "+".join(f"{t.name}:{t.trace.name}" for t in tenants)
-            ),
-            offered_rps=(
-                self.trace.offered_rps
-                if not self.multi_tenant
-                else sum(t.trace.offered_rps for t in tenants)
-            ),
-            policy=server.policy_json(),
-            arrays=server.arrays,
-            clock_mhz=self.cost.config.clock_mhz,
-            accounting=getattr(self.cost, "accounting", "overlapped"),
-            pipeline=self.pipeline,
-            requests=requests if requests is not None else [],
-            batches=batches if batches is not None else [],
-            array_stats=[
-                {
-                    "array": stat.array,
-                    "busy_us": stat.busy_us,
-                    "batches": stat.batches,
-                    "requests": stat.requests,
-                    "warm_batches": stat.warm_batches,
-                    "utilization": stat.utilization(makespan),
-                }
-                for stat in pool.stats
-            ],
-            makespan_us=makespan,
-            wall_seconds=wall_seconds,
-            predictions=predictions,
-            tenants=tenant_entries,
-            streaming=streaming,
-            faults=faults,
-        )
-
     def _run_streaming(
         self,
         latency_bin_us: float,
@@ -595,7 +347,7 @@ class ServingSimulator:
     ) -> ServingReport:
         """The O(1)-memory fast path (``record_requests=False``).
 
-        Drives the same policy protocols as :meth:`_run_recorded` — the
+        Drives the same policy protocols as the recorded path — the
         event order, admission/batching/dispatch decisions, and counts
         are identical — but folds every served request into streaming
         histograms.  Three structural optimizations carry the speedup:
@@ -613,7 +365,7 @@ class ServingSimulator:
         dispatch = copy.deepcopy(server.dispatch)
         bank = self._bank
         tenants = [
-            _Tenant(spec, order, server)
+            TenantState(spec, order, server)
             for order, spec in enumerate(self.tenant_specs)
         ]
         multi = self.multi_tenant
@@ -724,7 +476,7 @@ class ServingSimulator:
         considers_busy = bool(getattr(dispatch, "considers_busy", False))
         inflight = [0] * pool.count if considers_busy else None
         snapshots: dict[int, float] = {}
-        probe = _DurationProbe(bank, pool, pipeline_mode, inflight=inflight)
+        probe = DurationProbe(bank, pool, pipeline_mode, inflight=inflight)
         # Hot-loop aliases: the pool's bookkeeping is inlined per batch
         # (claim/charge/release are three attribute updates each), and on
         # a homogeneous non-pipelined pool the per-size duration is a
@@ -1085,43 +837,15 @@ class ServingSimulator:
                 )
                 for tenant, tstream in zip(tenants, tenant_streams)
             ]
-        return self._finish_report(
-            tenants=tenants,
-            pool=pool,
-            makespan=makespan,
+        trace_name, offered_rps = trace_label(tenants)
+        return assemble_report(
+            server,
+            pool,
+            makespan,
+            trace_name=trace_name,
+            offered_rps=offered_rps,
             wall_seconds=time.perf_counter() - wall_start,
-            tenant_entries=tenant_entries,
+            tenants=tenant_entries,
             streaming=stats,
         )
 
-
-def _tenant_summaries(
-    tenants: list[_Tenant], requests: list[RequestRecord]
-) -> list[dict]:
-    """Per-tenant request/shed/latency breakdown for the report."""
-    total_served = sum(
-        1 for record in requests if not record.shed
-    )
-    summaries = []
-    for tenant in tenants:
-        records = [requests[index] for index in tenant.global_indices]
-        served = [record for record in records if not record.shed]
-        summaries.append(
-            {
-                "tenant": tenant.name,
-                "weight": tenant.weight,
-                "offered": len(records),
-                "served": len(served),
-                "shed": len(records) - len(served),
-                "served_share": (
-                    len(served) / total_served if total_served else 0.0
-                ),
-                "deadline_misses": sum(
-                    1 for record in records if record.missed_deadline
-                ),
-                "latency_us": percentile_summary(
-                    np.array([record.latency_us for record in served])
-                ),
-            }
-        )
-    return summaries

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.capsnet import hwops
@@ -252,8 +252,26 @@ def conv_cases(draw):
     return deep, x, tile, kernel, stride, acc_fmt, bias, tuple(steps), chunk_rows, code
 
 
+#: A 1x1 conv whose Qs25.0 bias pushes the Qs8.6 reduction past float32's
+#: exact range: the integer fallback needs 31 bits and must still return
+#: int32 codes.
+WIDENING_FALLBACK = (
+    False,
+    np.ones((1, 1, 1, 1), dtype=np.int32),
+    np.ones((1, 1), dtype=np.int32),
+    1,
+    1,
+    QFormat(25, 0),
+    np.array([373678], dtype=np.int32),
+    ((QFormat(25, 0), QFormat(8, 6), False),),
+    4,
+    1,
+)
+
+
 class TestConvMatmul:
     @given(case=conv_cases())
+    @example(case=WIDENING_FALLBACK)
     @settings(max_examples=60, deadline=None)
     def test_matches_the_integer_reference(self, case):
         deep, x, tile, kernel, stride, acc_fmt, bias, steps, chunk_rows, code = case
@@ -320,6 +338,19 @@ class TestFloatEpilogue:
                 got = epilogue.finish_float(codes.astype(np.float32), top, np.int32)
                 assert got.dtype == np.int32
                 assert np.array_equal(got, expected), (in_fmt, out_fmt, relu, start)
+
+    def test_the_chunk_loop_returns_register_codes(self):
+        # Past the float bound the chunk loop runs; its widening Qs25.0 ->
+        # Qs8.6 epilogue still hands back int32 codes.
+        acc_fmt = QFormat(25, 0)
+        epilogue = Epilogue(acc_fmt, None, ((acc_fmt, QFormat(8, 6), False),))
+        tile = np.full((1100, 2), 127, dtype=np.int32)
+        data = np.full((3, 1100), 127, dtype=np.int32)
+        data[1] *= -1
+        got = saturating_matmul(data, StagedWeights(tile, acc_fmt), acc_fmt, 16, epilogue=epilogue)
+        assert got.dtype == np.int32
+        expected = epilogue.finish(chunked_saturating_matmul(data, tile, acc_fmt, 16))
+        assert np.array_equal(got, expected)
 
     def test_a_bound_past_the_exact_range_takes_the_integer_path(self):
         # 2**24 + 1 rounds to 2**24 in float32; the integer path sees it.

@@ -244,24 +244,6 @@ class TestServeCommand:
         assert sim_actions["network"].default == "mnist"
         assert live_actions["network"].default == "tiny"
 
-    def test_replay_virtual_matches_simulator(self, capsys):
-        assert (
-            cli.main(
-                [
-                    "serve",
-                    "--replay-virtual",
-                    "--requests",
-                    "64",
-                    "--rate",
-                    "4000",
-                    "--max-batch",
-                    "8",
-                ]
-            )
-            == 0
-        )
-        assert "decision-for-decision" in capsys.readouterr().out
-
     def test_live_serve_smoke(self, capsys):
         assert (
             cli.main(

@@ -36,7 +36,6 @@ from repro.serve import (
     ServingSimulator,
     StreamingSink,
     decision_diffs,
-    replay_virtual,
     uniform_trace,
 )
 
@@ -160,18 +159,6 @@ def test_fault_events_keep_the_stream_well_formed(server, busy_trace):
         terminals = [e for e in events if e.kind in terminal_kinds]
         assert len(terminals) == 1
         assert events[-1].kind in terminal_kinds
-
-
-def test_replay_virtual_emits_identical_stream(server, busy_trace):
-    """The live engine in virtual time sees the same events as the sim."""
-    sim_tracer = RecordingTracer()
-    ServingSimulator(busy_trace, server=server, tracer=sim_tracer).run()
-    live_tracer = RecordingTracer()
-    replay_virtual(server, busy_trace, tracer=live_tracer)
-    assert well_formed_errors(live_tracer) == []
-    sim_rows = sorted(tuple(sorted(e.to_dict().items())) for e in sim_tracer.events)
-    live_rows = sorted(tuple(sorted(e.to_dict().items())) for e in live_tracer.events)
-    assert sim_rows == live_rows
 
 
 def test_fast_path_rejects_tracer(server, busy_trace):

@@ -3,10 +3,8 @@
 Covers :mod:`repro.serve.faults` and the fault paths woven through the
 serving core and both drivers: the seeded :class:`FaultInjector`'s
 reproducibility, the bounded retry/requeue split, array quarantine with
-timed readmission, goodput accounting, the streaming fast path's
-refusal of fault plans, and — the tentpole gate — exact decision and
-fault-counter identity between the simulator clock and the live engine
-path (:func:`replay_virtual`) under the same plan.
+timed readmission, goodput accounting, and the streaming fast path's
+refusal of fault plans.
 """
 
 import numpy as np
@@ -20,10 +18,8 @@ from repro.serve import (
     ScheduledBatchCost,
     ServerConfig,
     ServingSimulator,
-    decision_diffs,
     load_fault_plan,
     poisson_trace,
-    replay_virtual,
 )
 from repro.serve.core import group_requeues
 
@@ -334,40 +330,3 @@ class TestSimulatedFaults:
             report.pop("wall_seconds"), report.pop("wall_rps")
         assert first == second
 
-
-class TestSimLiveFaultIdentity:
-    @pytest.mark.parametrize(
-        "plan",
-        [
-            FaultPlan(crash_batches=(1, 4), seed=3),
-            FaultPlan(crash_rate=0.08, seed=11),
-            FaultPlan(crash_batches=(2,), crash_rate=0.05, hang_us=40.0, seed=5),
-            FaultPlan(array_down=((0, 0.0, 4000.0),), seed=1),
-        ],
-        ids=["ordinals", "rate", "hang", "array-down"],
-    )
-    def test_replay_matches_simulator_under_faults(self, tiny_cost, plan):
-        trace = saturating_trace()
-        sim = ServingSimulator(
-            trace, server=fault_server(tiny_cost, plan)
-        ).run()
-        live = replay_virtual(fault_server(tiny_cost, plan), trace)
-        assert decision_diffs(sim, live) == []
-        # Identity extends to the fault counters themselves.
-        assert sim.faults == live.faults
-        assert sim.failed_count == live.failed_count
-        assert sim.shed_count == live.shed_count
-
-    def test_retry_budget_exhaustion_matches_too(self, tiny_cost):
-        plan = FaultPlan(crash_batches=(1, 2), seed=3)
-        retry = RetryPolicy(max_attempts=1)
-        trace = saturating_trace()
-        sim = ServingSimulator(
-            trace, server=fault_server(tiny_cost, plan, retry=retry)
-        ).run()
-        live = replay_virtual(
-            fault_server(tiny_cost, plan, retry=retry), trace
-        )
-        assert decision_diffs(sim, live) == []
-        assert sim.faults == live.faults
-        assert sim.failed_count == live.failed_count > 0

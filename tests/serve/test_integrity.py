@@ -7,8 +7,8 @@ flip across zoo networks (hypothesis-driven), the equally important
 non-property that output-target flips sail through (undetected path ==
 no-check config), deterministic canary streams, the degraded-mode
 admission policy, the streaming fast path's refusal of armed integrity,
-the check-overhead pricing knob, and sim-vs-replay decision and
-counter identity under corruption plans.
+the check-overhead pricing knob, and deterministic reruns under
+corruption plans.
 """
 
 import numpy as np
@@ -26,9 +26,7 @@ from repro.serve import (
     ScheduledBatchCost,
     ServerConfig,
     ServingSimulator,
-    decision_diffs,
     poisson_trace,
-    replay_virtual,
 )
 from repro.serve.integrity import (
     CanaryStream,
@@ -542,49 +540,6 @@ class TestSimulatedCorruption:
 
 
 class TestSimLiveIntegrityIdentity:
-    @pytest.mark.parametrize(
-        ("plan", "mode"),
-        [
-            (FaultPlan(corrupt_rate=0.15, seed=11), "none"),
-            (FaultPlan(corrupt_rate=0.15, seed=11), "checksum"),
-            (FaultPlan(corrupt_batches=(1, 5), seed=3), "checksum"),
-            (
-                FaultPlan(corrupt_rate=0.1, corrupt_target="output", seed=7),
-                "checksum",
-            ),
-            (FaultPlan(corrupt_rate=0.2, seed=9), "checksum+canary"),
-            (
-                FaultPlan(
-                    crash_rate=0.05,
-                    corrupt_rate=0.1,
-                    failure_groups=(((0, 1), 500.0, 1500.0),),
-                    seed=13,
-                ),
-                "checksum",
-            ),
-        ],
-        ids=[
-            "rate-none",
-            "rate-checksum",
-            "ordinals",
-            "output-evades",
-            "canary",
-            "mixed-correlated",
-        ],
-    )
-    def test_replay_matches_simulator(self, tiny_cost, plan, mode):
-        integrity = mode if mode != "none" else None
-        trace = saturating_trace()
-        sim = ServingSimulator(
-            trace, server=integrity_server(tiny_cost, plan, integrity)
-        ).run()
-        live = replay_virtual(
-            integrity_server(tiny_cost, plan, integrity), trace
-        )
-        assert decision_diffs(sim, live) == []
-        # Identity extends to every fault/detection counter.
-        assert sim.faults == live.faults
-
     def test_deterministic_rerun_with_corruption(self, tiny_cost):
         plan = FaultPlan(corrupt_rate=0.2, seed=17)
         reports = [

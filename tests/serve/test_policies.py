@@ -496,16 +496,16 @@ class TestMultiTenant:
     def test_shared_spec_policy_instance_not_cross_bound(self, cost):
         """One DeadlineBatcher instance reused by two TenantSpecs must not
         end up predicting from the last-bound tenant's cost model."""
-        from repro.serve.simulator import _Tenant
+        from repro.serve.core import TenantState
 
         shared = DeadlineBatcher(max_batch=4)
         other = ScheduledBatchCost("mlp")  # a different network
         server = ServerConfig(cost=cost)
         trace = uniform_trace(100.0, 4)
-        first = _Tenant(
+        first = TenantState(
             TenantSpec(name="a", trace=trace, batching=shared), 0, server
         )
-        second = _Tenant(
+        second = TenantState(
             TenantSpec(name="b", trace=trace, cost=other, batching=shared),
             1,
             server,
@@ -586,7 +586,7 @@ class TestLegacyEquivalence:
         chained deadline+queue-limit admission, each tenant's deadline
         shedder keeps its own cost predictor instead of all tenants
         predicting from the last-bound tenant's network."""
-        from repro.serve.simulator import _Tenant
+        from repro.serve.core import TenantState
 
         other = ScheduledBatchCost(
             "tiny", accel_config=AcceleratorConfig().with_array(4, 4)
@@ -595,8 +595,8 @@ class TestLegacyEquivalence:
             "deadline", cost, deadline_us=1000.0, queue_limit=5
         )
         trace = uniform_trace(100.0, 4)
-        first = _Tenant(TenantSpec(name="a", trace=trace), 0, server)
-        second = _Tenant(
+        first = TenantState(TenantSpec(name="a", trace=trace), 0, server)
+        second = TenantState(
             TenantSpec(name="b", trace=trace, cost=other), 1, server
         )
         shed_a = first.admission.policies[0]

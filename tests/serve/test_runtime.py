@@ -1,12 +1,11 @@
-"""Live serving runtime: decision identity, the asyncio path, failure modes.
+"""Live serving runtime: calibration, the asyncio path, failure modes.
 
 Three layers under test, mirroring :mod:`repro.serve.runtime`:
 
 * :class:`MeasuredBatchCost` — the calibrated live cost model's
   interpolation, validation, and cost-protocol conformance.
-* :func:`replay_virtual` — the deterministic CI gate: driving the
-  runtime engine over a trace in virtual time must reproduce the
-  simulator's decisions *exactly*, policy by policy.
+* :func:`replay_virtual` — its argument validation (the virtual-time
+  loop itself is the simulator's recorded path, covered there).
 * :class:`ServingRuntime` — real asyncio runs on the in-process engine:
   correct predictions, shutdown drain, backpressure sheds, worker
   crashes, the JSONL socket, and the process worker pool.
@@ -30,11 +29,8 @@ from repro.serve import (
     ScheduledBatchCost,
     ServerConfig,
     ServingRuntime,
-    ServingSimulator,
     TenantSpec,
     WorkerCrashError,
-    decision_diffs,
-    decisions_identical,
     poisson_trace,
     replay_virtual,
 )
@@ -144,55 +140,7 @@ class TestMeasuredBatchCost:
             MeasuredBatchCost.from_report(empty)
 
 
-SERVER_SHAPES = [
-    dict(policy="fifo", arrays=1),
-    dict(policy="fifo", arrays=2, dispatch="round-robin"),
-    dict(policy="deadline", arrays=2, deadline_us=9000.0),
-    dict(policy="greedy", arrays=3, dispatch="greedy"),
-    dict(policy="fifo", arrays=2, dispatch="greedy-backlog", queue_limit=64),
-]
-
-
 class TestReplayVirtual:
-    @pytest.mark.parametrize(
-        "shape", SERVER_SHAPES, ids=lambda s: f"{s['policy']}-{s.get('dispatch')}"
-    )
-    def test_decisions_match_the_simulator(self, tiny_cost, shape):
-        shape = dict(shape)
-        policy = shape.pop("policy")
-        server = ServerConfig.from_policy(
-            policy, tiny_cost, max_batch=8, network_name="tiny", **shape
-        )
-        trace = poisson_trace(
-            rate_rps=5000.0, count=400, rng=np.random.default_rng(97)
-        )
-        sim = ServingSimulator(trace, server=server).run()
-        live = replay_virtual(server, trace)
-        assert decisions_identical(sim, live), decision_diffs(sim, live)
-        # Identity extends past decisions into the latency decomposition.
-        for sim_req, live_req in zip(sim.requests, live.requests):
-            assert live_req.dispatch_us == sim_req.dispatch_us
-            assert live_req.done_us == sim_req.done_us
-            assert live_req.batching_us == sim_req.batching_us
-            assert live_req.queueing_us == sim_req.queueing_us
-
-    def test_multi_tenant_replay_matches(self, tiny_cost):
-        rng = np.random.default_rng(13)
-        tenants = [
-            TenantSpec(
-                name="a", trace=poisson_trace(rate_rps=2000.0, count=150, rng=rng)
-            ),
-            TenantSpec(
-                name="b",
-                trace=poisson_trace(rate_rps=1000.0, count=100, rng=rng),
-                deadline_us=15000.0,
-            ),
-        ]
-        server = live_server(tiny_cost, arrays=2)
-        sim = ServingSimulator(tenants=tenants, server=server).run()
-        live = replay_virtual(server, tenants=tenants)
-        assert decisions_identical(sim, live), decision_diffs(sim, live)
-
     def test_trace_and_tenants_are_exclusive(self, tiny_cost):
         trace = poisson_trace(
             rate_rps=100.0, count=5, rng=np.random.default_rng(1)
