@@ -1,7 +1,8 @@
 """Design-space exploration: latency / area / power across configurations.
 
 Sweeps the systolic array size and datapath width, evaluating for each
-point the inference latency (performance model), silicon area and power
+point the inference latency (the compiled program, priced in closed
+form), silicon area and power
 (synthesis model) — the kind of study the CapsAcc architecture enables and
 the paper's Section VI parameters sit in the middle of.
 
@@ -10,15 +11,15 @@ Run:  python examples/design_space_exploration.py
 
 from repro.capsnet.config import mnist_capsnet_config
 from repro.hw.config import AcceleratorConfig
-from repro.perf.model import CapsAccPerformanceModel
+from repro.perf.compare import capsacc_layer_cycles
 from repro.synthesis.report import SynthesisReport
 
 
 def evaluate(config: AcceleratorConfig, network) -> tuple[float, float, float]:
     """Latency (ms), area (mm^2) and power (mW) of one design point."""
-    latency = CapsAccPerformanceModel(accelerator=config, network=network).run()
+    cycles = sum(capsacc_layer_cycles(network, config).values())
     synth = SynthesisReport(config=config).table2()
-    return latency.total_time_ms, synth["area_mm2"], synth["power_mw"]
+    return cycles / config.clock_mhz / 1e3, synth["area_mm2"], synth["power_mw"]
 
 
 def main() -> None:

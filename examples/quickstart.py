@@ -2,8 +2,8 @@
 
 Builds the exact network of paper Fig 1, classifies a synthetic digit with
 the float reference and the 8-bit quantized (hardware golden) path, then
-evaluates the accelerator performance model and compares against the GPU
-baseline — the headline numbers of paper Figs 16/17.
+prices the compiled program on the accelerator and compares against the
+GPU baseline — the headline numbers of paper Figs 16/17.
 
 Run:  python examples/quickstart.py
 """
@@ -11,9 +11,15 @@ Run:  python examples/quickstart.py
 from repro.capsnet.config import mnist_capsnet_config
 from repro.capsnet.model import CapsuleNet
 from repro.capsnet.quantized import QuantizedCapsuleNet
+from repro.compiler.cost import program_stats
 from repro.data.synthetic import SyntheticDigits
-from repro.perf.compare import compare_layers
-from repro.perf.model import CapsAccPerformanceModel
+from repro.hw.config import AcceleratorConfig
+from repro.perf.compare import (
+    capsacc_layer_cycles,
+    capsacc_program,
+    compare_layers,
+    layer_times_us,
+)
 
 
 def main() -> None:
@@ -36,13 +42,16 @@ def main() -> None:
     print("(weights are pseudo-trained — dataflow and performance are the"
           " point here; see examples/accuracy_parity.py for accuracy)")
 
-    # Accelerator performance (paper Table II instance: 16x16 @ 250 MHz).
-    model = CapsAccPerformanceModel(network=config)
-    perf = model.run()
-    print(f"\nCapsAcc inference latency: {perf.total_time_ms:.3f} ms"
-          f" at {model.accelerator.clock_mhz:.0f} MHz"
-          f" ({perf.utilization() * 100:.0f}% PE utilization)")
-    for layer, us in perf.layer_times_us().items():
+    # Accelerator performance (paper Table II instance: 16x16 @ 250 MHz),
+    # priced from the compiled instruction stream.
+    accel = AcceleratorConfig()
+    cycles = capsacc_layer_cycles(config, accel)
+    total = sum(cycles.values())
+    macs = program_stats(accel, capsacc_program(config), 1).mac_count
+    print(f"\nCapsAcc inference latency: {total / accel.clock_mhz / 1e3:.3f} ms"
+          f" at {accel.clock_mhz:.0f} MHz"
+          f" ({macs / (total * accel.num_pes) * 100:.0f}% PE utilization)")
+    for layer, us in layer_times_us(cycles, accel.clock_mhz).items():
         print(f"  {layer:12s} {us / 1e3:8.3f} ms")
 
     # Against the GPU baseline (paper Fig 16).

@@ -16,12 +16,17 @@ Python.  It contains:
 ``repro.hw``
     Cycle-stepped, bit-accurate micro-architecture simulator: processing
     elements, the systolic array, accumulators, activation units and buffers.
+``repro.compiler``
+    Graph -> instruction-stream compiler, the stream executor and the
+    closed-form pricing of compiled programs — the one CapsAcc cycle source
+    behind serving, the sweep and every paper figure.
 ``repro.mapping``
-    The paper's dataflow mappings (Fig 13 loop nest, Fig 14 layer mappings,
-    Fig 12 routing scenarios) expressed as schedules for the simulator.
+    The Fig 13 loop nest and the per-image executable lowering onto the
+    cycle-level accelerator.
 ``repro.perf``
-    Analytical cycle model (validated against ``repro.hw``) and the GPU
-    baseline performance model that substitutes the paper's GTX1070.
+    The paper's CapsAcc-vs-GPU comparisons (CapsAcc side priced from the
+    compiled program) and the GPU baseline model that substitutes the
+    paper's GTX1070.
 ``repro.synthesis``
     32nm CMOS area / power / frequency model for Table II/III and Fig 18.
 ``repro.experiments``
@@ -33,7 +38,6 @@ from repro.version import __version__
 from repro.capsnet.config import CapsNetConfig, mnist_capsnet_config
 from repro.capsnet.model import CapsuleNet
 from repro.hw.config import AcceleratorConfig
-from repro.perf.model import CapsAccPerformanceModel
 from repro.perf.gpu import GpuModel, gtx1070_paper_profile
 
 __all__ = [
@@ -42,7 +46,6 @@ __all__ = [
     "mnist_capsnet_config",
     "CapsuleNet",
     "AcceleratorConfig",
-    "CapsAccPerformanceModel",
     "GpuModel",
     "gtx1070_paper_profile",
 ]

@@ -31,9 +31,10 @@ import argparse
 import sys
 
 from repro.capsnet.config import mnist_capsnet_config
+from repro.compiler.cost import program_stats
 from repro.experiments import ablations, accuracy, runner
 from repro.hw.config import AcceleratorConfig
-from repro.perf.model import CapsAccPerformanceModel
+from repro.perf.compare import capsacc_layer_cycles, capsacc_program
 from repro.version import __version__
 
 
@@ -172,7 +173,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_info(_: argparse.Namespace) -> int:
     network = mnist_capsnet_config()
     accel = AcceleratorConfig()
-    perf = CapsAccPerformanceModel(accelerator=accel, network=network).run()
+    cycles = sum(capsacc_layer_cycles(network, accel).values())
+    macs = program_stats(accel, capsacc_program(network), 1).mac_count
     print(f"repro {__version__} — CapsAcc (DATE 2019) reproduction")
     print(f"Network: MNIST CapsuleNet, {network.total_parameter_count:,} parameters,")
     print(
@@ -186,8 +188,8 @@ def _cmd_info(_: argparse.Namespace) -> int:
         f" {accel.data_bits}-bit data, {accel.acc_bits}-bit accumulation"
     )
     print(
-        f"Modelled inference: {perf.total_time_ms:.3f} ms"
-        f" ({perf.utilization() * 100:.0f}% PE utilization)"
+        f"Modelled inference: {cycles / accel.clock_mhz / 1e3:.3f} ms"
+        f" ({macs / (cycles * accel.num_pes) * 100:.0f}% PE utilization)"
     )
     return 0
 

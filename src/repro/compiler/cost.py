@@ -16,6 +16,9 @@ reports, so pricing and execution agree by construction:
 * :func:`program_stats` gives the summed :class:`~repro.hw.stats.CycleStats`
   including buffer access counts (``BatchResult.total_stats``) — the
   energy model's activity input;
+* :func:`program_transfer_cycles` prices the bulk buffer transfers the
+  routing lowering stamps as ``transfer_words``; the paper figures add
+  them to :func:`program_layers`, serving does not charge them;
 * :func:`program_ops` / :func:`program_stream_timing` expand the events
   into :mod:`repro.hw.pipeline` op timelines and price the cross-batch
   pipelined stream schedule.
@@ -198,6 +201,21 @@ def program_stats(
     for report in program_layers(config, program, batch).values():
         total = total + report.stats
     return total
+
+
+def program_transfer_cycles(
+    config: AcceleratorConfig, program: Program, batch: int
+) -> dict[str, int]:
+    """Bus cycles of each layer's bulk buffer transfers, in stream order.
+
+    ``ceil(B * transfer_words / data_bus_words)`` per stamped instruction;
+    each stamp names a layer of its own (at most one per layer).
+    """
+    return {
+        instr.layer: -(-batch * instr.attrs["transfer_words"] // config.data_bus_words)
+        for instr in program.instructions
+        if instr.attrs.get("transfer_words")
+    }
 
 
 #: Op timelines per ``(id(program), accelerator config, batch)``, shared

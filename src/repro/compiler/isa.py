@@ -19,8 +19,13 @@ register file of named batched tensors.  Three instruction classes exist:
 Every array/activation instruction stamps its **per-image** work shape
 (``m``/``k``/``n``/``groups`` or activation ``n``/``groups``) so
 :mod:`repro.compiler.cost` can price a program for any batch size in closed
-form, bit-identical to executing it.  Programs serialize to JSON and to a
-readable text listing.
+form, bit-identical to executing it.  The routing lowering also stamps
+``transfer_words``, a step's per-image bulk buffer traffic, on the routing
+``CONST`` (the ``load`` step), each ``SOFTMAX``, each ``SQUASH`` and each
+update ``GROUPED_GEMM``; only the paper figures charge these
+(:func:`~repro.compiler.cost.program_transfer_cycles`) — serving prices,
+the trace events and the executor ignore them.  Programs serialize to
+JSON and to a readable text listing.
 """
 
 from __future__ import annotations
@@ -88,7 +93,8 @@ class Instruction:
             for k, v in self.attrs.items()
             if k in ("job", "key", "index", "m", "k", "n", "groups", "mode", "value",
                      "shape", "perm", "axis", "start", "stop", "stride", "kernel",
-                     "data_source", "weight_source", "wreg", "record", "alias")
+                     "data_source", "weight_source", "wreg", "record", "alias",
+                     "transfer_words")
         }
         if self.layer:
             shown["layer"] = self.layer

@@ -19,7 +19,13 @@ the cycle model, by ``tests/compiler/fixtures/zoo_accounting.json`` — are:
   With ``optimized`` routing the first softmax is emitted unrecorded (the
   uniform coupling is a constant the control unit precomputes, costing no
   activation cycles — and softmax of an all-zero logit row *is* that
-  constant, so the bits match the golden model either way);
+  constant, so the bits match the golden model either way).  Each routing
+  step's per-image bulk buffer traffic is stamped as ``transfer_words`` on
+  one instruction of its layer: the ``CONST`` logits carry the ``load``
+  step (capsule vectors into the data buffer, couplings into the routing
+  buffer), softmaxes their logit reads and coupling writes (only the
+  coupling write when skipped), squashes their outputs and updates their
+  logit writes;
 * **requant folding** — whenever an op's declared output format differs
   from the GEMM accumulator format, the width reduction folds into the
   GEMM instruction (it happens in front of the activation unit and was
@@ -200,21 +206,28 @@ class _Lowering:
         upd_acc = fmts.acc(fmts.caps_data, fmts.caps_data)
         prefix = f"%{op.name}"
 
+        c_words = num_in * num_out
+        producer = self.graph.producers().get(u_hat)
+        capsules = producer.inputs[0] if producer is not None else u_hat
         b_reg = f"{prefix}.b0"
-        self.emit(Opcode.CONST, dest=b_reg, shape=(num_in, num_out), value=0)
+        self.emit(
+            Opcode.CONST, dest=b_reg, layer="load", shape=(num_in, num_out), value=0,
+            transfer_words=math.prod(self._shape(capsules)) + c_words,
+        )
         # First coupling: softmax of zero logits.  With optimized routing the
         # control unit treats it as a precomputed constant (no cycles).
         c_reg = f"{prefix}.c1"
         self.emit(
             Opcode.SOFTMAX, dest=c_reg, srcs=(b_reg,), layer="softmax1",
             n=num_out, groups=num_in, record=not optimized,
+            transfer_words=c_words if optimized else 2 * c_words,
         )
         for it in range(1, iterations + 1):
             if it > 1:
                 c_reg = f"{prefix}.c{it}"
                 self.emit(
                     Opcode.SOFTMAX, dest=c_reg, srcs=(b_reg,), layer=f"softmax{it}",
-                    n=num_out, groups=num_in, record=True,
+                    n=num_out, groups=num_in, record=True, transfer_words=2 * c_words,
                 )
             u_byclass = f"{prefix}.u_sum{it}"
             self.emit(Opcode.TRANSPOSE, dest=u_byclass, srcs=(u_hat,), perm=(1, 2, 0))
@@ -237,6 +250,7 @@ class _Lowering:
             self.emit(
                 Opcode.SQUASH, dest=v_reg, srcs=(s_reg,), layer=f"squash{it}",
                 in_fmt=fmts.primary_preact, n=out_dim, groups=num_out, record=True,
+                transfer_words=num_out * out_dim,
             )
             if it < iterations:
                 u_byclass2 = f"{prefix}.u_upd{it}"
@@ -251,7 +265,7 @@ class _Lowering:
                     data_source="feedback", weight_source="routing_buffer",
                     requant_to=fmts.logits,
                     m=num_in, k=out_dim, n=1, groups=num_out,
-                    out_shape=(num_out, num_in),
+                    out_shape=(num_out, num_in), transfer_words=c_words,
                 )
                 d_t = f"{prefix}.dt{it}"
                 self.emit(Opcode.TRANSPOSE, dest=d_t, srcs=(d_reg,), perm=(1, 0))

@@ -1,5 +1,8 @@
 """Ablation studies for the design choices DESIGN.md calls out.
 
+The CapsAcc timings are priced from the compiled CapsNet program
+(:func:`repro.perf.compare.capsacc_layer_cycles`):
+
 * **Routing optimization** (Section V-C): skipping the first softmax.
 * **Weight double-buffering** (the Weight2 register, Section IV-A).
 * **Systolic array size** sweep.
@@ -13,11 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.capsnet.config import CapsNetConfig, mnist_capsnet_config
+from repro.compiler.cost import program_layers
 from repro.experiments.common import format_table
 from repro.fixedpoint.luts import build_squash_lut
 from repro.fixedpoint.formats import QFormat
+from repro.hw.accelerator import gemm_cycles
 from repro.hw.config import AcceleratorConfig
-from repro.perf.model import CapsAccPerformanceModel
+from repro.perf.compare import capsacc_layer_cycles, capsacc_program
 from repro.synthesis.report import SynthesisReport
 
 
@@ -34,26 +39,35 @@ class AblationResult:
         return self.variants[variant_a] / self.variants[variant_b]
 
 
+def _total_ms(
+    config: CapsNetConfig, accel: AcceleratorConfig, optimized_routing: bool = True
+) -> float:
+    cycles = sum(capsacc_layer_cycles(config, accel, optimized_routing).values())
+    return cycles / accel.clock_mhz / 1e3
+
+
 def routing_optimization(config: CapsNetConfig | None = None) -> AblationResult:
     """Total inference time with and without the first-softmax skip."""
     config = config if config is not None else mnist_capsnet_config()
     result = AblationResult(axis="routing-optimization", metric="total_ms")
     for label, optimized in (("optimized (skip softmax1)", True), ("textbook", False)):
-        model = CapsAccPerformanceModel(network=config, optimized_routing=optimized)
-        result.variants[label] = model.run().total_time_ms
+        result.variants[label] = _total_ms(config, AcceleratorConfig(), optimized)
     return result
 
 
 def weight_double_buffering(config: CapsNetConfig | None = None) -> AblationResult:
-    """Total inference time with and without the Weight2 register."""
+    """Total inference time with and without the Weight2 register.
+
+    Without it every weight-tile load stalls the array: the program's
+    sequential cycles instead of its double-buffered ones.
+    """
     config = config if config is not None else mnist_capsnet_config()
     result = AblationResult(axis="weight-double-buffering", metric="total_ms")
     for label, accel in (
         ("double-buffered (Weight2)", AcceleratorConfig()),
         ("single-buffered", AcceleratorConfig().without_weight_reuse()),
     ):
-        model = CapsAccPerformanceModel(accelerator=accel, network=config)
-        result.variants[label] = model.run().total_time_ms
+        result.variants[label] = _total_ms(config, accel)
     return result
 
 
@@ -66,25 +80,33 @@ def array_size_sweep(
     result = AblationResult(axis="array-size", metric="total_ms")
     for size in sizes:
         accel = AcceleratorConfig().with_array(size, size)
-        model = CapsAccPerformanceModel(accelerator=accel, network=config)
-        result.variants[f"{size}x{size}"] = model.run().total_time_ms
+        result.variants[f"{size}x{size}"] = _total_ms(config, accel)
     return result
 
 
 def conv_mapping_policy(config: CapsNetConfig | None = None) -> AblationResult:
     """Conv1 latency under the two convolution mapping policies.
 
-    ``channel_serial`` is the paper's accumulator-minimizing traversal; it
-    loses to the GPU on Conv1 (consistent with the paper's "46% slower"
-    annotation), while ``channel_parallel`` wins.
+    ``channel_parallel`` is the compiled mapping (output channels across
+    the array columns) and wins against the GPU.  ``channel_serial`` is
+    the paper's accumulator-minimizing traversal: the compiled Conv1
+    ``GEMM (m, k, n)`` runs as ``n`` single-column ``(m, k, 1)`` jobs,
+    plus the same ReLU.  It loses to the GPU on Conv1, consistent with
+    the paper's "46% slower" annotation.
     """
     config = config if config is not None else mnist_capsnet_config()
+    accel = AcceleratorConfig()
+    program = capsacc_program(config)
+    gemm = next(i for i in program.gemm_instructions() if i.layer == "conv1")
+    m, k, n = gemm.attrs["m"], gemm.attrs["k"], gemm.attrs["n"]
+    relu = program_layers(accel, program, 1)["conv1"].stats.activation_cycles
+    cycles = {
+        "channel_parallel": capsacc_layer_cycles(config, accel)["conv1"],
+        "channel_serial": n * gemm_cycles(accel, m, k, 1)["total"] + relu,
+    }
     result = AblationResult(axis="conv-mapping", metric="conv1_us")
-    for policy in ("channel_parallel", "channel_serial"):
-        model = CapsAccPerformanceModel(network=config, conv_policy=policy)
-        result.variants[policy] = model.conv_stage_perf("conv1").time_us(
-            model.accelerator.clock_mhz
-        )
+    for policy, count in cycles.items():
+        result.variants[policy] = count / accel.clock_mhz
     return result
 
 

@@ -38,8 +38,8 @@ from repro.capsnet.config import CapsNetConfig, mnist_capsnet_config
 from repro.experiments.common import format_table
 from repro.hw.config import AcceleratorConfig
 from repro.perf.gpu import GpuModel, gtx1070_paper_profile, scale_kernels_to_batch
+from repro.perf.compare import capsacc_layer_cycles
 from repro.perf.kernels import CapsNetGpuWorkload
-from repro.perf.model import CapsAccPerformanceModel
 
 
 @dataclass
@@ -80,8 +80,8 @@ def run(
         seconds = gpu.sequence_time_s(scale_kernels_to_batch(batch1_kernels, batch))
         gpu_throughput[batch] = batch / seconds
 
-    perf = CapsAccPerformanceModel(accelerator=accelerator, network=config).run()
-    latency_ms = perf.total_time_ms
+    cycles = sum(capsacc_layer_cycles(config, accelerator).values())
+    latency_ms = cycles / accelerator.clock_mhz / 1e3
     return BatchingResult(
         batch_sizes=list(batch_sizes),
         gpu_images_per_s=gpu_throughput,

@@ -6,18 +6,21 @@ computes energy two independent ways and cross-checks them:
 
 * **top-down**: Table II power x modelled inference latency;
 * **bottom-up**: per-event energies (MACs, buffer words, LUT lookups) times
-  the activity counts of the mapped stages.
+  the compiled program's activity counts
+  (:func:`~repro.compiler.cost.program_stats`, the counts an executed
+  batch reports).
 
 The bottom-up dynamic energy must come out below the top-down envelope
 (which also contains static and clock-tree power) — a consistency check on
 both models — and the breakdown shows where the energy goes, extending the
 paper's Fig 18 story from silicon area to actual work.
 
-The pipelined schedule is priced too, driven from the compiled instruction
-stream (:mod:`repro.compiler`): the steady-state marginal cycles of a
-back-to-back inference stream give the amortized latency, so the top-down
-energy per inference shrinks by exactly the pipeline overlap — dynamic
-work is unchanged, only the static/clock power window narrows.
+Latency and activity both come from the compiled instruction stream
+(:mod:`repro.compiler`).  The pipelined schedule is priced too: the
+steady-state marginal cycles of a back-to-back inference stream give the
+amortized latency, so the top-down energy per inference shrinks by
+exactly the pipeline overlap — dynamic work is unchanged, only the
+static/clock power window narrows.
 """
 
 from __future__ import annotations
@@ -25,11 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.capsnet.config import CapsNetConfig, mnist_capsnet_config
+from repro.compiler.cost import program_stats, program_steady_cycles
 from repro.experiments.common import format_table
 from repro.hw.config import AcceleratorConfig
-from repro.hw.stats import CycleStats
-from repro.mapping.shapes import full_inference_stages
-from repro.perf.cycles import stage_accesses, stage_performance
+from repro.perf.compare import capsacc_layer_cycles, capsacc_program
+from repro.perf.gpu import GpuModel, gtx1070_paper_profile
+from repro.perf.kernels import CapsNetGpuWorkload
 from repro.synthesis.power import energy_per_inference_uj
 from repro.synthesis.report import SynthesisReport
 
@@ -89,31 +93,16 @@ def run(
     config = config if config is not None else mnist_capsnet_config()
     accelerator = accelerator if accelerator is not None else AcceleratorConfig()
 
-    stages = full_inference_stages(config)
-    total_cycles = sum(
-        stage_performance(accelerator, stage).cycles for stage in stages
-    )
-    activity = CycleStats()
-    for stage in stages:
-        activity = activity + stage_accesses(stage, accelerator)
-    activity.total_cycles = total_cycles
-
+    program = capsacc_program(config)
+    total_cycles = sum(capsacc_layer_cycles(config, accelerator).values())
     latency_ms = accelerator.cycles_to_ms(total_cycles)
     power_mw = SynthesisReport(config=accelerator).table2()["power_mw"]
     topdown_uj = power_mw * latency_ms  # mW x ms = uJ
-    bottomup = energy_per_inference_uj(activity)
+    bottomup = energy_per_inference_uj(program_stats(accelerator, program, 1))
 
-    from repro.compiler.cost import program_steady_cycles
-    from repro.compiler.lower import compile_graph
-    from repro.compiler.zoo import capsnet_graph
-
-    program = compile_graph(capsnet_graph(config))
     steady_cycles = program_steady_cycles(accelerator, program, batch=1)
     pipelined_ms = accelerator.cycles_to_ms(steady_cycles)
     pipelined_uj = power_mw * pipelined_ms
-
-    from repro.perf.gpu import GpuModel, gtx1070_paper_profile
-    from repro.perf.kernels import CapsNetGpuWorkload
 
     gpu = GpuModel(gtx1070_paper_profile())
     workload = CapsNetGpuWorkload(config)

@@ -1,22 +1,21 @@
 """Fig 16: layer-wise CapsAcc vs GPU comparison.
 
 The paper annotates: ClassCaps 12x faster, overall 6x faster, Conv1 46%
-slower.  Our default convolution mapping (output channels across columns)
-makes Conv1 *faster* than the GPU as well; the paper's accumulator-
-minimizing channel-serial mapping — available as an ablation — is slower
-than the GPU on Conv1, bracketing the paper's annotation.  The report
-states both.
+slower.  The compiled convolution mapping (output channels across
+columns) makes Conv1 *faster* than the GPU as well; the paper's
+accumulator-minimizing channel-serial mapping is slower than the GPU on
+Conv1, bracketing the paper's annotation — see the conv-mapping ablation
+(:func:`repro.experiments.ablations.conv_mapping_policy`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.capsnet.config import CapsNetConfig, mnist_capsnet_config
+from repro.capsnet.config import CapsNetConfig
 from repro.experiments.common import format_table, log_bar_chart, ratio_label
 from repro.hw.config import AcceleratorConfig
 from repro.perf.compare import SpeedupReport, compare_layers
-from repro.perf.model import CapsAccPerformanceModel
 
 
 @dataclass
@@ -30,16 +29,9 @@ class Fig16Result:
 def run(
     config: CapsNetConfig | None = None,
     accelerator: AcceleratorConfig | None = None,
-    conv_policy: str = "channel_parallel",
 ) -> Fig16Result:
     """Run the Fig 16 comparison."""
-    config = config if config is not None else mnist_capsnet_config()
-    model = CapsAccPerformanceModel(
-        accelerator=accelerator if accelerator is not None else AcceleratorConfig(),
-        network=config,
-        conv_policy=conv_policy,
-    )
-    report = compare_layers(network=config, capsacc=model)
+    report = compare_layers(network=config, accelerator=accelerator)
     directions = {row.name: row.direction_matches_paper for row in report.rows}
     return Fig16Result(report=report, directions=directions)
 

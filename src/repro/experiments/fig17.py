@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.capsnet.config import CapsNetConfig, mnist_capsnet_config
+from repro.capsnet.config import CapsNetConfig
 from repro.experiments.common import format_table, log_bar_chart, ratio_label
 from repro.hw.config import AcceleratorConfig
 from repro.perf.compare import SpeedupReport, compare_routing_steps
-from repro.perf.model import CapsAccPerformanceModel
 
 
 @dataclass
@@ -34,13 +33,9 @@ def run(
     optimized_routing: bool = True,
 ) -> Fig17Result:
     """Run the Fig 17 comparison."""
-    config = config if config is not None else mnist_capsnet_config()
-    model = CapsAccPerformanceModel(
-        accelerator=accelerator if accelerator is not None else AcceleratorConfig(),
-        network=config,
-        optimized_routing=optimized_routing,
+    report = compare_routing_steps(
+        network=config, accelerator=accelerator, optimized_routing=optimized_routing
     )
-    report = compare_routing_steps(network=config, capsacc=model)
     directions = {row.name: row.direction_matches_paper for row in report.rows}
     return Fig17Result(
         report=report, directions=directions, optimized_routing=optimized_routing

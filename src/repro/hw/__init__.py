@@ -11,7 +11,11 @@ Models the architecture of paper Section IV / Figures 10-11:
 * :mod:`repro.hw.buffers` — data / routing / weight buffers and memories
   with bandwidth limits and access counting (for the power model).
 * :mod:`repro.hw.accelerator` — the top level that executes GEMM jobs and
-  layer schedules, producing both bit-exact results and cycle statistics.
+  layer schedules, producing both bit-exact results and cycle statistics;
+  its ``gemm_cycles``/``gemm_stats`` formulas are what
+  :mod:`repro.compiler.cost` prices compiled programs with.
+* :mod:`repro.hw.pipeline` / :mod:`repro.hw.scheduler` — the pipelined
+  stream schedule and the batched scheduler wrappers.
 """
 
 from repro.hw.config import AcceleratorConfig
@@ -22,7 +26,6 @@ from repro.hw.accumulator import AccumulatorBank
 from repro.hw.activation import ActivationUnit, activation_latency
 from repro.hw.buffers import Buffer, MemoryModel
 from repro.hw.accelerator import CapsAccAccelerator, GemmJob
-from repro.hw.control import ControlProgram, ControlStep, compile_schedule
 
 # The batched scheduler depends on the quantized model layer; re-export it
 # lazily so `import repro.hw` alone doesn't pull the full CapsNet stack.
@@ -51,7 +54,4 @@ __all__ = [
     "MemoryModel",
     "CapsAccAccelerator",
     "GemmJob",
-    "ControlProgram",
-    "ControlStep",
-    "compile_schedule",
 ]

@@ -9,8 +9,8 @@ shared clock edge with semantics identical to the scalar
 The convenience method :meth:`SystolicArray.run_tile` executes one
 weight-stationary GEMM tile pass: it streams ``M`` skewed data vectors and
 returns the ``M x cols`` partial products observed at the bottom edge, with
-the exact cycle count consumed.  The analytical model in
-:mod:`repro.perf.cycles` reproduces these counts closed-form.
+the exact cycle count consumed.  :func:`repro.hw.accelerator.gemm_cycles`
+reproduces these counts closed-form.
 """
 
 from __future__ import annotations

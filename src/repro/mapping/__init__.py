@@ -1,11 +1,10 @@
 """Dataflow mappings of CapsuleNet operations onto the accelerator.
 
-Implements paper Section V:
+Implements paper Section V alongside the compiler (:mod:`repro.compiler`),
+whose lowering fixes the Fig 12/14 layer and routing mappings and whose
+cost model prices them:
 
 * :mod:`repro.mapping.loopnest` — the mapping loop nest of Fig 13.
-* :mod:`repro.mapping.shapes` — shape-level stage descriptions (GEMM
-  dimensions, operand sources, activation work) for every layer (Fig 14)
-  and routing scenario (Fig 12); consumed by the performance model.
 * :mod:`repro.mapping.execute` — executable lowering: runs an actual
   quantized inference through the cycle-level accelerator, producing
   results that are bit-identical to :class:`repro.capsnet.quantized.
@@ -13,30 +12,12 @@ Implements paper Section V:
 """
 
 from repro.mapping.loopnest import Loop, LoopNest, capsule_loop_nest
-from repro.mapping.shapes import (
-    ActivationWork,
-    GemmShape,
-    StageShape,
-    classcaps_fc_stage,
-    conv_stage,
-    full_inference_stages,
-    load_stage,
-    routing_stages,
-)
 from repro.mapping.execute import MappedInference, MappedResult
 
 __all__ = [
     "Loop",
     "LoopNest",
     "capsule_loop_nest",
-    "GemmShape",
-    "ActivationWork",
-    "StageShape",
-    "conv_stage",
-    "classcaps_fc_stage",
-    "routing_stages",
-    "load_stage",
-    "full_inference_stages",
     "MappedInference",
     "MappedResult",
 ]

@@ -11,7 +11,7 @@ separate accuracy numbers.  The integration tests assert this equivalence
 end to end.
 
 The lowering also accumulates cycle statistics per stage, which the tests
-cross-check against the analytical performance model.
+cross-check against the compiled program's per-layer pricing.
 """
 
 from __future__ import annotations

@@ -551,19 +551,24 @@ def trace_label(tenants) -> tuple[str, float]:
 
 
 def _tenant_summaries(tenants, requests: list[RequestRecord]) -> list[dict]:
-    """Per-tenant request/shed/latency breakdown for the report."""
-    total_served = sum(1 for record in requests if not record.shed)
+    """Per-tenant request/shed/failure/latency breakdown for the report.
+
+    ``served``, ``served_share`` and ``latency_us`` count completed
+    requests only: shed and terminally failed requests are neither.
+    """
+    total_served = sum(1 for record in requests if not (record.shed or record.failed))
     summaries = []
     for tenant in tenants:
         records = [requests[index] for index in tenant.global_indices]
-        served = [record for record in records if not record.shed]
+        served = [record for record in records if not (record.shed or record.failed)]
         summaries.append(
             {
                 "tenant": tenant.name,
                 "weight": tenant.weight,
                 "offered": len(records),
                 "served": len(served),
-                "shed": len(records) - len(served),
+                "shed": sum(1 for record in records if record.shed),
+                "failed": sum(1 for record in records if record.failed),
                 "served_share": (
                     len(served) / total_served if total_served else 0.0
                 ),

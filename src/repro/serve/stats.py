@@ -407,6 +407,7 @@ def tenant_summary_from_streaming(
         "offered": stats.offered,
         "served": stats.completed,
         "shed": stats.shed,
+        "failed": stats.failed,
         "served_share": (stats.completed / total_served if total_served else 0.0),
         "deadline_misses": stats.deadline_misses,
         "latency_us": stats.components["total"].summary(),

@@ -72,7 +72,8 @@ def energy_per_inference_uj(
     """Dynamic energy per inference in microjoules, by contributor.
 
     ``stats`` aggregates one full inference (MAC count plus buffer access
-    counters, as produced by the performance model or the simulator).
+    counters, as :func:`repro.compiler.cost.program_stats` or an executed
+    batch report them).
     """
     energy = {"mac": stats.mac_count * tech.access_energy("mac") * 1e-6}
     for category, words in stats.accesses.items():

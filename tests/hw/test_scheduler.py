@@ -5,8 +5,8 @@ The key guarantees:
 * batched scheduling is bit-identical, image for image, to the
   single-image executable lowering (and to the quantized golden model);
 * results are invariant to how the stream is split into batches;
-* the per-layer GEMM accounting agrees with the analytical performance
-  model evaluated at the same batch size (shared formulas);
+* the per-layer GEMM accounting agrees with the paper figures' pricing
+  of the compiled program at the same batch size;
 * both engines agree; batching strictly improves amortized cycles.
 """
 
@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 
 from repro.capsnet.quantized import QuantizedCapsuleNet
+from repro.compiler.cost import program_transfer_cycles
 from repro.errors import ShapeError
 from repro.hw.accelerator import CapsAccAccelerator
 from repro.hw.config import AcceleratorConfig
 from repro.hw.scheduler import BatchScheduler
 from repro.mapping.execute import MappedInference
-from repro.mapping.shapes import classcaps_fc_stage, conv_stage, routing_stages
-from repro.perf.cycles import stage_performance
+from repro.perf.compare import capsacc_layer_cycles, capsacc_program
 
 
 @pytest.fixture(scope="module")
@@ -90,32 +90,32 @@ class TestAccounting:
     def batch(self, tiny_images):
         return len(tiny_images)
 
+    @staticmethod
+    def _figure_cycles(qnet, batch):
+        """The paper figures' per-layer cycles with Weight2 off (sequential)."""
+        config = BatchScheduler(qnet).accelerator.config.without_weight_reuse()
+        return capsacc_layer_cycles(qnet.config, config, qnet.optimized_routing, batch)
+
     def test_conv_layers_match_perf_model(self, qnet, batch_result, batch):
-        config = BatchScheduler(qnet).accelerator.config
+        figure = self._figure_cycles(qnet, batch)
         for layer in ("conv1", "primarycaps"):
-            stage = conv_stage(qnet.config, layer)
-            perf = stage_performance(config, stage, overlap=False, batch=batch)
             report = batch_result.layers[layer]
-            assert report.gemm_cycles == perf.gemm_cycles
-            assert report.stats.activation_cycles == perf.activation_cycles
-            assert report.stats.mac_count == stage.macs * batch
+            assert report.stats.total_cycles == figure[layer]
 
     def test_fc_layer_matches_perf_model(self, qnet, batch_result, batch):
-        config = BatchScheduler(qnet).accelerator.config
-        stage = classcaps_fc_stage(qnet.config)
-        perf = stage_performance(config, stage, overlap=False, batch=batch)
         report = batch_result.layers["classcaps_fc"]
-        assert report.gemm_cycles == perf.gemm_cycles
+        assert report.gemm_cycles == self._figure_cycles(qnet, batch)["classcaps_fc"]
         assert report.jobs == qnet.config.num_primary_capsules
 
     def test_routing_layers_match_perf_model(self, qnet, batch_result, batch):
+        """Executed routing GEMMs plus the stamped transfers are the figure."""
         config = BatchScheduler(qnet).accelerator.config
-        for stage in routing_stages(qnet.config, optimized=True):
-            if not stage.gemms:
-                continue
-            perf = stage_performance(config, stage, overlap=False, batch=batch)
-            report = batch_result.layers[stage.name]
-            assert report.gemm_cycles == perf.gemm_cycles
+        program = capsacc_program(qnet.config, qnet.optimized_routing)
+        transfers = program_transfer_cycles(config, program, batch)
+        figure = self._figure_cycles(qnet, batch)
+        for layer in ("sum1", "sum2", "sum3", "update1", "update2"):
+            executed = batch_result.layers[layer].gemm_cycles
+            assert executed + transfers.get(layer, 0) == figure[layer], layer
 
     def test_overlap_never_slower(self, batch_result):
         for report in batch_result.layers.values():

@@ -2,7 +2,7 @@
 
 1. float model -> quantized model: bounded error, classification agreement;
 2. quantized model -> mapped accelerator execution: bit-exact;
-3. analytical cycle model -> stepped simulator: exact cycle agreement;
+3. compiled-program pricing -> stepped simulator: exact cycle agreement;
 4. experiments -> paper claims (covered in tests/experiments).
 """
 
@@ -10,12 +10,12 @@ import numpy as np
 
 from repro.capsnet.model import CapsuleNet
 from repro.capsnet.quantized import QuantizedCapsuleNet
+from repro.compiler.cost import program_layers
 from repro.errors import ReproError
 from repro.hw.accelerator import CapsAccAccelerator, GemmJob, gemm_cycles
 from repro.hw.config import AcceleratorConfig
 from repro.mapping.execute import MappedInference
-from repro.mapping.shapes import full_inference_stages
-from repro.perf.cycles import stage_performance
+from repro.perf.compare import capsacc_program
 
 
 class TestFloatToQuantizedChain:
@@ -39,26 +39,33 @@ class TestQuantizedToHardwareChain:
 
 
 class TestAnalyticalToSteppedChain:
+    @staticmethod
+    def _program_gemm_cycles(qnet, accel_config) -> dict[str, int]:
+        """Sequential GEMM cycles per layer of one image, priced from the program."""
+        program = capsacc_program(qnet.config, qnet.optimized_routing)
+        return {
+            name: report.stats.total_cycles - report.stats.activation_cycles
+            for name, report in program_layers(accel_config, program, 1).items()
+        }
+
     def test_mapped_stage_cycles_match_analytical_model(self, tiny_qnet, tiny_images):
         """Sequential per-stage GEMM cycles from the executable lowering
-        match the shape-level analytical model evaluated without overlap."""
+        match the compiled program's per-layer pricing."""
         accel_config = AcceleratorConfig()
         mapped = MappedInference(tiny_qnet, CapsAccAccelerator(accel_config, tiny_qnet.formats))
         result = mapped.run(tiny_images[0])
-        stages = {s.name: s for s in full_inference_stages(tiny_qnet.config)}
+        priced = self._program_gemm_cycles(tiny_qnet, accel_config)
         for name in ("conv1", "primarycaps", "classcaps_fc"):
-            analytical = stage_performance(accel_config, stages[name], overlap=False)
             measured = result.stage_stats[name]
-            assert measured.total_cycles == analytical.gemm_cycles, name
+            assert measured.total_cycles == priced[name], name
 
     def test_routing_stage_cycles_match(self, tiny_qnet, tiny_images):
         accel_config = AcceleratorConfig()
         mapped = MappedInference(tiny_qnet, CapsAccAccelerator(accel_config, tiny_qnet.formats))
         result = mapped.run(tiny_images[0])
-        stages = {s.name: s for s in full_inference_stages(tiny_qnet.config)}
+        priced = self._program_gemm_cycles(tiny_qnet, accel_config)
         for name in ("sum1", "sum2", "update1", "update2"):
-            analytical = stage_performance(accel_config, stages[name], overlap=False)
-            assert result.stage_stats[name].total_cycles == analytical.gemm_cycles, name
+            assert result.stage_stats[name].total_cycles == priced[name], name
 
 
 class TestErrorHierarchy:
@@ -81,7 +88,7 @@ class TestErrorHierarchy:
 
         assert repro.CapsuleNet is not None
         assert repro.AcceleratorConfig is not None
-        assert repro.CapsAccPerformanceModel is not None
+        assert repro.GpuModel is not None
         assert callable(repro.gtx1070_paper_profile)
 
 

@@ -85,12 +85,14 @@ class TestStatistics:
         )
 
     def test_mac_counts_match_shapes(self, reference_and_mapped, tiny_config):
-        from repro.mapping.shapes import classcaps_fc_stage
+        from repro.compiler.cost import program_layers
+        from repro.perf.compare import capsacc_program
 
         _, result = reference_and_mapped
+        priced = program_layers(AcceleratorConfig(), capsacc_program(tiny_config), 1)
         assert (
             result.stage_stats["classcaps_fc"].mac_count
-            == classcaps_fc_stage(tiny_config).macs
+            == priced["classcaps_fc"].stats.mac_count
         )
 
     def test_different_array_sizes_same_results(self, tiny_qnet, tiny_images):

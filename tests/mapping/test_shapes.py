@@ -1,155 +1,195 @@
-"""Unit tests for the shape-level stage descriptions."""
+"""The per-image work shapes the compiled CapsNet program stamps (Fig 12/14).
+
+The lowering fixes every layer's GEMM dimensions, operand sources,
+activation work and bulk buffer transfers; :mod:`repro.compiler.cost`
+prices them.  These tests pin the mappings the paper describes.
+"""
 
 import pytest
 
-from repro.errors import MappingError
-from repro.hw.activation import ActivationMode
-from repro.mapping.shapes import (
-    ActivationWork,
-    GemmShape,
-    classcaps_fc_stage,
-    conv_stage,
-    full_inference_stages,
-    load_stage,
-    routing_sum_stage,
-    routing_stages,
-    routing_update_stage,
-    stage_layer,
-    transfer_cycles,
-)
+from repro.compiler.cost import program_layers, program_transfer_cycles
+from repro.compiler.isa import Instruction, Opcode, Program
+from repro.errors import MappingError, SimulationError
+from repro.experiments.ablations import conv_mapping_policy
+from repro.fixedpoint.formats import QFormat
+from repro.hw.accelerator import gemm_cycles, plan_tiling
+from repro.hw.activation import ActivationMode, batched_activation_latency
+from repro.hw.config import AcceleratorConfig
+from repro.perf.compare import capsacc_layer_cycles, capsacc_program, layer_times_us
+
+CONFIG = AcceleratorConfig()
+
+
+@pytest.fixture(scope="module")
+def program(mnist_config):
+    return capsacc_program(mnist_config)
+
+
+@pytest.fixture(scope="module")
+def textbook(mnist_config):
+    return capsacc_program(mnist_config, optimized_routing=False)
+
+
+def _instrs(program, layer, opcode=None):
+    return [
+        instr
+        for instr in program.instructions
+        if instr.layer == layer and (opcode is None or instr.opcode is opcode)
+    ]
+
+
+def _shape(instr):
+    return instr.attrs["m"], instr.attrs["k"], instr.attrs["n"]
+
+
+def _stamped(words: int) -> Program:
+    return Program(
+        name="stamped",
+        input="x",
+        input_shape=(1,),
+        input_fmt=QFormat(8, 0),
+        instructions=[
+            Instruction(
+                Opcode.CONST, dest="c", layer="load",
+                attrs={"shape": (1,), "value": 0, "transfer_words": words},
+            )
+        ],
+    )
 
 
 class TestGemmShape:
-    def test_macs(self):
-        shape = GemmShape(m=4, k=5, n=6, count=3)
-        assert shape.macs == 360
+    def test_macs(self, program):
+        (gemm,) = _instrs(program, "sum1", Opcode.GROUPED_GEMM)
+        m, k, n = _shape(gemm)
+        macs = program_layers(CONFIG, program, 1)["sum1"].stats.mac_count
+        assert macs == m * k * n * gemm.attrs["groups"] == 16 * 1152 * 10
 
     def test_validation(self):
         with pytest.raises(MappingError):
-            GemmShape(m=0, k=1, n=1)
+            plan_tiling(CONFIG, 0, 1, 1)
 
 
 class TestActivationWork:
     def test_validation(self):
-        with pytest.raises(MappingError):
-            ActivationWork(ActivationMode.RELU, n=0)
-        with pytest.raises(MappingError):
-            ActivationWork(ActivationMode.RELU, n=1, units=0)
+        with pytest.raises(SimulationError):
+            batched_activation_latency(ActivationMode.RELU, 0, 1, 1)
+        with pytest.raises(SimulationError):
+            batched_activation_latency(ActivationMode.RELU, 1, 1, 0)
 
 
 class TestConvStages:
-    def test_conv1_dimensions(self, mnist_config):
-        stage = conv_stage(mnist_config, "conv1")
-        gemm = stage.gemms[0]
-        assert (gemm.m, gemm.k, gemm.n) == (400, 81, 256)
-        assert stage.activations[0].mode is ActivationMode.RELU
+    def test_conv1_dimensions(self, program):
+        (gemm,) = _instrs(program, "conv1", Opcode.GEMM)
+        assert _shape(gemm) == (400, 81, 256)
+        assert _instrs(program, "conv1", Opcode.RELU)
 
-    def test_primarycaps_dimensions(self, mnist_config):
-        stage = conv_stage(mnist_config, "primarycaps")
-        gemm = stage.gemms[0]
-        assert (gemm.m, gemm.k, gemm.n) == (36, 9 * 9 * 256, 256)
-        assert stage.activations[0].mode is ActivationMode.SQUASH
-        assert stage.activations[0].groups == 1152
+    def test_primarycaps_dimensions(self, program):
+        (gemm,) = _instrs(program, "primarycaps", Opcode.GEMM)
+        assert _shape(gemm) == (36, 9 * 9 * 256, 256)
+        (squash,) = _instrs(program, "primarycaps", Opcode.SQUASH)
+        assert squash.attrs["groups"] == 1152
 
-    def test_channel_serial_policy(self, mnist_config):
-        stage = conv_stage(mnist_config, "conv1", policy="channel_serial")
-        gemm = stage.gemms[0]
-        assert gemm.n == 1
-        assert gemm.count == 256
-        assert gemm.macs == conv_stage(mnist_config, "conv1").macs
-
-    def test_unknown_policy_rejected(self, mnist_config):
-        with pytest.raises(MappingError):
-            conv_stage(mnist_config, "conv1", policy="zigzag")
-
-    def test_unknown_layer_rejected(self, mnist_config):
-        with pytest.raises(MappingError):
-            conv_stage(mnist_config, "classcaps")
+    def test_channel_serial_policy(self, program, mnist_config):
+        # The ablation runs the compiled Conv1 GEMM as 256 single-column jobs.
+        (gemm,) = _instrs(program, "conv1", Opcode.GEMM)
+        m, k, n = _shape(gemm)
+        relu = program_layers(CONFIG, program, 1)["conv1"].stats.activation_cycles
+        serial = n * gemm_cycles(CONFIG, m, k, 1)["total"] + relu
+        result = conv_mapping_policy(mnist_config)
+        assert result.variants["channel_serial"] == serial / CONFIG.clock_mhz
+        assert n == 256
 
 
 class TestClassCapsStages:
-    def test_fc_one_gemm_per_capsule(self, mnist_config):
-        stage = classcaps_fc_stage(mnist_config)
-        gemm = stage.gemms[0]
-        assert gemm.count == 1152
-        assert (gemm.m, gemm.k, gemm.n) == (1, 8, 160)
-        assert stage.macs == 1474560  # every FC weight used exactly once
+    def test_fc_one_gemm_per_capsule(self, program):
+        gemms = _instrs(program, "classcaps_fc", Opcode.GEMM)
+        assert len(gemms) == 1152
+        assert {_shape(gemm) for gemm in gemms} == {(1, 8, 160)}
+        macs = program_layers(CONFIG, program, 1)["classcaps_fc"].stats.mac_count
+        assert macs == 1474560  # every FC weight used exactly once
 
-    def test_load_stage_words(self, mnist_config):
-        stage = load_stage(mnist_config)
-        assert stage.transfer_words == 1152 * 8 + 11520
+    def test_load_stage_words(self, program):
+        (load,) = _instrs(program, "load")
+        assert load.attrs["transfer_words"] == 1152 * 8 + 11520
 
 
 class TestRoutingStages:
-    def test_sum_uses_data_buffer_then_feedback(self, mnist_config):
-        first = routing_sum_stage(mnist_config, 1)
-        later = routing_sum_stage(mnist_config, 2)
-        assert first.gemms[0].data_source == "data_buffer"
-        assert later.gemms[0].data_source == "feedback"
+    def test_sum_uses_data_buffer_then_feedback(self, program):
+        (first,) = _instrs(program, "sum1", Opcode.GROUPED_GEMM)
+        (later,) = _instrs(program, "sum2", Opcode.GROUPED_GEMM)
+        assert first.attrs["data_source"] == "data_buffer"
+        assert later.attrs["data_source"] == "feedback"
 
-    def test_sum_coefficients_from_routing_buffer(self, mnist_config):
-        stage = routing_sum_stage(mnist_config, 1)
-        assert stage.gemms[0].weight_source == "routing_buffer"
+    def test_sum_coefficients_from_routing_buffer(self, program):
+        (gemm,) = _instrs(program, "sum1", Opcode.GROUPED_GEMM)
+        assert gemm.attrs["weight_source"] == "routing_buffer"
 
-    def test_update_reuses_feedback(self, mnist_config):
-        stage = routing_update_stage(mnist_config, 1)
-        assert stage.gemms[0].data_source == "feedback"
-        assert stage.gemms[0].m == 1152
+    def test_update_reuses_feedback(self, program):
+        (gemm,) = _instrs(program, "update1", Opcode.GROUPED_GEMM)
+        assert gemm.attrs["data_source"] == "feedback"
+        assert gemm.attrs["m"] == 1152
 
-    def test_optimized_sequence_skips_first_softmax(self, mnist_config):
-        stages = routing_stages(mnist_config, optimized=True)
-        names = [s.name for s in stages]
-        assert names[0] == "softmax1 (skipped)"
-        assert "softmax2" in names
-        skipped = stages[0]
-        assert not skipped.activations  # transfer only
-        assert skipped.transfer_words > 0
+    def test_optimized_sequence_skips_first_softmax(self, program):
+        (skipped,) = _instrs(program, "softmax1", Opcode.SOFTMAX)
+        assert not skipped.attrs["record"]  # transfer only
+        assert skipped.attrs["transfer_words"] > 0
+        assert "softmax1" not in program_layers(CONFIG, program, 1)
+        assert _instrs(program, "softmax2", Opcode.SOFTMAX)
 
-    def test_textbook_sequence_runs_all(self, mnist_config):
-        stages = routing_stages(mnist_config, optimized=False)
-        softmaxes = [s for s in stages if s.name.startswith("softmax")]
+    def test_textbook_sequence_runs_all(self, textbook):
+        softmaxes = [i for i in textbook.instructions if i.opcode is Opcode.SOFTMAX]
         assert len(softmaxes) == 3
-        assert all(s.activations for s in softmaxes)
+        assert all(i.attrs["record"] for i in softmaxes)
 
-    def test_sequence_order_matches_fig9(self, mnist_config):
-        names = [s.name for s in routing_stages(mnist_config, optimized=False)]
+    def test_sequence_order_matches_fig9(self, textbook):
+        names = list(
+            dict.fromkeys(
+                instr.layer
+                for instr in textbook.instructions
+                if instr.layer and instr.layer.startswith(("softmax", "sum", "squash", "update"))
+            )
+        )
         assert names == [
             "softmax1", "sum1", "squash1", "update1",
             "softmax2", "sum2", "squash2", "update2",
             "softmax3", "sum3", "squash3",
         ]
 
-    def test_cross_column_activations_serialize(self, mnist_config):
-        stages = routing_stages(mnist_config, optimized=False)
-        for stage in stages:
-            for work in stage.activations:
-                assert work.units == 1
+    def test_cross_column_activations_serialize(self, textbook):
+        layers = program_layers(CONFIG, textbook, 1)
+        for instr in textbook.instructions:
+            if instr.opcode in (Opcode.SOFTMAX, Opcode.SQUASH) and instr.layer != "primarycaps":
+                mode = ActivationMode(instr.opcode.value)
+                serial = batched_activation_latency(
+                    mode, instr.attrs["n"], instr.attrs["groups"], 1
+                )
+                assert layers[instr.layer].stats.activation_cycles == serial
 
 
 class TestFullInference:
     def test_stage_order(self, mnist_config):
-        names = [s.name for s in full_inference_stages(mnist_config)]
-        assert names[:4] == ["conv1", "primarycaps", "load", "classcaps_fc"]
+        names = list(capsacc_layer_cycles(mnist_config))
+        assert names[:4] == ["conv1", "primarycaps", "classcaps_fc", "load"]
         assert names[-1] == "squash3"
 
-    def test_total_macs_constant_across_policies(self, mnist_config):
-        parallel = sum(s.macs for s in full_inference_stages(mnist_config))
-        serial = sum(
-            s.macs
-            for s in full_inference_stages(mnist_config, conv_policy="channel_serial")
-        )
-        assert parallel == serial
+    def test_total_macs_constant_across_policies(self, program):
+        (gemm,) = _instrs(program, "conv1", Opcode.GEMM)
+        m, k, n = _shape(gemm)
+        parallel = program_layers(CONFIG, program, 1)["conv1"].stats.mac_count
+        assert parallel == n * (m * k * 1)  # n single-column channel-serial jobs
 
     def test_stage_layer_aggregation(self):
-        assert stage_layer("conv1") == "Conv1"
-        assert stage_layer("primarycaps") == "PrimaryCaps"
-        assert stage_layer("sum2") == "ClassCaps"
-        assert stage_layer("classcaps_fc") == "ClassCaps"
+        layers = layer_times_us(
+            {"conv1": 250, "primarycaps": 500, "classcaps_fc": 250, "sum2": 500}, 250.0
+        )
+        assert layers == {"Conv1": 1.0, "PrimaryCaps": 2.0, "ClassCaps": 3.0, "Total": 6.0}
 
 
 class TestTransferCycles:
     def test_rounds_up(self):
-        assert transfer_cycles(17, 16) == 2
+        assert program_transfer_cycles(CONFIG, _stamped(17), 1) == {"load": 2}
 
-    def test_zero_free(self):
-        assert transfer_cycles(0, 16) == 0
+    def test_zero_free(self, program):
+        assert program_transfer_cycles(CONFIG, _stamped(0), 1) == {}
+        # Only the routing steps move bulk data outside GEMM streaming.
+        assert "conv1" not in program_transfer_cycles(CONFIG, program, 1)

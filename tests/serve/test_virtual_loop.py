@@ -5,8 +5,8 @@
 :class:`~repro.serve.runtime.RuntimeEngine`.  Whatever the policy
 preset, dispatch policy, pool size, tenant mix or fault plan, every
 report it produces must conserve requests, place every served request in
-exactly one completed batch, and, without faults, count what the
-streaming path counts.
+exactly one completed batch, agree tenant by tenant with its request
+rows, and, without faults, count what the streaming path counts.
 """
 
 from collections import Counter
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.serve import (
     FaultPlan,
+    RetryPolicy,
     ScheduledBatchCost,
     ServerConfig,
     ServingSimulator,
@@ -25,6 +26,7 @@ from repro.serve import (
     poisson_trace,
 )
 from repro.serve.policies import DISPATCH_POLICIES
+from repro.serve.stats import percentile_summary
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +85,48 @@ def runs(draw):
     return settings, tenants
 
 
+def _check_tenant_entries(report, tenants):
+    """Every field of every tenant entry agrees with the request rows."""
+    assert [entry["tenant"] for entry in report.tenants] == [spec.name for spec in tenants]
+    for entry, spec in zip(report.tenants, tenants):
+        mine = [record for record in report.requests if record.tenant == spec.name]
+        served = [r for r in mine if not (r.shed or r.failed)]
+        assert entry["offered"] == len(mine) == spec.trace.count
+        assert entry["served"] == len(served)
+        assert entry["shed"] == sum(1 for r in mine if r.shed)
+        assert entry["failed"] == sum(1 for r in mine if r.failed)
+        assert entry["deadline_misses"] == sum(1 for r in mine if r.missed_deadline)
+        assert entry["served"] + entry["shed"] + entry["failed"] == entry["offered"]
+        assert entry["served_share"] == (
+            len(served) / report.completed if report.completed else 0.0
+        )
+        assert entry["latency_us"] == percentile_summary(
+            np.array([r.latency_us for r in served])
+        )
+
+
+def test_tenant_entries_count_failed_requests_apart(tiny_cost):
+    """Crashed requests out of retries are failed, not served, per tenant."""
+    rng = np.random.default_rng(3)
+    tenants = [
+        TenantSpec(name="a", trace=poisson_trace(8000.0, 150, rng)),
+        TenantSpec(name="b", trace=poisson_trace(4000.0, 100, rng), weight=2.0),
+    ]
+    server = ServerConfig.from_policy(
+        "fifo",
+        tiny_cost,
+        network_name="tiny",
+        arrays=2,
+        fault_plan=FaultPlan(crash_batches=(1, 2, 3)),
+        retry=RetryPolicy(max_attempts=1),
+    )
+    report = ServingSimulator(tenants=tenants, server=server).run()
+    assert report.failed_count > 0
+    assert sum(entry["failed"] for entry in report.tenants) == report.failed_count
+    assert sum(entry["served"] for entry in report.tenants) == report.completed
+    _check_tenant_entries(report, tenants)
+
+
 @settings(max_examples=60, deadline=None)
 @given(run=runs())
 def test_every_run_conserves_requests(tiny_cost, run):
@@ -105,9 +149,7 @@ def test_every_run_conserves_requests(tiny_cost, run):
         assert sum(outcomes.values()) == spec.trace.count
         assert not any(r.shed and r.failed for r in mine)
     if report.tenants is not None:
-        for entry, spec in zip(report.tenants, tenants):
-            assert entry["offered"] == spec.trace.count
-            assert entry["shed"] == sum(1 for r in records if r.tenant == spec.name and r.shed)
+        _check_tenant_entries(report, tenants)
 
     # Every served request sits in exactly one completed batch, the one
     # its record names; shed and failed requests in none.
