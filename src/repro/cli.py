@@ -557,6 +557,7 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import json
+    import signal
     import time
 
     import numpy as np
@@ -646,13 +647,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                         f"serving {args.network} on {bound[0]}:{bound[1]}"
                         f" ({server.describe()}; ctrl-c to stop)"
                     )
-                    async with socket_server:
-                        await socket_server.serve_forever()
+                    # ctrl-c ends the wait rather than interrupting the loop:
+                    # asyncio.run would cancel the in-flight requests before
+                    # they reply (Python 3.10), and serve_forever()'s
+                    # cancellation waits for every client to hang up (3.12).
+                    interrupted = asyncio.Event()
+                    asyncio.get_running_loop().add_signal_handler(
+                        signal.SIGINT, interrupted.set
+                    )
+                    try:
+                        await interrupted.wait()
+                    finally:
+                        # Stop accepting, then finish the requests already in
+                        # flight (their replies go out) before exit.
+                        socket_server.close()
+                        await runtime.stop()
 
                 try:
                     asyncio.run(serve_forever())
                 except KeyboardInterrupt:
-                    print("stopped")
+                    pass  # ctrl-c before the server was up
+                print("stopped")
                 return 0
 
             async def run_load():

@@ -59,7 +59,8 @@ program's per-image shapes).  Numerics and accounting are separate:
 * **Accounting.**  Cycles and buffer traffic depend on shapes only, so
   ``BatchResult.layers`` and the accelerator's buffer counters come from
   the closed-form pricing of :mod:`repro.compiler.cost`, memoized per
-  batch size.
+  batch size; every batch of a size shares the same read-only layer
+  reports (their ``stats.accesses`` are frozen).
 
 Calls share no mutable state apart from those buffer counters (statistics
 the serving path never reads) and the memo of read-only constant
@@ -73,7 +74,7 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import fields
 from typing import NamedTuple
 
 import numpy as np
@@ -98,6 +99,7 @@ from repro.fixedpoint.quantize import to_raw
 from repro.hw.accelerator import CapsAccAccelerator, plan_tiling
 from repro.hw.activation import ActivationUnit
 from repro.hw.report import BatchResult
+from repro.hw.stats import FrozenCounts
 
 #: ``BatchResult`` field <- program output alias (set when the alias exists).
 _RESULT_FIELDS = (
@@ -541,7 +543,11 @@ class StreamExecutor:
     # ---- accounting ------------------------------------------------------------
 
     def _accounting(self, batch: int) -> tuple:
-        """``(layers, accesses)`` of a batch size (memoized)."""
+        """``(layers, accesses)`` of a batch size (memoized).
+
+        Every batch of the size shares these layer reports, so each
+        report's ``stats.accesses`` is frozen read-only.
+        """
         account = self._accounts.get(batch)
         if account is None:
             config = self.accelerator.config
@@ -549,6 +555,7 @@ class StreamExecutor:
             accesses: Counter = Counter()
             for report in layers.values():
                 accesses.update(report.stats.accesses)
+                report.stats.accesses = FrozenCounts(report.stats.accesses)
             account = (layers, accesses)
             self._accounts[batch] = account
         return account
@@ -921,13 +928,7 @@ class StreamExecutor:
         return BatchResult(
             batch=batch,
             predictions=outputs["predictions"],
-            layers={
-                name: replace(
-                    report,
-                    stats=replace(report.stats, accesses=dict(report.stats.accesses)),
-                )
-                for name, report in layers.items()
-            },
+            layers=dict(layers),
             outputs=outputs,
             **fields,
         )

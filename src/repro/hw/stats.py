@@ -10,6 +10,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+class FrozenCounts(dict):
+    """A read-only ``dict`` of access counts, shared between reports.
+
+    Mutators raise :class:`TypeError`; copies (``dict(...)``,
+    :func:`dataclasses.asdict`, pickling) still work.
+    """
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("access counts are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return (type(self), (dict(self),))
+
+
 @dataclass
 class CycleStats:
     """Cycle breakdown and event counters for a simulated stage."""

@@ -28,7 +28,10 @@ Three layers, each usable on its own:
 * :class:`ServingRuntime` — the asyncio front-end: in-process
   ``await submit(image)``, paced open-loop load
   (:meth:`ServingRuntime.run_load`), and a JSONL socket server
-  (:meth:`ServingRuntime.serve_socket`).  Requests buffer into a
+  (:meth:`ServingRuntime.serve_socket`) that pipelines each connection:
+  it keeps reading while up to :data:`SOCKET_INFLIGHT_LIMIT` (64) of the
+  connection's requests are in flight, and replies in completion order,
+  so clients match replies to requests by ``id``.  Requests buffer into a
   power-of-two image ring so FIFO batches assemble as zero-copy
   contiguous views; formed batches execute on a thread pool sized like
   the simulated array pool, and completions re-enter the event loop via
@@ -71,6 +74,11 @@ from repro.serve.sinks import CompletionSink, RecordingSink, StreamingSink
 from repro.serve.stats import RequestRecord, ServingReport, percentile_summary
 from repro.serve.trace import ArrivalTrace
 from repro.serve.workers import CompiledStreamExecutor, WorkerCrashError
+
+
+#: Requests one socket connection may have in flight; at the bound its
+#: handler stops reading, so TCP pushes back on the client.
+SOCKET_INFLIGHT_LIMIT = 64
 
 
 async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
@@ -1024,19 +1032,45 @@ class ServingRuntime:
 
         ``{"id": ..., "image": [[...]]}`` replies
         ``{"id": ..., "prediction": N}``; a shed request replies
-        ``{"id": ..., "error": "shed"}`` and a malformed one
-        ``{"id": ..., "error": "bad request: ..."}`` (``id`` is null when
-        the line is not a JSON object).  A line longer than the stream
-        reader's limit is discarded through its newline and replied
-        ``{"id": null, "error": "bad request: line too long"}``; the
-        connection stays open.  Malformed requests are rejected before
-        admission, so the report never counts them.  Returns the
-        :class:`asyncio.Server` (the caller owns its lifetime; the bound
-        port is ``server.sockets[0].getsockname()[1]``).
+        ``{"id": ..., "error": "shed"}``, one whose batch failed for good
+        (or that reached a stopped runtime) ``{"id": ..., "error":
+        "failed: <reason>"}``, and a malformed one ``{"id": ..., "error":
+        "bad request: ..."}`` (``id`` is null when the line is not a JSON
+        object).  A line longer than the stream reader's limit is
+        discarded through its newline and replied ``{"id": null, "error":
+        "bad request: line too long"}``; the connection stays open.
+        Malformed requests are rejected before admission, so the report
+        never counts them.
+
+        Each connection is pipelined: the handler reads the next line
+        while earlier requests are still in flight, up to
+        :data:`SOCKET_INFLIGHT_LIMIT` per connection, then stops reading
+        (TCP pushes back on the client) until a reply frees a slot.
+        Replies go out in completion order, not request order; clients
+        match them by ``id``.  At end of stream or a read error the
+        handler waits for the connection's outstanding requests before
+        it closes the connection.  Returns the :class:`asyncio.Server`
+        (the caller owns its lifetime; the bound port is
+        ``server.sockets[0].getsockname()[1]``).
         """
         self._ensure_loop()
 
+        async def respond(writer, slots, request_id, image, deadline) -> None:
+            try:
+                prediction = await self.submit(image, deadline_us=deadline)
+                reply = {"id": request_id, "prediction": prediction}
+            except RequestShedError:
+                reply = {"id": request_id, "error": "shed"}
+            except (WorkerCrashError, ConfigError) as error:
+                reply = {"id": request_id, "error": f"failed: {error}"}
+            finally:
+                slots.release()
+            if not writer.is_closing():
+                writer.write((json.dumps(reply) + "\n").encode())
+
         async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
+            slots = asyncio.Semaphore(SOCKET_INFLIGHT_LIMIT)
+            inflight: set[asyncio.Task] = set()
             try:
                 while True:
                     line = await _read_line(reader)
@@ -1056,17 +1090,26 @@ class ServingRuntime:
                             or not isinstance(deadline, (int, float))
                         ):
                             raise TypeError(f"deadline_us {deadline!r} is not a number")
-                        prediction = await self.submit(
-                            np.asarray(payload["image"]), deadline_us=deadline
-                        )
-                        reply = {"id": request_id, "prediction": prediction}
-                    except RequestShedError:
-                        reply = {"id": request_id, "error": "shed"}
+                        image = np.asarray(payload["image"])
+                        self._check_images(image[np.newaxis])
                     except (KeyError, ValueError, TypeError) as error:
                         reply = {"id": request_id, "error": f"bad request: {error}"}
-                    writer.write((json.dumps(reply) + "\n").encode())
+                        writer.write((json.dumps(reply) + "\n").encode())
+                    else:
+                        await slots.acquire()
+                        task = asyncio.create_task(
+                            respond(writer, slots, request_id, image, deadline)
+                        )
+                        inflight.add(task)
+                        task.add_done_callback(inflight.discard)
+                    # The read loop is the connection's only drainer, so a
+                    # client that stops reading its replies stops the reads.
                     await writer.drain()
+            except ConnectionError:
+                pass  # the peer is gone; outstanding requests still finish
             finally:
+                if inflight:
+                    await asyncio.wait(inflight)
                 writer.close()
 
         return await asyncio.start_server(handle, host, port)

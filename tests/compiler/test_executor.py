@@ -133,3 +133,22 @@ class TestFoldedConstants:
         first[...] = 0
         again = stored.run_batch(zoo_images("tiny", count=2)).outputs["first"]
         assert again.any()
+
+
+class TestSharedAccounting:
+    def test_layer_reports_are_shared_read_only_per_batch_size(self):
+        # Every batch of a size hands out the same memoized layer reports:
+        # mutating one must raise, not corrupt the next batch's accounting.
+        stream = executor("tiny")
+        images = zoo_images("tiny", count=3)
+        first = stream.run_batch(images)
+        want = {name: dict(r.stats.accesses) for name, r in first.layers.items()}
+        for report in first.layers.values():
+            for key in report.stats.accesses:
+                with pytest.raises(TypeError):
+                    report.stats.accesses[key] = 0
+                with pytest.raises(TypeError):
+                    report.stats.add_access(key, 1)
+        first.layers.clear()
+        again = stream.run_batch(images)
+        assert {name: dict(r.stats.accesses) for name, r in again.layers.items()} == want

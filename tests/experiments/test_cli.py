@@ -1,8 +1,21 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+import re
+import signal
+import socket
+import subprocess
+import sys
+import time
+import urllib.request
+from pathlib import Path
+
 import pytest
 
 from repro import cli
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 class TestParser:
@@ -268,6 +281,52 @@ class TestServeCommand:
         argv += ["--requests", "16", "--rate", "4000", "--max-batch", "4"]
         assert cli.main(argv) == 0
         assert "req/s" in capsys.readouterr().out
+
+    def test_listen_drains_in_flight_requests_on_ctrl_c(self):
+        # The request's batch would wait out a 60 s coalescing window, so
+        # only the shutdown drain can answer it before the process exits.
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            metrics_port = probe.getsockname()[1]
+        argv = ["serve", "--network", "tiny", "--listen", "127.0.0.1:0"]
+        argv += ["--max-wait-us", "60000000", "--metrics-listen", f"127.0.0.1:{metrics_port}"]
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"), PYTHONUNBUFFERED="1")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+            env=env,
+        )
+        try:
+            port = None
+            for line in proc.stdout:
+                found = re.search(r"serving tiny on 127\.0\.0\.1:(\d+)", line)
+                if found:
+                    port = int(found.group(1))
+                    break
+            assert port is not None, "server never reported its port"
+            with socket.create_connection(("127.0.0.1", port), timeout=60) as client:
+                request = {"id": 5, "image": [[0.5] * 12] * 12}
+                client.sendall(json.dumps(request).encode() + b"\n")
+                admitted = re.compile(r"^serve_requests_admitted_total\S* 1(\.0)?$", re.M)
+                deadline = time.monotonic() + 60
+                while time.monotonic() < deadline:
+                    url = f"http://127.0.0.1:{metrics_port}/metrics"
+                    with urllib.request.urlopen(url, timeout=10) as scrape:
+                        if admitted.search(scrape.read().decode()):
+                            break
+                    time.sleep(0.05)
+                proc.send_signal(signal.SIGINT)
+                reply = json.loads(client.makefile("rb").readline())
+            out, _ = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 0
+        assert reply["id"] == 5 and isinstance(reply["prediction"], int)
+        assert "stopped" in out
 
     def test_live_serve_rejects_pipeline(self, capsys):
         assert cli.main(["serve", "--pipeline", "--requests", "8"]) == 2

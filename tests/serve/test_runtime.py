@@ -12,6 +12,7 @@ Three layers under test, mirroring :mod:`repro.serve.runtime`:
 """
 
 import asyncio
+import gc
 import json
 import math
 import time
@@ -58,6 +59,10 @@ def live_images(tiny_config):
 def offline_predictions(tiny_config, tiny_weights, live_images):
     qnet = QuantizedCapsuleNet(tiny_config, weights=tiny_weights)
     return qnet.predict_batch(live_images)
+
+
+def request_line(request_id: int, image: np.ndarray) -> bytes:
+    return (json.dumps({"id": request_id, "image": image.tolist()}) + "\n").encode()
 
 
 def live_server(cost, **overrides):
@@ -515,6 +520,177 @@ class TestServingRuntimeLive:
         assert replies[0] == {"id": None, "error": "bad request: line too long"}
         assert replies[1] == {"id": 2, "prediction": expected}
         assert report.offered == report.completed == 1
+
+    def test_socket_connection_is_pipelined(self, tiny_config, tiny_cost):
+        # One connection writes every request before it reads a reply: the
+        # server must read ahead and batch them, reply to each id once
+        # (in any order), and still answer the malformed and over-long
+        # lines without counting them.
+        images = SyntheticDigits(size=tiny_config.image_size, seed=41).generate(32).images
+        expected = QuantizedCapsuleNet(tiny_config).predict_batch(images)
+        lines = [request_line(i, image) for i, image in enumerate(images)]
+        lines.insert(5, b"not json\n")
+        lines.insert(20, json.dumps({"id": 99, "image": [[0.5] * 40_000]}).encode() + b"\n")
+
+        async def scenario():
+            runtime = ServingRuntime(
+                live_server(tiny_cost, max_batch=16, max_wait_us=500.0),
+                executor=CompiledStreamExecutor(tiny_config),
+            )
+            server = await runtime.serve_socket()
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b"".join(lines))
+            await writer.drain()
+            replies = [
+                json.loads(await asyncio.wait_for(reader.readline(), 30.0))
+                for _ in lines
+            ]
+            writer.close()
+            await writer.wait_closed()
+            server.close()
+            await server.wait_closed()
+            await runtime.stop()
+            return replies, runtime.report()
+
+        replies, report = asyncio.run(scenario())
+        errors = [reply for reply in replies if "error" in reply]
+        assert sorted(reply["error"] for reply in errors) == [
+            "bad request: Expecting value: line 1 column 1 (char 0)",
+            "bad request: line too long",
+        ]
+        predictions = {reply["id"]: reply["prediction"] for reply in replies if "error" not in reply}
+        assert len(predictions) == len(replies) - 2 == 32
+        assert predictions == {i: int(p) for i, p in enumerate(expected)}
+        assert max(batch.size for batch in report.batches) > 1
+        assert report.offered == report.completed == 32
+
+    def test_socket_replies_failed_requests_and_keeps_the_connection(
+        self, tiny_config, tiny_cost
+    ):
+        # Crashed batches with no retry budget fail their requests: each
+        # such line is answered "failed: ..." on a connection that stays
+        # open, and the failed replies are exactly the report's failures.
+        from repro.serve import FaultPlan, RetryPolicy
+
+        server = live_server(
+            tiny_cost,
+            max_batch=4,
+            max_wait_us=0.0,
+            arrays=2,
+            fault_plan=FaultPlan(crash_batches=(0, 2), seed=3),
+            retry=RetryPolicy(max_attempts=1),
+        )
+        image = np.zeros((tiny_config.image_size, tiny_config.image_size))
+        count = 12
+
+        async def scenario():
+            runtime = ServingRuntime(server, executor=PredictedExecutor(tiny_config.image_size))
+            socket_server = await runtime.serve_socket()
+            port = socket_server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+
+            async def exchange(ids):
+                writer.write(b"".join(request_line(i, image) for i in ids))
+                await writer.drain()
+                return [
+                    json.loads(await asyncio.wait_for(reader.readline(), 30.0))
+                    for _ in ids
+                ]
+
+            replies = await exchange(range(count))
+            pool = runtime.engine.core.pool
+            for _ in range(400):
+                if not pool.quarantined_ids():
+                    break
+                await asyncio.sleep(0.005)
+            replies += await exchange([count])
+            writer.close()
+            await writer.wait_closed()
+            socket_server.close()
+            await socket_server.wait_closed()
+            await runtime.stop()
+            return replies, runtime.report()
+
+        replies, report = asyncio.run(scenario())
+        assert sorted(reply["id"] for reply in replies) == list(range(count + 1))
+        failed = [reply for reply in replies if "error" in reply]
+        assert all(reply["error"].startswith("failed: ") for reply in failed)
+        assert len(failed) == report.failed_count > 0
+        assert replies[-1] == {"id": count, "prediction": -1}
+        assert report.offered == report.completed + report.failed_count == count + 1
+
+    def test_socket_replies_failed_after_the_runtime_stops(self, tiny_config, tiny_cost):
+        image = np.zeros((tiny_config.image_size, tiny_config.image_size))
+
+        async def scenario():
+            runtime = ServingRuntime(
+                live_server(tiny_cost), executor=PredictedExecutor(tiny_config.image_size)
+            )
+            server = await runtime.serve_socket()
+            port = server.sockets[0].getsockname()[1]
+            await runtime.stop()
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            replies = []
+            for request_id in (1, 2):
+                writer.write(request_line(request_id, image))
+                replies.append(json.loads(await asyncio.wait_for(reader.readline(), 10.0)))
+            writer.close()
+            await writer.wait_closed()
+            server.close()
+            await server.wait_closed()
+            return replies, runtime.report()
+
+        replies, report = asyncio.run(scenario())
+        assert replies == [
+            {"id": 1, "error": "failed: runtime is stopped"},
+            {"id": 2, "error": "failed: runtime is stopped"},
+        ]
+        assert report.offered == 0
+
+    def test_socket_disconnect_and_shutdown_with_requests_in_flight(
+        self, tiny_config, tiny_cost
+    ):
+        # The client writes its requests and hangs up without reading; the
+        # server and runtime then shut down.  Every admitted request still
+        # reaches one terminal event and no task error goes unretrieved.
+        image = np.zeros((tiny_config.image_size, tiny_config.image_size))
+        count = 24
+        loop_errors = []
+
+        async def scenario():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: loop_errors.append(context)
+            )
+            runtime = ServingRuntime(
+                live_server(tiny_cost, max_batch=4, max_wait_us=0.0),
+                executor=SlowExecutor(tiny_config.image_size, delay_s=0.005),
+            )
+            server = await runtime.serve_socket()
+            port = server.sockets[0].getsockname()[1]
+            _, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b"".join(request_line(i, image) for i in range(count)))
+            await writer.drain()
+            writer.close()
+            await writer.wait_closed()
+            for _ in range(2000):
+                if runtime.engine.offered >= count:
+                    break
+                await asyncio.sleep(0.005)
+            inflight = runtime._pending
+            server.close()
+            await runtime.stop()
+            await server.wait_closed()
+            await asyncio.sleep(0.05)
+            gc.collect()
+            return inflight, runtime.report(), runtime
+
+        inflight, report, runtime = asyncio.run(scenario())
+        assert inflight > 0
+        assert report.offered == count
+        assert report.offered == report.completed + report.shed_count + report.failed_count
+        assert not runtime._futures
+        assert not loop_errors, loop_errors
 
     def test_malformed_submit_is_rejected_before_admission(
         self, tiny_config, tiny_cost, live_images, offline_predictions
