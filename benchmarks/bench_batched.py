@@ -1,6 +1,6 @@
 """Throughput benchmark for the batched execution engine.
 
-Sweeps the scheduler batch size over the same synthetic image stream and
+Sweeps the executor batch size over the same synthetic image stream and
 reports, per batch size:
 
 * simulator wall-clock throughput (images/s of host time) — the per-job
@@ -36,11 +36,10 @@ from repro.capsnet.config import mnist_capsnet_config, tiny_capsnet_config
 from repro.capsnet.quantized import QuantizedCapsuleNet
 from repro.compiler.executor import StreamExecutor
 from repro.data.synthetic import SyntheticDigits
-from repro.hw.scheduler import BatchScheduler
 
 
 def measure(
-    scheduler: BatchScheduler,
+    executor: StreamExecutor,
     images: np.ndarray,
     batch_size: int,
     repeats: int,
@@ -50,7 +49,7 @@ def measure(
 
     def one_pass() -> list:
         return [
-            scheduler.run_batch(images[lo : lo + batch_size])
+            executor.run_batch(images[lo : lo + batch_size])
             for lo in range(0, count, batch_size)
         ]
 
@@ -61,7 +60,7 @@ def measure(
         results = one_pass()
         best = min(best, time.perf_counter() - start)
 
-    config = scheduler.accelerator.config
+    config = executor.accelerator.config
     seq_cycles = sum(r.total_cycles for r in results)
     ovl_cycles = sum(r.overlapped_cycles for r in results)
     macs = sum(r.total_stats.mac_count for r in results)
@@ -79,12 +78,8 @@ def measure(
     }
 
 
-def layer_split(scheduler: BatchScheduler, images: np.ndarray, repeats: int) -> dict:
+def layer_split(executor: StreamExecutor, images: np.ndarray, repeats: int) -> dict:
     """Per-layer median wall milliseconds of one batch of ``images``."""
-    compiled = scheduler.compiled
-    executor = StreamExecutor(
-        compiled.program, compiled.params, compiled.formats, luts=compiled.luts
-    )
     executor.run_batch(images)  # warm-up
     samples = []
     for _ in range(repeats):
@@ -107,12 +102,12 @@ def run_benchmark(args: argparse.Namespace) -> dict:
         args.images
     ).images
     qnet = QuantizedCapsuleNet(network)
-    scheduler = BatchScheduler(qnet, engine="fast")
+    executor = StreamExecutor.for_network(qnet)
     skipped = [batch for batch in args.batch_sizes if batch > args.images]
     if skipped:
         print(f"skipping batch sizes larger than --images: {skipped}", file=sys.stderr)
     rows = [
-        measure(scheduler, images, batch, args.repeats)
+        measure(executor, images, batch, args.repeats)
         for batch in args.batch_sizes
         if batch <= args.images
     ]
@@ -127,7 +122,7 @@ def run_benchmark(args: argparse.Namespace) -> dict:
         "repeats": args.repeats,
         "results": rows,
         # The median of 25 batches steadies the full run's per-layer split.
-        "layers_ms": layer_split(scheduler, images[:largest], 3 if args.smoke else 25),
+        "layers_ms": layer_split(executor, images[:largest], 3 if args.smoke else 25),
     }
 
 

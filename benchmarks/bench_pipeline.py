@@ -30,9 +30,14 @@ import time
 
 import numpy as np
 
-from repro.compiler.cost import program_batch_cycles, program_stats
+from repro.compiler.cost import (
+    program_batch_cycles,
+    program_stats,
+    program_steady_cycles,
+    program_stream_timing,
+)
 from repro.compiler.zoo import get_network
-from repro.hw.scheduler import PipelinedStreamScheduler
+from repro.hw.config import AcceleratorConfig
 from repro.serve import (
     BatchPolicy,
     ScheduledBatchCost,
@@ -44,16 +49,15 @@ from repro.serve import (
 def engine_rows(args: argparse.Namespace) -> tuple[list[dict], dict]:
     """Cold vs warm cycles/image per batch size."""
     compiled = get_network(args.network)
-    pipelined = PipelinedStreamScheduler(compiled)
-    config = pipelined.accelerator.config
+    config = AcceleratorConfig()
     program = compiled.program
     rows = []
     wall_start = time.perf_counter()
     for batch in args.batch_sizes:
         double_buffered = program_batch_cycles(config, program, batch)["overlapped"]
         compute = program_stats(config, program, batch).compute_cycles
-        cold = pipelined.probe_timing([batch]).finish_cycles
-        steady = pipelined.steady_state_cycles(batch, stream_length=args.stream_length)
+        cold = program_stream_timing(config, program, [batch]).finish_cycles
+        steady = program_steady_cycles(config, program, batch, args.stream_length)
         rows.append(
             {
                 "batch": batch,

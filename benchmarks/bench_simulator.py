@@ -2,17 +2,17 @@
 
 These measure the repository's own hot paths: the cycle-stepped systolic
 array, the fast GEMM engine, the bit-accurate quantized inference and the
-fully mapped accelerator execution.
+compiled-stream executor running the whole network.
 """
 
 import numpy as np
 import pytest
 
 from repro.capsnet.hwops import QuantizedFormats
+from repro.compiler.executor import StreamExecutor
 from repro.hw.accelerator import CapsAccAccelerator, GemmJob
 from repro.hw.config import AcceleratorConfig
 from repro.hw.systolic import SystolicArray
-from repro.mapping.execute import MappedInference
 
 FMTS = QuantizedFormats()
 ACC_FMT = FMTS.acc(FMTS.caps_data, FMTS.classcaps_weight)
@@ -67,8 +67,8 @@ def test_quantized_inference_tiny(benchmark, tiny_qnet, tiny_image):
     assert out.saturation.rate < 0.01
 
 
-def test_mapped_inference_tiny(benchmark, tiny_qnet, tiny_image):
-    mapped = MappedInference(tiny_qnet)
+def test_stream_executor_tiny(benchmark, tiny_qnet, tiny_image):
+    executor = StreamExecutor.for_network(tiny_qnet)
     reference = tiny_qnet.forward(tiny_image)
-    result = benchmark(mapped.run, tiny_image)
-    assert np.array_equal(result.class_caps_raw, reference.class_caps_raw)
+    result = benchmark(executor.run_batch, tiny_image[np.newaxis])
+    assert np.array_equal(result.class_caps_raw[0], reference.class_caps_raw)

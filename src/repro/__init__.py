@@ -20,9 +20,6 @@ Python.  It contains:
     Graph -> instruction-stream compiler, the stream executor and the
     closed-form pricing of compiled programs — the one CapsAcc cycle source
     behind serving, the sweep and every paper figure.
-``repro.mapping``
-    The Fig 13 loop nest and the per-image executable lowering onto the
-    cycle-level accelerator.
 ``repro.perf``
     The paper's CapsAcc-vs-GPU comparisons (CapsAcc side priced from the
     compiled program) and the GPU baseline model that substitutes the

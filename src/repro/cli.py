@@ -199,9 +199,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     import numpy as np
 
+    from repro.compiler.cost import program_stream_timing
+    from repro.compiler.executor import StreamExecutor
     from repro.compiler.zoo import get_network
     from repro.data.synthetic import SyntheticDigits
-    from repro.hw.scheduler import BatchScheduler, LayerReport, PipelinedStreamScheduler
+    from repro.hw.pipeline import DEFAULT_PRESTAGE_DEPTH, DEFAULT_WINDOW
+    from repro.hw.report import LayerReport
 
     if args.batch_size < 1 or args.images is not None and args.images < 1:
         print("batch size and image count must be positive", file=sys.stderr)
@@ -215,22 +218,25 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if compiled.input_shape[0] != 1:
         images = np.repeat(images[:, np.newaxis], compiled.input_shape[0], axis=1)
 
+    executor = StreamExecutor.for_network(compiled, engine=args.engine)
+    config = executor.accelerator.config
+    start = time.perf_counter()
+    results = [
+        executor.run_batch(images[lo : lo + args.batch_size])
+        for lo in range(0, count, args.batch_size)
+    ]
+    predictions = np.concatenate([result.predictions for result in results])
+
     if args.pipeline:
-        pipelined = PipelinedStreamScheduler(compiled, engine=args.engine)
-        config = pipelined.accelerator.config
-        batches = [
-            images[lo : lo + args.batch_size]
-            for lo in range(0, count, args.batch_size)
-        ]
-        start = time.perf_counter()
-        stream = pipelined.run_stream(batches)
+        timing = program_stream_timing(
+            config, compiled.program, [result.batch for result in results]
+        )
         wall = time.perf_counter() - start
-        timing = stream.timing
         print(
             f"Pipelined stream simulation: {count} images,"
-            f" batch size {args.batch_size}, {len(batches)} batches,"
+            f" batch size {args.batch_size}, {len(results)} batches,"
             f" {args.network} network, {args.engine} engine"
-            f" (window {pipelined.window}, prestage {pipelined.prestage_depth} tiles)"
+            f" (window {DEFAULT_WINDOW}, prestage {DEFAULT_PRESTAGE_DEPTH} tiles)"
         )
         print(f"{'batch':>6s} {'start':>12s} {'finish':>12s} {'marginal':>12s}")
         for bt in timing.batches:
@@ -251,52 +257,38 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f" = {config.clock_mhz * 1e6 / warm:,.0f} images/s at"
             f" {config.clock_mhz:.0f} MHz"
         )
+        overlapped = sum(result.overlapped_cycles for result in results)
+        finish = timing.finish_cycles
+        speedup = overlapped / finish if finish else 0.0
         print(
             f"Stream speedup over per-batch double-buffered scheduling:"
-            f" {stream.pipelined_speedup():.2f}x"
-            f" ({timing.finish_cycles:,d} vs {stream.overlapped_cycles:,d} cycles)"
+            f" {speedup:.2f}x ({finish:,d} vs {overlapped:,d} cycles)"
         )
-        print(f"Simulator wall clock: {wall:.3f} s = {count / wall:,.1f} images/s")
-        predictions = stream.predictions
-        accuracy = float(np.mean(predictions == dataset.labels))
-        shown = predictions[:16].tolist()
-        suffix = f" ... ({count} total)" if count > 16 else ""
-        print(f"Predictions: {shown}{suffix} (synthetic-label accuracy {accuracy:.0%})")
-        return 0
-
-    scheduler = BatchScheduler(compiled, engine=args.engine)
-    config = scheduler.accelerator.config
-
-    layers: dict[str, LayerReport] = {}
-    predictions = []
-    start = time.perf_counter()
-    for lo in range(0, count, args.batch_size):
-        result = scheduler.run_batch(images[lo : lo + args.batch_size])
-        predictions.append(result.predictions)
-        for name, report in result.layers.items():
-            layers.setdefault(name, LayerReport(name=name)).merge(report)
-    wall = time.perf_counter() - start
-    predictions = np.concatenate(predictions)
-
-    total = LayerReport(name="total")
-    for report in layers.values():
-        total.merge(report)
-    print(
-        f"Batched simulation: {count} images, batch size {args.batch_size},"
-        f" {args.network} network, {args.engine} engine"
-    )
-    print(f"{'layer':14s} {'cycles':>10s} {'w/ reuse':>10s} {'jobs':>6s} {'util':>6s}")
-    for report in list(layers.values()) + [total]:
+    else:
+        wall = time.perf_counter() - start
+        layers: dict[str, LayerReport] = {}
+        for result in results:
+            for name, report in result.layers.items():
+                layers.setdefault(name, LayerReport(name=name)).merge(report)
+        total = LayerReport(name="total")
+        for report in layers.values():
+            total.merge(report)
         print(
-            f"{report.name:14s} {report.stats.total_cycles:10d}"
-            f" {report.overlapped_cycles:10d} {report.jobs:6d}"
-            f" {report.utilization(config.num_pes):5.1%}"
+            f"Batched simulation: {count} images, batch size {args.batch_size},"
+            f" {args.network} network, {args.engine} engine"
         )
-    cycles_per_image = total.overlapped_cycles / count
-    modeled = config.clock_mhz * 1e6 / cycles_per_image
-    print(f"Modeled: {cycles_per_image:,.0f} cycles/image"
-          f" = {config.cycles_to_us(cycles_per_image):.1f} us/image"
-          f" = {modeled:,.0f} images/s at {config.clock_mhz:.0f} MHz")
+        print(f"{'layer':14s} {'cycles':>10s} {'w/ reuse':>10s} {'jobs':>6s} {'util':>6s}")
+        for report in list(layers.values()) + [total]:
+            print(
+                f"{report.name:14s} {report.stats.total_cycles:10d}"
+                f" {report.overlapped_cycles:10d} {report.jobs:6d}"
+                f" {report.utilization(config.num_pes):5.1%}"
+            )
+        cycles_per_image = total.overlapped_cycles / count
+        modeled = config.clock_mhz * 1e6 / cycles_per_image
+        print(f"Modeled: {cycles_per_image:,.0f} cycles/image"
+              f" = {config.cycles_to_us(cycles_per_image):.1f} us/image"
+              f" = {modeled:,.0f} images/s at {config.clock_mhz:.0f} MHz")
     print(f"Simulator wall clock: {wall:.3f} s = {count / wall:,.1f} images/s")
     accuracy = float(np.mean(predictions == dataset.labels))
     shown = predictions[:16].tolist()

@@ -278,6 +278,27 @@ class StreamExecutor:
         self._layers: list[str] = []
         self._stage()
 
+    @classmethod
+    def for_network(
+        cls,
+        network,
+        accelerator: CapsAccAccelerator | None = None,
+        engine: str = "fast",
+    ) -> "StreamExecutor":
+        """An executor for anything :func:`~repro.compiler.zoo.as_compiled`
+        accepts (a zoo name, a compiled or quantized network, a config)."""
+        from repro.compiler.zoo import as_compiled
+
+        net = as_compiled(network)
+        return cls(
+            net.program,
+            net.params,
+            net.formats,
+            luts=net.luts,
+            accelerator=accelerator,
+            engine=engine,
+        )
+
     # ---- staging ---------------------------------------------------------------
 
     def _check_width(self) -> None:

@@ -181,9 +181,7 @@ def check_network(network, images, engine: str = "fast") -> dict:
     from repro.compiler.zoo import as_compiled
 
     net = as_compiled(network)
-    executor = StreamExecutor(
-        net.program, net.params, net.formats, luts=net.luts, engine=engine
-    )
+    executor = StreamExecutor.for_network(net, engine=engine)
     images = np.asarray(images)
     if images.ndim == 3 and net.input_shape[0] == 1:
         images = images[:, np.newaxis]

@@ -14,8 +14,10 @@ Models the architecture of paper Section IV / Figures 10-11:
   layer schedules, producing both bit-exact results and cycle statistics;
   its ``gemm_cycles``/``gemm_stats`` formulas are what
   :mod:`repro.compiler.cost` prices compiled programs with.
-* :mod:`repro.hw.pipeline` / :mod:`repro.hw.scheduler` — the pipelined
-  stream schedule and the batched scheduler wrappers.
+* :mod:`repro.hw.pipeline` — the pipelined stream schedule that
+  :mod:`repro.compiler.cost` drives with compiled programs' op timelines.
+* :mod:`repro.hw.report` — the per-layer and per-batch reports the
+  compiled-stream executor returns.
 """
 
 from repro.hw.config import AcceleratorConfig
@@ -27,22 +29,7 @@ from repro.hw.activation import ActivationUnit, activation_latency
 from repro.hw.buffers import Buffer, MemoryModel
 from repro.hw.accelerator import CapsAccAccelerator, GemmJob
 
-# The batched scheduler depends on the quantized model layer; re-export it
-# lazily so `import repro.hw` alone doesn't pull the full CapsNet stack.
-_SCHEDULER_EXPORTS = ("BatchResult", "BatchScheduler", "LayerReport")
-
-
-def __getattr__(name: str):
-    if name in _SCHEDULER_EXPORTS:
-        from repro.hw import scheduler
-
-        return getattr(scheduler, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
-    "BatchResult",
-    "BatchScheduler",
-    "LayerReport",
     "AcceleratorConfig",
     "CycleStats",
     "ProcessingElement",

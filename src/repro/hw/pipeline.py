@@ -1,7 +1,7 @@
 """Stream-level cross-batch pipeline timing model.
 
-The batched engine (:class:`~repro.hw.scheduler.BatchScheduler`) drains the
-array at every batch boundary: each batch pays its own cold conv1 weight
+The batched engine (:class:`~repro.compiler.executor.StreamExecutor`) drains
+the array at every batch boundary: each batch pays its own cold conv1 weight
 load, and the array idles through the routing phase's long activation
 passes.  This module models the *stream* schedule that removes both
 drains — the control-unit upgrade the paper's data-reuse architecture
@@ -63,7 +63,7 @@ the weight-port-bound ClassCaps FC phase — nine load cycles per stream
 cycle — it interleaves the younger batch's compute-dense convolution
 tiles into the port stream instead of letting the array starve behind
 one batch's FC loads.  Only *timing* lives here; results always come
-from the engines and are bit-identical to the non-pipelined scheduler.
+from executing each batch, and do not depend on the stream schedule.
 """
 
 from __future__ import annotations

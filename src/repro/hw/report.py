@@ -1,11 +1,8 @@
-"""Execution reports shared by the schedulers and the compiled executor.
+"""Execution reports of the compiled-stream executor and its pricing.
 
-:class:`TraceEvent`, :class:`LayerReport` and :class:`BatchResult` used to
-live in :mod:`repro.hw.scheduler`; they moved here so the compiled-stream
-executor (:mod:`repro.compiler.executor`) can produce the exact same report
-objects without importing the scheduler (which itself imports the compiler).
-:mod:`repro.hw.scheduler` re-exports every name, so existing imports keep
-working.
+:class:`TraceEvent` is one priced unit of work of a compiled program
+(:mod:`repro.compiler.cost`); :class:`LayerReport` and :class:`BatchResult`
+are what :class:`~repro.compiler.executor.StreamExecutor` returns per batch.
 
 :class:`BatchResult` carries a generic ``outputs`` dict (the tensors a
 compiled program ``STORE``\\ s); the CapsNet-named fields (``conv1_raw``,

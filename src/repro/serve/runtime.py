@@ -810,6 +810,8 @@ class ServingRuntime:
         self._timer: asyncio.TimerHandle | None = None
         self._timer_deadline = math.inf
         self._drain_event: asyncio.Event | None = None
+        #: Open socket connections: handler task -> its stream writer.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._closed = False
 
     # ---- lifecycle ---------------------------------------------------------
@@ -845,7 +847,10 @@ class ServingRuntime:
 
         The shutdown drain dispatches non-ready remainders with
         ``force=True`` — a coalescing batch waiting out its timer is
-        flushed immediately instead of being dropped.
+        flushed immediately instead of being dropped.  Socket connections
+        still open afterwards are closed once their replies are flushed,
+        and their handlers end before this returns, so none is cancelled
+        mid-read when the loop closes.
         """
         if self._closed:
             return
@@ -877,6 +882,10 @@ class ServingRuntime:
             self._sample_metrics_now()
         self._threads.shutdown(wait=True)
         self.executor.close()
+        for writer in self._connections.values():
+            writer.close()
+        if self._connections:
+            await asyncio.wait(list(self._connections))
 
     def _sample_metrics_now(self) -> None:
         engine = self.engine
@@ -1071,6 +1080,8 @@ class ServingRuntime:
         async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
             slots = asyncio.Semaphore(SOCKET_INFLIGHT_LIMIT)
             inflight: set[asyncio.Task] = set()
+            connection = asyncio.current_task()
+            self._connections[connection] = writer
             try:
                 while True:
                     line = await _read_line(reader)
@@ -1111,6 +1122,7 @@ class ServingRuntime:
                 if inflight:
                     await asyncio.wait(inflight)
                 writer.close()
+                del self._connections[connection]
 
         return await asyncio.start_server(handle, host, port)
 

@@ -63,9 +63,7 @@ class CompiledStreamExecutor:
         self.network = compiled
         self.image_size = compiled.input_shape[-1]
         self.channels = compiled.input_shape[0]
-        self._executor = StreamExecutor(
-            compiled.program, compiled.params, compiled.formats, luts=compiled.luts
-        )
+        self._executor = StreamExecutor.for_network(compiled)
 
     def _images(self, images: np.ndarray) -> np.ndarray:
         if self.channels != 1 and images.ndim == 3:

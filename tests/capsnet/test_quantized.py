@@ -95,3 +95,10 @@ class TestWeightQuantization:
             tiny_weights["conv1_w"], fmts.conv1_weight.min_value, fmts.conv1_weight.max_value
         )
         assert np.max(np.abs(got - clipped)) <= fmts.conv1_weight.resolution / 2 + 1e-12
+
+
+class TestQuantizedBatchPredict:
+    def test_batch_matches_singles(self, tiny_qnet, tiny_images):
+        batch = tiny_qnet.predict_batch(tiny_images)
+        singles = [tiny_qnet.predict(image) for image in tiny_images]
+        assert list(batch) == singles

@@ -41,9 +41,9 @@ from repro.compiler.cost import (
     program_layers,
     program_stream_timing,
 )
+from repro.compiler.executor import StreamExecutor
 from repro.compiler.zoo import compile_qnet, get_network, zoo_names
 from repro.hw.config import AcceleratorConfig
-from repro.hw.scheduler import BatchScheduler
 from tests.compiler.conftest import zoo_images
 
 FIXTURE = Path(__file__).parent / "fixtures" / "zoo_accounting.json"
@@ -181,7 +181,7 @@ def test_stream_timing_matches_fixture(golden, network):
 
 @pytest.mark.parametrize("network", EXECUTED_NETWORKS)
 def test_executed_batch_reports_fixture_accounting(golden, network):
-    result = BatchScheduler(_network(network)).run_batch(
+    result = StreamExecutor.for_network(_network(network)).run_batch(
         zoo_images(network, count=EXECUTED_BATCH)
     )
     record = {

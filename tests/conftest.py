@@ -12,6 +12,23 @@ from repro.capsnet.weights import pseudo_trained_weights
 from repro.data.synthetic import SyntheticDigits
 from repro.hw.config import AcceleratorConfig
 
+#: Executed ``BatchResult`` field -> the golden ``forward`` field it equals.
+GOLDEN_FIELDS = {
+    "conv1_raw": "conv1_out_raw",
+    "primary_raw": "primary_raw",
+    "u_hat_raw": "u_hat_raw",
+    "class_caps_raw": "class_caps_raw",
+    "coupling_raw": "coupling_raw",
+}
+
+
+def assert_matches_golden(result, index: int, reference) -> None:
+    """Image ``index`` of an executed batch equals ``QuantizedCapsuleNet.forward``."""
+    for field, golden in GOLDEN_FIELDS.items():
+        np.testing.assert_array_equal(
+            getattr(result, field)[index], getattr(reference, golden), err_msg=field
+        )
+
 
 @pytest.fixture(scope="session")
 def tiny_config():

@@ -294,7 +294,7 @@ class TestServeCommand:
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", *argv],
             stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
             text=True,
             env=env,
         )
@@ -319,7 +319,7 @@ class TestServeCommand:
                     time.sleep(0.05)
                 proc.send_signal(signal.SIGINT)
                 reply = json.loads(client.makefile("rb").readline())
-            out, _ = proc.communicate(timeout=60)
+            out, err = proc.communicate(timeout=60)
         finally:
             if proc.poll() is None:
                 proc.kill()
@@ -327,6 +327,9 @@ class TestServeCommand:
         assert proc.returncode == 0
         assert reply["id"] == 5 and isinstance(reply["prediction"], int)
         assert "stopped" in out
+        # The client is still connected at exit: its handler must end
+        # before the loop closes, not be cancelled mid-read.
+        assert "Traceback" not in err, err
 
     def test_live_serve_rejects_pipeline(self, capsys):
         assert cli.main(["serve", "--pipeline", "--requests", "8"]) == 2

@@ -2,8 +2,9 @@
 
 The key guarantees:
 
-* outputs of ``PipelinedStreamScheduler`` are bit-identical to scheduling
-  every batch standalone with ``BatchScheduler`` (only timing differs);
+* a stream's outputs come from running each batch through
+  ``StreamExecutor`` and match the quantized golden model; the pipelined
+  timing (``program_stream_timing``) only prices the stream;
 * pipelined timing never beats the compute-only lower bound, and the
   whole-stream makespan never exceeds the per-batch double-buffered sum;
 * the steady-state marginal is stable across stream lengths;
@@ -15,7 +16,9 @@ import numpy as np
 import pytest
 
 from repro.capsnet.quantized import QuantizedCapsuleNet
-from repro.errors import ConfigError, ShapeError
+from repro.compiler.cost import program_ops, program_steady_cycles, program_stream_timing
+from repro.compiler.executor import StreamExecutor
+from repro.errors import ConfigError, MappingError
 from repro.hw.accelerator import CapsAccAccelerator, gemm_cycles, plan_tiling
 from repro.hw.config import AcceleratorConfig
 from repro.hw.pipeline import (
@@ -25,7 +28,6 @@ from repro.hw.pipeline import (
     simulate_stream,
     stream_op_spans,
 )
-from repro.hw.scheduler import BatchScheduler, PipelinedStreamScheduler
 
 
 @pytest.fixture(scope="module")
@@ -33,12 +35,18 @@ def qnet(tiny_config, tiny_weights):
     return QuantizedCapsuleNet(tiny_config, weights=tiny_weights)
 
 
-def stream_compute_cycles(scheduler: BatchScheduler, image_size: int, sizes) -> int:
-    total = 0
-    for size in sizes:
-        probe = np.zeros((size, image_size, image_size))
-        total += scheduler.run_batch(probe).total_stats.compute_cycles
-    return total
+def run_stream(executor: StreamExecutor, batches):
+    """Execute each batch and price the stream: ``(results, timing)``."""
+    results = [executor.run_batch(images) for images in batches]
+    timing = program_stream_timing(
+        executor.accelerator.config, executor.program, [result.batch for result in results]
+    )
+    return results, timing
+
+
+def overlapped(results) -> int:
+    """Non-pipelined reference: per-batch double-buffered accounting."""
+    return sum(result.overlapped_cycles for result in results)
 
 
 class TestPipelineOps:
@@ -140,37 +148,42 @@ class TestSimulateStream:
 
 class TestStreamScheduler:
     def test_outputs_bit_identical_to_batch_scheduler(self, qnet, tiny_images):
-        reference = BatchScheduler(qnet)
-        pipelined = PipelinedStreamScheduler(qnet)
         batches = [tiny_images[:2], tiny_images[2:]]
-        stream = pipelined.run_stream(batches)
-        for images, result in zip(batches, stream.results):
-            expected = reference.run_batch(images)
-            np.testing.assert_array_equal(result.predictions, expected.predictions)
-            np.testing.assert_array_equal(result.class_caps_raw, expected.class_caps_raw)
-            np.testing.assert_array_equal(result.u_hat_raw, expected.u_hat_raw)
-            np.testing.assert_array_equal(result.conv1_raw, expected.conv1_raw)
+        results, _ = run_stream(StreamExecutor.for_network(qnet), batches)
+        for images, result in zip(batches, results):
+            for b, image in enumerate(images):
+                expected = qnet.forward(image)
+                assert result.predictions[b] == expected.prediction
+                np.testing.assert_array_equal(result.class_caps_raw[b], expected.class_caps_raw)
+                np.testing.assert_array_equal(result.u_hat_raw[b], expected.u_hat_raw)
+                np.testing.assert_array_equal(result.conv1_raw[b], expected.conv1_out_raw)
 
     def test_never_beats_compute_lower_bound(self, qnet, tiny_images):
-        pipelined = PipelinedStreamScheduler(qnet)
-        stream = pipelined.run_stream([tiny_images[:2], tiny_images[2:], tiny_images[:2]])
-        compute = sum(r.total_stats.compute_cycles for r in stream.results)
-        assert stream.timing.finish_cycles >= compute
-        macs = sum(r.total_stats.mac_count for r in stream.results)
-        num_pes = pipelined.accelerator.config.num_pes
-        assert stream.timing.finish_cycles >= macs / num_pes
+        executor = StreamExecutor.for_network(qnet)
+        results, timing = run_stream(
+            executor, [tiny_images[:2], tiny_images[2:], tiny_images[:2]]
+        )
+        compute = sum(r.total_stats.compute_cycles for r in results)
+        assert timing.finish_cycles >= compute
+        macs = sum(r.total_stats.mac_count for r in results)
+        num_pes = executor.accelerator.config.num_pes
+        assert timing.finish_cycles >= macs / num_pes
 
     def test_never_worse_than_double_buffered_sum(self, qnet, tiny_images):
-        pipelined = PipelinedStreamScheduler(qnet)
-        stream = pipelined.run_stream([tiny_images[:2], tiny_images[2:], tiny_images])
-        assert stream.timing.finish_cycles <= stream.overlapped_cycles
-        assert stream.pipelined_speedup() >= 1.0
+        results, timing = run_stream(
+            StreamExecutor.for_network(qnet),
+            [tiny_images[:2], tiny_images[2:], tiny_images],
+        )
+        assert timing.finish_cycles <= overlapped(results)
+        assert overlapped(results) / timing.finish_cycles >= 1.0
 
     def test_steady_marginal_stable_across_stream_lengths(self, qnet):
-        pipelined = PipelinedStreamScheduler(qnet)
+        program = StreamExecutor.for_network(qnet).program
         for batch in (2, 8):
             values = {
-                length: pipelined.probe_timing([batch] * length).steady_marginal_cycles
+                length: program_stream_timing(
+                    AcceleratorConfig(), program, [batch] * length
+                ).steady_marginal_cycles
                 for length in (6, 7, 9, 12)
             }
             assert len(set(values.values())) == 1, values
@@ -179,8 +192,8 @@ class TestStreamScheduler:
         """On some shapes the two in-flight batches alternate roles, so
         settled marginals oscillate with period two; the steady state is
         their average, not whichever phase the probe length lands on."""
-        pipelined = PipelinedStreamScheduler(qnet)
-        timing = pipelined.probe_timing([8] * 9)
+        program = StreamExecutor.for_network(qnet).program
+        timing = program_stream_timing(AcceleratorConfig(), program, [8] * 9)
         # The implementation averages an even window of settled marginals
         # (whole periods), excluding the three fill batches and the tail.
         window = (len(timing.batches) - 4) & ~1
@@ -189,91 +202,80 @@ class TestStreamScheduler:
         assert min(settled) <= timing.steady_marginal_cycles <= max(settled)
 
     def test_steady_marginal_at_least_per_batch_compute(self, qnet):
-        pipelined = PipelinedStreamScheduler(qnet)
+        executor = StreamExecutor.for_network(qnet)
         size = qnet.config.image_size
-        compute = BatchScheduler(qnet).run_batch(
-            np.zeros((2, size, size))
-        ).total_stats.compute_cycles
-        assert pipelined.steady_state_cycles(2) >= compute
+        compute = executor.run_batch(np.zeros((2, size, size))).total_stats.compute_cycles
+        steady = program_steady_cycles(executor.accelerator.config, executor.program, 2)
+        assert steady >= compute
 
     def test_batch_size_one_stream(self, qnet, tiny_images):
-        reference = BatchScheduler(qnet)
-        pipelined = PipelinedStreamScheduler(qnet)
         batches = [tiny_images[i : i + 1] for i in range(3)]
-        stream = pipelined.run_stream(batches)
-        over = sum(r.overlapped_cycles for r in stream.results)
-        assert stream.timing.finish_cycles <= over
-        for images, result in zip(batches, stream.results):
-            expected = reference.run_batch(images)
-            np.testing.assert_array_equal(result.predictions, expected.predictions)
+        results, timing = run_stream(StreamExecutor.for_network(qnet), batches)
+        assert timing.finish_cycles <= overlapped(results)
+        for images, result in zip(batches, results):
+            np.testing.assert_array_equal(result.predictions, qnet.predict_batch(images))
 
     def test_heterogeneous_batch_sizes(self, qnet, tiny_images):
-        reference = BatchScheduler(qnet)
-        pipelined = PipelinedStreamScheduler(qnet)
         batches = [tiny_images[:3], tiny_images[:1], tiny_images]
-        stream = pipelined.run_stream(batches)
-        assert [b.images for b in stream.timing.batches] == [3, 1, 4]
-        assert stream.total_images == 8
-        compute = sum(r.total_stats.compute_cycles for r in stream.results)
-        assert compute <= stream.timing.finish_cycles <= stream.overlapped_cycles
-        for images, result in zip(batches, stream.results):
-            expected = reference.run_batch(images)
-            np.testing.assert_array_equal(result.predictions, expected.predictions)
+        results, timing = run_stream(StreamExecutor.for_network(qnet), batches)
+        assert [b.images for b in timing.batches] == [3, 1, 4]
+        assert sum(result.batch for result in results) == 8
+        compute = sum(r.total_stats.compute_cycles for r in results)
+        assert compute <= timing.finish_cycles <= overlapped(results)
+        for images, result in zip(batches, results):
+            np.testing.assert_array_equal(result.predictions, qnet.predict_batch(images))
 
     def test_bounded_acc_fifo_depth(self, qnet, tiny_images):
         """Pipelining must respect the M-pass structure a bounded
         accumulator FIFO forces: exact outputs, and timing between the
         compute bound and the (re-tiled) double-buffered sum."""
         config = AcceleratorConfig(acc_fifo_depth=3)
-        accelerator = CapsAccAccelerator(config, formats=qnet.formats)
-        reference = BatchScheduler(
+        reference = StreamExecutor.for_network(qnet)
+        bounded = StreamExecutor.for_network(
             qnet, accelerator=CapsAccAccelerator(config, formats=qnet.formats)
         )
-        pipelined = PipelinedStreamScheduler(qnet, accelerator=accelerator)
         batches = [tiny_images[:2], tiny_images[2:]]
-        stream = pipelined.run_stream(batches)
-        compute = sum(r.total_stats.compute_cycles for r in stream.results)
-        assert compute <= stream.timing.finish_cycles <= stream.overlapped_cycles
-        for images, result in zip(batches, stream.results):
+        results, timing = run_stream(bounded, batches)
+        compute = sum(r.total_stats.compute_cycles for r in results)
+        assert compute <= timing.finish_cycles <= overlapped(results)
+        for images, result in zip(batches, results):
             expected = reference.run_batch(images)
             np.testing.assert_array_equal(result.predictions, expected.predictions)
             np.testing.assert_array_equal(result.class_caps_raw, expected.class_caps_raw)
 
     def test_window_one_limits_overlap(self, qnet):
-        serialized = PipelinedStreamScheduler(qnet, window=1)
-        pipelined = PipelinedStreamScheduler(qnet, window=2)
-        lone = serialized.probe_timing([2]).finish_cycles
-        timing = serialized.probe_timing([2] * 3)
+        config, program = AcceleratorConfig(), StreamExecutor.for_network(qnet).program
+        lone = program_stream_timing(config, program, [2], window=1).finish_cycles
+        timing = program_stream_timing(config, program, [2] * 3, window=1)
         # With one batch in flight only the trailing activation passes can
         # overlap the successor's tiles; a second in-flight batch strictly
         # beats that.
         assert lone < timing.steady_marginal_cycles + 100
         assert timing.finish_cycles <= 3 * lone
-        assert pipelined.probe_timing([2] * 3).finish_cycles < timing.finish_cycles
-
-    def test_empty_stream_rejected(self, qnet):
-        with pytest.raises(ShapeError):
-            PipelinedStreamScheduler(qnet).run_stream([])
+        pipelined = program_stream_timing(config, program, [2] * 3, window=2)
+        assert pipelined.finish_cycles < timing.finish_cycles
 
     def test_probe_rejects_bad_batch_size(self, qnet):
-        with pytest.raises(ShapeError):
-            PipelinedStreamScheduler(qnet).batch_ops(0)
+        program = StreamExecutor.for_network(qnet).program
+        with pytest.raises(MappingError):
+            program_ops(AcceleratorConfig(), program, 0)
 
     def test_stepped_engine_matches_fast_outputs(self, qnet, tiny_images):
-        fast = PipelinedStreamScheduler(qnet, engine="fast")
-        stepped = PipelinedStreamScheduler(qnet, engine="stepped")
-        a = fast.run_stream([tiny_images[:1]])
-        b = stepped.run_stream([tiny_images[:1]])
-        np.testing.assert_array_equal(a.predictions, b.predictions)
-        assert a.timing.finish_cycles == b.timing.finish_cycles
+        fast = StreamExecutor.for_network(qnet, engine="fast")
+        stepped = StreamExecutor.for_network(qnet, engine="stepped")
+        a, timing_a = run_stream(fast, [tiny_images[:1]])
+        b, timing_b = run_stream(stepped, [tiny_images[:1]])
+        np.testing.assert_array_equal(a[0].predictions, b[0].predictions)
+        assert a[0].total_cycles == b[0].total_cycles
+        assert timing_a.finish_cycles == timing_b.finish_cycles
 
 
 class TestStreamOpSpans:
     """The op-span recorder behind the observability drill-down lane."""
 
     def test_spans_match_untraced_timing(self, qnet):
-        scheduler = PipelinedStreamScheduler(qnet)
-        per_batch = [scheduler.batch_ops(2) for _ in range(3)]
+        program = StreamExecutor.for_network(qnet).program
+        per_batch = [program_ops(AcceleratorConfig(), program, 2) for _ in range(3)]
         baseline = simulate_stream(
             [list(ops) for ops in per_batch], [2, 2, 2]
         )
@@ -288,8 +290,8 @@ class TestStreamOpSpans:
         assert len(spans) == sum(len(ops) for ops in per_batch)
 
     def test_span_shapes(self, qnet):
-        scheduler = PipelinedStreamScheduler(qnet)
-        ops = scheduler.batch_ops(1)
+        program = StreamExecutor.for_network(qnet).program
+        ops = program_ops(AcceleratorConfig(), program, 1)
         timing, spans = stream_op_spans([list(ops)], [1])
         assert {span.kind for span in spans} <= {"tile", "act"}
         for span in spans:

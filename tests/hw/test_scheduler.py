@@ -1,9 +1,9 @@
-"""Tests for the batched multi-image scheduler.
+"""Tests for batched multi-image execution of the compiled program.
 
 The key guarantees:
 
-* batched scheduling is bit-identical, image for image, to the
-  single-image executable lowering (and to the quantized golden model);
+* a batch through :class:`StreamExecutor` is bit-identical, image for
+  image, to the quantized golden model;
 * results are invariant to how the stream is split into batches;
 * the per-layer GEMM accounting agrees with the paper figures' pricing
   of the compiled program at the same batch size;
@@ -15,12 +15,13 @@ import pytest
 
 from repro.capsnet.quantized import QuantizedCapsuleNet
 from repro.compiler.cost import program_transfer_cycles
+from repro.compiler.executor import StreamExecutor
 from repro.errors import ShapeError
 from repro.hw.accelerator import CapsAccAccelerator
 from repro.hw.config import AcceleratorConfig
-from repro.hw.scheduler import BatchScheduler
-from repro.mapping.execute import MappedInference
+from repro.hw.report import BatchResult, LayerReport
 from repro.perf.compare import capsacc_layer_cycles, capsacc_program
+from tests.conftest import assert_matches_golden
 
 
 @pytest.fixture(scope="module")
@@ -30,19 +31,13 @@ def qnet(tiny_config, tiny_weights):
 
 @pytest.fixture(scope="module")
 def batch_result(qnet, tiny_images):
-    return BatchScheduler(qnet).run_batch(tiny_images)
+    return StreamExecutor.for_network(qnet).run_batch(tiny_images)
 
 
 class TestBitExactness:
-    def test_matches_mapped_inference_per_image(self, qnet, tiny_images, batch_result):
-        mapped = MappedInference(qnet)
+    def test_matches_quantized_reference_per_image(self, qnet, tiny_images, batch_result):
         for b, image in enumerate(tiny_images):
-            single = mapped.run(image)
-            assert np.array_equal(batch_result.conv1_raw[b], single.conv1_raw)
-            assert np.array_equal(batch_result.primary_raw[b], single.primary_raw)
-            assert np.array_equal(batch_result.u_hat_raw[b], single.u_hat_raw)
-            assert np.array_equal(batch_result.class_caps_raw[b], single.class_caps_raw)
-            assert np.array_equal(batch_result.coupling_raw[b], single.coupling_raw)
+            assert_matches_golden(batch_result, b, qnet.forward(image))
 
     def test_matches_quantized_golden_predictions(self, qnet, tiny_images, batch_result):
         assert np.array_equal(
@@ -50,8 +45,8 @@ class TestBitExactness:
         )
 
     def test_batch_split_invariance(self, qnet, tiny_images, batch_result):
-        scheduler = BatchScheduler(qnet)
-        parts = [scheduler.run_batch(tiny_images[:2]), scheduler.run_batch(tiny_images[2:])]
+        executor = StreamExecutor.for_network(qnet)
+        parts = [executor.run_batch(tiny_images[:2]), executor.run_batch(tiny_images[2:])]
         merged = np.concatenate([p.class_caps_raw for p in parts])
         assert np.array_equal(merged, batch_result.class_caps_raw)
 
@@ -59,19 +54,17 @@ class TestBitExactness:
         qnet = QuantizedCapsuleNet(
             tiny_config, weights=tiny_weights, optimized_routing=False
         )
-        result = BatchScheduler(qnet).run_batch(tiny_images[:2])
-        mapped = MappedInference(qnet)
+        result = StreamExecutor.for_network(qnet).run_batch(tiny_images[:2])
         for b in range(2):
-            single = mapped.run(tiny_images[b])
-            assert np.array_equal(result.class_caps_raw[b], single.class_caps_raw)
+            assert_matches_golden(result, b, qnet.forward(tiny_images[b]))
         assert "softmax1" in result.layers
 
     def test_stepped_engine_agrees(self, qnet, tiny_images, batch_result):
         accel = CapsAccAccelerator(AcceleratorConfig(rows=8, cols=8), formats=qnet.formats)
-        stepped = BatchScheduler(qnet, accelerator=accel, engine="stepped").run_batch(
-            tiny_images[:2]
-        )
-        fast = BatchScheduler(
+        stepped = StreamExecutor.for_network(
+            qnet, accelerator=accel, engine="stepped"
+        ).run_batch(tiny_images[:2])
+        fast = StreamExecutor.for_network(
             qnet,
             accelerator=CapsAccAccelerator(
                 AcceleratorConfig(rows=8, cols=8), formats=qnet.formats
@@ -82,7 +75,7 @@ class TestBitExactness:
 
     def test_rejects_bad_batch_shape(self, qnet, tiny_images):
         with pytest.raises(ShapeError):
-            BatchScheduler(qnet).run_batch(tiny_images[0])
+            StreamExecutor.for_network(qnet).run_batch(tiny_images[0])
 
 
 class TestAccounting:
@@ -93,7 +86,7 @@ class TestAccounting:
     @staticmethod
     def _figure_cycles(qnet, batch):
         """The paper figures' per-layer cycles with Weight2 off (sequential)."""
-        config = BatchScheduler(qnet).accelerator.config.without_weight_reuse()
+        config = AcceleratorConfig().without_weight_reuse()
         return capsacc_layer_cycles(qnet.config, config, qnet.optimized_routing, batch)
 
     def test_conv_layers_match_perf_model(self, qnet, batch_result, batch):
@@ -109,7 +102,7 @@ class TestAccounting:
 
     def test_routing_layers_match_perf_model(self, qnet, batch_result, batch):
         """Executed routing GEMMs plus the stamped transfers are the figure."""
-        config = BatchScheduler(qnet).accelerator.config
+        config = AcceleratorConfig()
         program = capsacc_program(qnet.config, qnet.optimized_routing)
         transfers = program_transfer_cycles(config, program, batch)
         figure = self._figure_cycles(qnet, batch)
@@ -123,17 +116,17 @@ class TestAccounting:
         assert batch_result.overlapped_cycles <= batch_result.total_cycles
 
     def test_batching_improves_amortized_cycles(self, qnet, tiny_images):
-        scheduler = BatchScheduler(qnet)
-        one = scheduler.run_batch(tiny_images[:1])
-        full = scheduler.run_batch(tiny_images)
+        executor = StreamExecutor.for_network(qnet)
+        one = executor.run_batch(tiny_images[:1])
+        full = executor.run_batch(tiny_images)
         assert full.cycles_per_image() < one.cycles_per_image()
         assert full.images_per_second(250.0) > one.images_per_second(250.0)
 
     def test_utilization_bounded_and_improves(self, qnet, tiny_images):
-        scheduler = BatchScheduler(qnet)
-        config = scheduler.accelerator.config
-        one = scheduler.run_batch(tiny_images[:1])
-        full = scheduler.run_batch(tiny_images)
+        executor = StreamExecutor.for_network(qnet)
+        config = executor.accelerator.config
+        one = executor.run_batch(tiny_images[:1])
+        full = executor.run_batch(tiny_images)
         assert 0.0 < one.utilization(config.num_pes) <= 1.0
         assert one.utilization(config.num_pes) < full.utilization(config.num_pes) <= 1.0
 
@@ -148,10 +141,10 @@ class TestAccounting:
 
 class TestEdgeCases:
     def test_batch_of_one(self, qnet, tiny_images):
-        """The degenerate batch still schedules and matches the lowering."""
-        result = BatchScheduler(qnet).run_batch(tiny_images[:1])
+        """The degenerate batch still runs and matches the golden model."""
+        result = StreamExecutor.for_network(qnet).run_batch(tiny_images[:1])
         assert result.batch == 1
-        single = MappedInference(qnet).run(tiny_images[0])
+        single = qnet.forward(tiny_images[0])
         assert np.array_equal(result.class_caps_raw[0], single.class_caps_raw)
         assert result.cycles_per_image() == result.overlapped_cycles
 
@@ -159,12 +152,10 @@ class TestEdgeCases:
         size = tiny_config.image_size
         empty = np.zeros((0, size, size))
         with pytest.raises(ShapeError):
-            BatchScheduler(qnet).run_batch(empty)
+            StreamExecutor.for_network(qnet).run_batch(empty)
 
     def test_empty_layer_list_statistics(self):
         """A result with no scheduled layers reports zeros, not crashes."""
-        from repro.hw.scheduler import BatchResult, LayerReport
-
         result = BatchResult(
             batch=1,
             predictions=np.zeros(1, dtype=np.int64),
@@ -185,11 +176,15 @@ class TestEdgeCases:
         """A bounded accumulator FIFO forces M-tiling: identical results,
         strictly more cycles and weight traffic than the idealized bank."""
         ideal_accel = CapsAccAccelerator(formats=qnet.formats)
-        ideal = BatchScheduler(qnet, accelerator=ideal_accel).run_batch(tiny_images)
+        ideal = StreamExecutor.for_network(qnet, accelerator=ideal_accel).run_batch(
+            tiny_images
+        )
         bounded_accel = CapsAccAccelerator(
             AcceleratorConfig(acc_fifo_depth=8), formats=qnet.formats
         )
-        bounded = BatchScheduler(qnet, accelerator=bounded_accel).run_batch(tiny_images)
+        bounded = StreamExecutor.for_network(qnet, accelerator=bounded_accel).run_batch(
+            tiny_images
+        )
         assert np.array_equal(bounded.class_caps_raw, ideal.class_caps_raw)
         assert np.array_equal(bounded.predictions, ideal.predictions)
         assert bounded.total_cycles > ideal.total_cycles

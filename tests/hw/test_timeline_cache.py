@@ -2,15 +2,25 @@
 
 import pytest
 
+from repro.compiler.cost import program_ops, program_stream_timing
+from repro.compiler.executor import StreamExecutor
+from repro.compiler.zoo import as_compiled
+from repro.hw.config import AcceleratorConfig
 from repro.hw.pipeline import (
+    DEFAULT_PRESTAGE_DEPTH,
+    DEFAULT_WINDOW,
     cached_stream_timing,
     clear_timeline_caches,
     job_ops,
     simulate_stream,
     timeline_cache_stats,
 )
-from repro.hw.scheduler import PipelinedStreamScheduler
 from repro.serve.costs import ScheduledBatchCost, clear_probe_cache
+
+
+def tiny_ops(qnet, batch: int):
+    """One batch's pipeline ops of ``qnet``'s compiled program."""
+    return program_ops(AcceleratorConfig(), as_compiled(qnet).program, batch)
 
 
 @pytest.fixture(autouse=True)
@@ -52,8 +62,7 @@ class TestJobOpsCache:
 
 class TestStreamTimingCache:
     def test_cached_timing_is_bit_identical_to_direct_simulation(self, tiny_qnet):
-        scheduler = PipelinedStreamScheduler(tiny_qnet)
-        ops = [scheduler.batch_ops(size) for size in (2, 2, 1)]
+        ops = [tiny_ops(tiny_qnet, size) for size in (2, 2, 1)]
         direct = simulate_stream(ops, [2, 2, 1])
         cached = cached_stream_timing(ops, [2, 2, 1])
         assert timings_equal(direct, cached)
@@ -61,25 +70,24 @@ class TestStreamTimingCache:
         assert cached_stream_timing(ops, [2, 2, 1]) is cached
 
     def test_probe_timing_matches_pr3_scheduler_output(self, tiny_qnet):
-        """Memoized timelines reproduce the PR 3 stream scheduler exactly."""
+        """Memoized timelines equal a cold stream simulation exactly."""
         sizes = [2] * 7
-        warm = PipelinedStreamScheduler(tiny_qnet)
-        memoized = warm.probe_timing(sizes)
+        program = as_compiled(tiny_qnet).program
+        memoized = program_stream_timing(AcceleratorConfig(), program, sizes)
         clear_timeline_caches()
-        cold_scheduler = PipelinedStreamScheduler(tiny_qnet)
         cold = simulate_stream(
-            [cold_scheduler.batch_ops(size) for size in sizes],
+            [tiny_ops(tiny_qnet, size) for size in sizes],
             sizes,
-            window=cold_scheduler.window,
-            prestage_depth=cold_scheduler.prestage_depth,
+            window=DEFAULT_WINDOW,
+            prestage_depth=DEFAULT_PRESTAGE_DEPTH,
         )
         assert timings_equal(cold, memoized)
         assert cold.steady_marginal_cycles == memoized.steady_marginal_cycles
 
     def test_pricing_paths_share_program_ops(self, tiny_qnet):
         """Every program-priced path hands out one op list per batch size."""
-        ops = PipelinedStreamScheduler(tiny_qnet).batch_ops(2)
-        assert PipelinedStreamScheduler(tiny_qnet).batch_ops(2) is ops
+        ops = tiny_ops(tiny_qnet, 2)
+        assert tiny_ops(tiny_qnet, 2) is ops
         assert ScheduledBatchCost(tiny_qnet, pipeline=True).pipeline_ops(2) is ops
 
     def test_rebuilt_program_costs_add_no_stream_timings(self):
@@ -98,18 +106,16 @@ class TestStreamTimingCache:
         assert sizes[1] == sizes[0] and sizes[2] == sizes[0]
 
     def test_run_stream_outputs_unchanged_by_caching(self, tiny_qnet, tiny_images):
-        from repro.hw.scheduler import BatchScheduler
-
-        pipelined = PipelinedStreamScheduler(tiny_qnet)
-        stream = pipelined.run_stream([tiny_images[:2], tiny_images[2:4]])
-        reference = BatchScheduler(tiny_qnet)
-        for result, images in zip(
-            stream.results, [tiny_images[:2], tiny_images[2:4]]
-        ):
+        executor = StreamExecutor.for_network(tiny_qnet)
+        batches = [tiny_images[:2], tiny_images[2:4]]
+        results = [executor.run_batch(images) for images in batches]
+        timing = program_stream_timing(AcceleratorConfig(), executor.program, [2, 2])
+        reference = StreamExecutor.for_network(tiny_qnet)
+        for result, images in zip(results, batches):
             expected = reference.run_batch(images)
             assert (result.predictions == expected.predictions).all()
             assert result.overlapped_cycles == expected.overlapped_cycles
         # The same stream again returns identical (cached) timing.
-        again = pipelined.run_stream([tiny_images[:2], tiny_images[2:4]])
-        assert timings_equal(stream.timing, again.timing)
+        again = program_stream_timing(AcceleratorConfig(), executor.program, [2, 2])
+        assert timings_equal(timing, again)
 

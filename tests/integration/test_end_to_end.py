@@ -1,21 +1,22 @@
 """Cross-package integration tests: the full validation chain of DESIGN.md.
 
 1. float model -> quantized model: bounded error, classification agreement;
-2. quantized model -> mapped accelerator execution: bit-exact;
-3. compiled-program pricing -> stepped simulator: exact cycle agreement;
-4. experiments -> paper claims (covered in tests/experiments).
+2. quantized model -> compiled program on the accelerator: bit-exact;
+3. experiments -> paper claims (covered in tests/experiments).
+
+Executed per-layer cycles against the paper figures' pricing are pinned in
+``tests/hw/test_scheduler.py::TestAccounting``.
 """
 
 import numpy as np
 
 from repro.capsnet.model import CapsuleNet
 from repro.capsnet.quantized import QuantizedCapsuleNet
-from repro.compiler.cost import program_layers
+from repro.compiler.executor import StreamExecutor
 from repro.errors import ReproError
 from repro.hw.accelerator import CapsAccAccelerator, GemmJob, gemm_cycles
 from repro.hw.config import AcceleratorConfig
-from repro.mapping.execute import MappedInference
-from repro.perf.compare import capsacc_program
+from tests.conftest import assert_matches_golden
 
 
 class TestFloatToQuantizedChain:
@@ -30,42 +31,10 @@ class TestFloatToQuantizedChain:
 
 class TestQuantizedToHardwareChain:
     def test_mapped_execution_bit_exact(self, tiny_qnet, tiny_images):
-        mapped = MappedInference(tiny_qnet)
-        for image in tiny_images:
-            reference = tiny_qnet.forward(image)
-            result = mapped.run(image)
-            assert np.array_equal(result.class_caps_raw, reference.class_caps_raw)
-            assert result.total_stats.mac_count > 0
-
-
-class TestAnalyticalToSteppedChain:
-    @staticmethod
-    def _program_gemm_cycles(qnet, accel_config) -> dict[str, int]:
-        """Sequential GEMM cycles per layer of one image, priced from the program."""
-        program = capsacc_program(qnet.config, qnet.optimized_routing)
-        return {
-            name: report.stats.total_cycles - report.stats.activation_cycles
-            for name, report in program_layers(accel_config, program, 1).items()
-        }
-
-    def test_mapped_stage_cycles_match_analytical_model(self, tiny_qnet, tiny_images):
-        """Sequential per-stage GEMM cycles from the executable lowering
-        match the compiled program's per-layer pricing."""
-        accel_config = AcceleratorConfig()
-        mapped = MappedInference(tiny_qnet, CapsAccAccelerator(accel_config, tiny_qnet.formats))
-        result = mapped.run(tiny_images[0])
-        priced = self._program_gemm_cycles(tiny_qnet, accel_config)
-        for name in ("conv1", "primarycaps", "classcaps_fc"):
-            measured = result.stage_stats[name]
-            assert measured.total_cycles == priced[name], name
-
-    def test_routing_stage_cycles_match(self, tiny_qnet, tiny_images):
-        accel_config = AcceleratorConfig()
-        mapped = MappedInference(tiny_qnet, CapsAccAccelerator(accel_config, tiny_qnet.formats))
-        result = mapped.run(tiny_images[0])
-        priced = self._program_gemm_cycles(tiny_qnet, accel_config)
-        for name in ("sum1", "sum2", "update1", "update2"):
-            assert result.stage_stats[name].total_cycles == priced[name], name
+        result = StreamExecutor.for_network(tiny_qnet).run_batch(tiny_images)
+        for b, image in enumerate(tiny_images):
+            assert_matches_golden(result, b, tiny_qnet.forward(image))
+        assert result.total_stats.mac_count > 0
 
 
 class TestErrorHierarchy:

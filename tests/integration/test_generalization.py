@@ -2,7 +2,7 @@
 
 Every model, mapping and performance component derives from the
 configuration object, so a CIFAR-like (32x32x3) or wide-class network must
-run through the quantized path, the mapped accelerator (bit-exact) and the
+run through the quantized path, the compiled program (bit-exact) and the
 performance/synthesis models without modification.
 """
 
@@ -12,15 +12,16 @@ import pytest
 from repro.capsnet.config import custom_capsnet_config, mnist_capsnet_config
 from repro.capsnet.quantized import QuantizedCapsuleNet
 from repro.capsnet.weights import pseudo_trained_weights
+from repro.compiler.executor import StreamExecutor
 from repro.compiler.isa import Opcode
 from repro.hw.config import AcceleratorConfig
-from repro.mapping.execute import MappedInference
 from repro.perf.compare import (
     capsacc_layer_cycles,
     capsacc_program,
     compare_layers,
     layer_times_us,
 )
+from tests.conftest import assert_matches_golden
 
 
 @pytest.fixture(scope="module")
@@ -71,11 +72,8 @@ class TestPipelineGeneralizes:
         assert out.saturation.rate < 0.01
 
     def test_mapped_execution_bit_exact(self, qnet, image):
-        mapped = MappedInference(qnet)
-        reference = qnet.forward(image)
-        result = mapped.run(image)
-        assert np.array_equal(result.class_caps_raw, reference.class_caps_raw)
-        assert np.array_equal(result.coupling_raw, reference.coupling_raw)
+        result = StreamExecutor.for_network(qnet).run_batch(image[np.newaxis])
+        assert_matches_golden(result, 0, qnet.forward(image))
 
     def test_performance_model_runs(self, cifar_like_config):
         cycles = capsacc_layer_cycles(cifar_like_config)

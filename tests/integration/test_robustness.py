@@ -12,10 +12,11 @@ import pytest
 from repro.capsnet.hwops import QuantizedFormats
 from repro.capsnet.quantized import QuantizedCapsuleNet
 from repro.capsnet.weights import pseudo_trained_weights
+from repro.compiler.executor import StreamExecutor
 from repro.errors import ReproError
 from repro.hw.accelerator import CapsAccAccelerator, GemmJob
 from repro.hw.config import AcceleratorConfig
-from repro.mapping.execute import MappedInference
+from tests.conftest import assert_matches_golden
 
 FMTS = QuantizedFormats()
 
@@ -84,11 +85,8 @@ class TestExtremeWeights:
         weights = pseudo_trained_weights(tiny_config, seed=1)
         weights["classcaps_w"] = weights["classcaps_w"] * 50.0
         qnet = QuantizedCapsuleNet(tiny_config, weights=weights)
-        mapped = MappedInference(qnet)
-        reference = qnet.forward(tiny_images[0])
-        result = mapped.run(tiny_images[0])
-        assert np.array_equal(result.u_hat_raw, reference.u_hat_raw)
-        assert np.array_equal(result.class_caps_raw, reference.class_caps_raw)
+        result = StreamExecutor.for_network(qnet).run_batch(tiny_images[:1])
+        assert_matches_golden(result, 0, qnet.forward(tiny_images[0]))
 
 
 class TestAcceleratorEdges:

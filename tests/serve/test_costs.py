@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.compiler.executor import StreamExecutor
 from repro.errors import ConfigError
 from repro.hw.config import AcceleratorConfig
-from repro.hw.scheduler import BatchScheduler
 from repro.serve.costs import ScheduledBatchCost
 
 
@@ -20,7 +20,7 @@ class TestScheduledBatchCost:
         """The acceptance guarantee: serving charges exactly the cycles the
         batched engine reports when run standalone on the same batch."""
         for batch in (1, 2, len(tiny_images)):
-            standalone = BatchScheduler(tiny_qnet).run_batch(tiny_images[:batch])
+            standalone = StreamExecutor.for_network(tiny_qnet).run_batch(tiny_images[:batch])
             assert scheduled_cost.batch_cycles(batch) == standalone.overlapped_cycles
 
     def test_memoized_probe_matches_real_batch_execution(
@@ -29,7 +29,7 @@ class TestScheduledBatchCost:
         """Tiling is shape-driven: the memoized closed-form figure equals
         a real batch's executed cycles at the same size."""
         first = scheduled_cost.batch_cycles(3)
-        result = BatchScheduler(tiny_qnet).run_batch(tiny_images[:3][::-1])
+        result = StreamExecutor.for_network(tiny_qnet).run_batch(tiny_images[:3][::-1])
         assert first == result.overlapped_cycles
         assert scheduled_cost.batch_cycles(3) == first
 
@@ -40,7 +40,7 @@ class TestScheduledBatchCost:
 
     def test_sequential_accounting(self, tiny_qnet, tiny_images):
         cost = ScheduledBatchCost(qnet=tiny_qnet, accounting="sequential")
-        standalone = BatchScheduler(tiny_qnet).run_batch(tiny_images[:2])
+        standalone = StreamExecutor.for_network(tiny_qnet).run_batch(tiny_images[:2])
         assert cost.batch_cycles(2) == standalone.total_cycles
         assert cost.batch_cycles(2) >= scheduled_cost_cycles(tiny_qnet, 2)
 

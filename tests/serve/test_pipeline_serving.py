@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.compiler.cost import program_stream_timing
+from repro.compiler.executor import StreamExecutor
+from repro.compiler.zoo import as_compiled
 from repro.errors import ConfigError
+from repro.hw.config import AcceleratorConfig
 from repro.serve import (
     BatchPolicy,
     ScheduledBatchCost,
@@ -134,8 +138,6 @@ class TestWarmDispatch:
             ServingSimulator(trace, BatchPolicy(), plain, pipeline=True)
 
     def test_execute_mode_predictions_bit_exact(self, cost, tiny_qnet, tiny_images):
-        from repro.hw.scheduler import BatchScheduler
-
         trace = saturating_trace(cost, count=4)
         report = ServingSimulator(
             trace,
@@ -146,9 +148,9 @@ class TestWarmDispatch:
             pipeline=True,
         ).run()
         assert report.warm_batches >= 0  # ran to completion
-        scheduler = BatchScheduler(tiny_qnet)
+        executor = StreamExecutor.for_network(tiny_qnet)
         for batch in report.batches:
-            expected = scheduler.run_batch(tiny_images[batch.request_indices])
+            expected = executor.run_batch(tiny_images[batch.request_indices])
             np.testing.assert_array_equal(
                 report.predictions[batch.request_indices], expected.predictions
             )
@@ -200,14 +202,15 @@ class TestPairKeyedWarmCosts:
 
     def test_pair_crosschecks_against_stream_scheduler(self, cost, tiny_qnet):
         """The scheduled pair cost is exactly the settled transition-batch
-        marginal of a mixed-size stream through PipelinedStreamScheduler."""
-        from repro.hw.scheduler import PipelinedStreamScheduler
+        marginal of a mixed-size stream of the compiled program."""
         from repro.serve.costs import PAIR_PROBE_PREFIX, PAIR_PROBE_SUFFIX
 
-        pipelined = PipelinedStreamScheduler(tiny_qnet)
+        program = as_compiled(tiny_qnet).program
         for prev, current in [(4, 1), (1, 4)]:
-            timing = pipelined.probe_timing(
-                [prev] * PAIR_PROBE_PREFIX + [current] * PAIR_PROBE_SUFFIX
+            timing = program_stream_timing(
+                AcceleratorConfig(),
+                program,
+                [prev] * PAIR_PROBE_PREFIX + [current] * PAIR_PROBE_SUFFIX,
             )
             expected = min(
                 timing.batches[PAIR_PROBE_PREFIX].marginal_cycles,

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.compiler.executor import StreamExecutor
 from repro.errors import ConfigError, ShapeError
-from repro.hw.scheduler import BatchScheduler
 from repro.serve import (
     BatchPolicy,
     MeasuredBatchCost,
@@ -40,17 +40,17 @@ class TestDeterminism:
 class TestExactCycles:
     def test_batch_cycles_bit_identical_to_scheduler(self, cost, tiny_qnet):
         """Every dispatched batch occupies an array for exactly the cycles
-        BatchScheduler reports standalone for that batch size."""
+        the executor reports standalone for that batch size."""
         report = ServingSimulator(
             overload_trace(cost), BatchPolicy(max_batch=8, max_wait_us=30.0), cost
         ).run()
-        scheduler = BatchScheduler(tiny_qnet)
+        executor = StreamExecutor.for_network(tiny_qnet)
         size = tiny_qnet.config.image_size
         standalone = {}
         for batch in report.batches:
             if batch.size not in standalone:
                 probe = np.zeros((batch.size, size, size))
-                standalone[batch.size] = scheduler.run_batch(probe).overlapped_cycles
+                standalone[batch.size] = executor.run_batch(probe).overlapped_cycles
             assert batch.cycles == standalone[batch.size]
 
     def test_compute_latency_matches_cycles(self, cost):

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.compiler.cost import program_steady_cycles
+from repro.compiler.executor import StreamExecutor
 from repro.compiler.zoo import get_network, zoo_names
-from repro.hw.scheduler import BatchScheduler, PipelinedStreamScheduler
 from repro.serve import (
     CompiledStreamExecutor,
     ScheduledBatchCost,
@@ -23,15 +24,18 @@ class TestZooCosts:
     def test_program_pricing_matches_scheduled(self, name):
         """Program pricing is bit-exact against real scheduling: cold
         cycles against an executed batch, warm cycles against the
-        pipelined stream scheduler's settled marginal."""
+        settled marginal of the pipelined stream schedule."""
         cost = ScheduledBatchCost(qnet=name, pipeline=True)
         images = zoo_images(name, count=4)
-        stream = PipelinedStreamScheduler(name)
+        executor = StreamExecutor.for_network(name)
         for batch in (1, 4):
-            executed = BatchScheduler(name).run_batch(images[:batch])
+            executed = executor.run_batch(images[:batch])
+            steady = program_steady_cycles(
+                executor.accelerator.config, executor.program, batch
+            )
             assert cost.batch_cycles(batch) == executed.overlapped_cycles
             assert cost.warm_batch_cycles(batch, batch) == min(
-                stream.steady_state_cycles(batch), executed.overlapped_cycles
+                steady, executed.overlapped_cycles
             )
 
     def test_network_key_is_shared_across_cost_kinds(self, tiny_qnet, tiny_config):
@@ -89,7 +93,7 @@ class TestCompiledStreamExecutor:
         executor = CompiledStreamExecutor(network)
         images = zoo_images("mlp", count=4)
         predictions = executor.execute(0, images)
-        want = BatchScheduler("mlp").run_batch(images).predictions
+        want = StreamExecutor.for_network("mlp").run_batch(images).predictions
         assert np.array_equal(predictions, want)
         executor.close()
 
