@@ -41,6 +41,7 @@ from repro.hw.config import AcceleratorConfig
 from repro.serve import (
     BatchPolicy,
     ScheduledBatchCost,
+    ServerConfig,
     ServingSimulator,
     poisson_trace,
 )
@@ -98,11 +99,13 @@ def serving_rows(args: argparse.Namespace) -> list[dict]:
         wall_start = time.perf_counter()
         report = ServingSimulator(
             trace,
-            policy,
-            costs[pipeline],
-            arrays=args.arrays,
-            pipeline=pipeline,
-            network_name=args.network,
+            server=ServerConfig(
+                cost=costs[pipeline],
+                batching=policy,
+                arrays=args.arrays,
+                pipeline=pipeline,
+                network_name=args.network,
+            ),
         ).run()
         rows.append(
             {

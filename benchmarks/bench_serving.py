@@ -32,7 +32,13 @@ import sys
 import numpy as np
 
 from repro.data.synthetic import SyntheticDigits
-from repro.serve import BatchPolicy, ScheduledBatchCost, ServingSimulator, poisson_trace
+from repro.serve import (
+    BatchPolicy,
+    ScheduledBatchCost,
+    ServerConfig,
+    ServingSimulator,
+    poisson_trace,
+)
 
 
 def run_point(
@@ -46,12 +52,14 @@ def run_point(
     """Simulate one (rate, policy) point in execute mode."""
     simulator = ServingSimulator(
         trace,
-        policy,
-        cost,
-        arrays=arrays,
+        server=ServerConfig(
+            cost=cost,
+            batching=policy,
+            arrays=arrays,
+            network_name=network,
+        ),
         images=images,
         execute=True,
-        network_name=network,
     )
     report = simulator.run()
     latency = report.latency_summary()

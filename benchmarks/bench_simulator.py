@@ -8,9 +8,9 @@ compiled-stream executor running the whole network.
 import numpy as np
 import pytest
 
-from repro.capsnet.hwops import QuantizedFormats
+from repro.capsnet.hwops import QuantizedFormats, chunked_saturating_matmul
 from repro.compiler.executor import StreamExecutor
-from repro.hw.accelerator import CapsAccAccelerator, GemmJob
+from repro.hw.accelerator import CapsAccAccelerator, plan_tiling
 from repro.hw.config import AcceleratorConfig
 from repro.hw.systolic import SystolicArray
 
@@ -46,20 +46,21 @@ def test_stepped_full_gemm(benchmark, gemm_operands):
     config = AcceleratorConfig()
     accel = CapsAccAccelerator(config)
     data, weights = gemm_operands
-    job = GemmJob("bench", data, weights, FMTS.caps_data, FMTS.classcaps_weight, ACC_FMT)
-    result = benchmark(accel.run_gemm, job, "stepped")
+    plan = plan_tiling(config, *data.shape, weights.shape[1])
+    acc = benchmark(
+        accel.stepped_gemm,
+        data, weights, FMTS.caps_data, FMTS.classcaps_weight, ACC_FMT, plan,
+    )
     expected = np.clip(data.astype(np.int64) @ weights, ACC_FMT.raw_min, ACC_FMT.raw_max)
-    assert np.array_equal(result.acc, expected)
+    assert np.array_equal(acc, expected)
 
 
 def test_fast_full_gemm(benchmark, gemm_operands):
     config = AcceleratorConfig()
-    accel = CapsAccAccelerator(config)
     data, weights = gemm_operands
-    job = GemmJob("bench", data, weights, FMTS.caps_data, FMTS.classcaps_weight, ACC_FMT)
-    result = benchmark(accel.run_gemm, job, "fast")
+    acc = benchmark(chunked_saturating_matmul, data, weights, ACC_FMT, config.rows)
     expected = np.clip(data.astype(np.int64) @ weights, ACC_FMT.raw_min, ACC_FMT.raw_max)
-    assert np.array_equal(result.acc, expected)
+    assert np.array_equal(acc, expected)
 
 
 def test_quantized_inference_tiny(benchmark, tiny_qnet, tiny_image):

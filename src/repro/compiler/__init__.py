@@ -41,7 +41,6 @@ from repro.compiler.zoo import (
     as_compiled,
     capsnet_graph,
     cifar_capsnet_config,
-    clear_program_cache,
     cnn_graph,
     compile_qnet,
     get_network,
@@ -65,7 +64,6 @@ __all__ = [
     "capsnet_graph",
     "check_network",
     "cifar_capsnet_config",
-    "clear_program_cache",
     "cnn_graph",
     "compile_graph",
     "compile_qnet",

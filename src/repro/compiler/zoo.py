@@ -253,11 +253,6 @@ def cnn_graph(
 _PROGRAM_CACHE: dict[tuple, tuple[Graph, Program]] = {}
 
 
-def clear_program_cache() -> None:
-    """Drop every memoized compilation (tests)."""
-    _PROGRAM_CACHE.clear()
-
-
 def _pseudo_weights(shape: tuple[int, ...], fan_in: int, fmt: QFormat, seed: str) -> np.ndarray:
     """Deterministic fan-in-scaled raw weights (per-array seed).
 

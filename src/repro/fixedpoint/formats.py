@@ -17,9 +17,6 @@ positions below are chosen so that
 
 Changing these constants is supported everywhere (the bit-width ablation
 sweeps them); the defaults reproduce the paper's widths.
-
-(This module absorbed the former ``repro.fixedpoint.qformat``, which
-remains importable as a thin re-export shim.)
 """
 
 from __future__ import annotations

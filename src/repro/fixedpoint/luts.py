@@ -19,9 +19,6 @@ The concrete ROM instances:
 
 The norm unit's final square root (Fig 11f) is an exact integer square root
 (:func:`fixed_sqrt`), bit-reproducible across platforms.
-
-(This module absorbed the former ``repro.fixedpoint.lut``, which remains
-importable as a thin re-export shim.)
 """
 
 from __future__ import annotations

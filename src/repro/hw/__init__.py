@@ -8,12 +8,12 @@ Models the architecture of paper Section IV / Figures 10-11:
 * :mod:`repro.hw.accumulator` — per-column FIFO accumulators (Fig 11c).
 * :mod:`repro.hw.activation` — the activation unit with ReLU / norm /
   squash / softmax datapaths and their paper latencies (Fig 11d-g).
-* :mod:`repro.hw.buffers` — data / routing / weight buffers and memories
-  with bandwidth limits and access counting (for the power model).
-* :mod:`repro.hw.accelerator` — the top level that executes GEMM jobs and
-  layer schedules, producing both bit-exact results and cycle statistics;
-  its ``gemm_cycles``/``gemm_stats`` formulas are what
-  :mod:`repro.compiler.cost` prices compiled programs with.
+* :mod:`repro.hw.buffers` — data / routing / weight buffers with
+  bandwidth limits and access counting (for the power model).
+* :mod:`repro.hw.accelerator` — the top level: GEMM tiling, the stepped
+  array engine and buffer read counters; its ``gemm_cycles``/
+  ``gemm_stats`` formulas are what :mod:`repro.compiler.cost` prices
+  compiled programs with.
 * :mod:`repro.hw.pipeline` — the pipelined stream schedule that
   :mod:`repro.compiler.cost` drives with compiled programs' op timelines.
 * :mod:`repro.hw.report` — the per-layer and per-batch reports the
@@ -26,8 +26,8 @@ from repro.hw.pe import ProcessingElement
 from repro.hw.systolic import SystolicArray
 from repro.hw.accumulator import AccumulatorBank
 from repro.hw.activation import ActivationUnit, activation_latency
-from repro.hw.buffers import Buffer, MemoryModel
-from repro.hw.accelerator import CapsAccAccelerator, GemmJob
+from repro.hw.buffers import Buffer
+from repro.hw.accelerator import CapsAccAccelerator
 
 __all__ = [
     "AcceleratorConfig",
@@ -38,7 +38,5 @@ __all__ = [
     "ActivationUnit",
     "activation_latency",
     "Buffer",
-    "MemoryModel",
     "CapsAccAccelerator",
-    "GemmJob",
 ]

@@ -1,18 +1,21 @@
-"""Top-level CapsAcc accelerator: GEMM execution with cycle accounting.
+"""Top-level CapsAcc accelerator: GEMM tiling and cycle accounting.
 
-The accelerator executes :class:`GemmJob` descriptions — dense
-``(M x K) @ (K x N)`` products in raw fixed-point — on the systolic array,
-tiling ``K`` over the array rows (with accumulator chunk summing) and ``N``
-over the array columns.  A batch of ``B`` images against one weight matrix
-is a single job whose ``(B*M, K)`` stacked stream loads each tile once per
-batch; ``G`` independent same-shape GEMMs account as ``G`` single jobs
-(:func:`gemm_stats` with ``count=G``).  Two execution engines produce
-*identical results and identical cycle accounting*:
+A GEMM is a dense ``(M x K) @ (K x N)`` product in raw fixed point,
+tiled over the systolic array: ``K`` over the array rows (with
+accumulator chunk summing) and ``N`` over the array columns
+(:func:`plan_tiling`).  A batch of ``B`` images against one weight matrix
+is a single ``(B*M, K)`` stacked stream that loads each tile once per
+batch; ``G`` independent same-shape GEMMs account as ``G`` single ones
+(:func:`gemm_stats` with ``count=G``).  The compiled-stream executor
+(:mod:`repro.compiler.executor`) runs every GEMM on one of two engines
+with *identical results and identical cycle accounting*:
 
-* ``stepped`` — drives the bit-accurate :class:`~repro.hw.systolic.SystolicArray`
-  clock edge by clock edge (used by tests and small workloads);
-* ``fast`` — computes results with saturating numpy GEMMs and cycles with
-  the closed-form model (used for full-layer simulations).
+* ``stepped`` — :meth:`CapsAccAccelerator.stepped_gemm` drives the
+  bit-accurate :class:`~repro.hw.systolic.SystolicArray` clock edge by
+  clock edge (used by tests and small workloads);
+* ``fast`` — saturating numpy GEMMs
+  (:func:`~repro.capsnet.hwops.saturating_matmul`) with cycles from the
+  closed-form model (used for full-layer simulations).
 
 Cycle model.  One tile pass streams ``M`` data vectors through a latched
 ``R x C`` weight tile and needs ``M + R + C - 1`` cycles; loading a tile
@@ -22,10 +25,11 @@ overlaps the current stream, so a tile's marginal cost is
 ``max(M, R + 1)`` plus one exposed fill/drain per K-chunk sequence; the
 RTL achieves the overlap with a staggered latch, which a global-latch
 step simulator cannot reproduce bit-accurately, so the stepped engine runs
-tiles sequentially and reports both sequential and overlapped accounting
-(the overlapped numbers are what :mod:`repro.perf` uses; the equality of
-the *sequential* accounting against true stepped execution is asserted in
-tests, validating the shared formulas).
+tiles sequentially; :func:`gemm_cycles` gives both sequential and
+overlapped accounting (the overlapped numbers are what
+:mod:`repro.compiler.cost` uses; the equality of the *sequential*
+accounting against true stepped execution is asserted in tests,
+validating the shared formulas).
 """
 
 from __future__ import annotations
@@ -36,47 +40,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.capsnet.hwops import QuantizedFormats, chunked_saturating_matmul
-from repro.errors import MappingError, ShapeError
+from repro.capsnet.hwops import QuantizedFormats
+from repro.errors import MappingError
 from repro.fixedpoint.formats import QFormat
 from repro.hw.accumulator import AccumulatorBank
 from repro.hw.activation import ActivationUnit
-from repro.hw.buffers import Buffer, MemoryModel
+from repro.hw.buffers import Buffer
 from repro.hw.config import AcceleratorConfig
 from repro.hw.stats import CycleStats
 from repro.hw.systolic import SystolicArray
-
-
-@dataclass
-class GemmJob:
-    """One dense matrix product to execute on the array.
-
-    ``data`` is ``(M, K)`` raw integers in ``data_fmt``; ``weights`` is
-    ``(K, N)`` raw integers in ``weight_fmt``.  ``data_source`` /
-    ``weight_source`` name the buffer each operand streams from, which
-    drives the access counters (``"feedback"`` models the horizontal
-    feedback multiplexer of Fig 10 and costs no buffer reads).
-    """
-
-    name: str
-    data: np.ndarray
-    weights: np.ndarray
-    data_fmt: QFormat
-    weight_fmt: QFormat
-    acc_fmt: QFormat
-    data_source: str = "data_buffer"
-    weight_source: str = "weight_buffer"
-
-
-@dataclass
-class GemmResult:
-    """Result of one GEMM execution."""
-
-    acc: np.ndarray
-    stats: CycleStats
-    overlapped_cycles: int = 0
-    #: The tiling the accounting was computed for (stream-pipeline input).
-    plan: "TilingPlan | None" = None
 
 
 @dataclass
@@ -189,11 +161,13 @@ def gemm_stats(
     weight_source: str = "weight_buffer",
     count: int = 1,
 ) -> CycleStats:
-    """Sequential cycle and access accounting of one GEMM job.
+    """Sequential cycle and access accounting of one GEMM.
 
-    ``count`` repeats the whole accounting for grouped jobs — ``count``
-    identical-shape GEMMs executed back to back, each paying its own
-    weight loads.  A ``"feedback"`` source costs no buffer reads.
+    ``data_source``/``weight_source`` name the buffer each operand
+    streams from; a ``"feedback"`` source (the horizontal feedback
+    multiplexer of Fig 10) costs no buffer reads.  ``count`` repeats the
+    whole accounting for grouped GEMMs — ``count`` identical-shape GEMMs
+    executed back to back, each paying its own weight loads.
     """
     cycles = gemm_cycles(config, plan.m, plan.k, plan.n, overlap=False)
     stats = CycleStats(
@@ -245,35 +219,7 @@ class CapsAccAccelerator:
             self.config.data_bits,
             self.config.data_bus_words,
         )
-        self.weight_memory = MemoryModel("weight_memory", self.config.onchip_memory_mb)
-        self.data_memory = MemoryModel("data_memory", self.config.onchip_memory_mb)
         self._reads_lock = threading.Lock()
-
-    # ---- GEMM execution ------------------------------------------------------
-
-    def run_gemm(self, job: GemmJob, engine: str = "fast") -> GemmResult:
-        """Execute a GEMM job; returns accumulator-format results and stats."""
-        data = np.asarray(job.data, dtype=np.int64)
-        weights = np.asarray(job.weights, dtype=np.int64)
-        if data.ndim != 2 or weights.ndim != 2 or data.shape[1] != weights.shape[0]:
-            raise ShapeError(
-                f"GEMM shapes inconsistent: data {data.shape}, weights {weights.shape}"
-            )
-        m, k = data.shape
-        n = weights.shape[1]
-        plan = plan_tiling(self.config, m, k, n)
-        if engine == "fast":
-            acc = chunked_saturating_matmul(data, weights, job.acc_fmt, self.config.rows)
-        elif engine == "stepped":
-            acc = self.stepped_gemm(
-                data, weights, job.data_fmt, job.weight_fmt, job.acc_fmt, plan
-            )
-        else:
-            raise MappingError(f"unknown engine {engine!r}")
-        stats = gemm_stats(self.config, plan, job.data_source, job.weight_source)
-        self.count_reads(stats.accesses)
-        overlapped = gemm_cycles(self.config, m, k, n, overlap=True)["total"]
-        return GemmResult(acc=acc, stats=stats, overlapped_cycles=overlapped, plan=plan)
 
     def stepped_gemm(
         self,

@@ -1,4 +1,4 @@
-"""Buffers and on-chip memories with bandwidth limits and access counting.
+"""Buffers with bandwidth limits and access counting.
 
 The paper's architecture (Fig 10) places three buffers between the on-chip
 memories and the datapath: the Data Buffer (left edge of the array), the
@@ -11,7 +11,7 @@ per buffer; the synthesis model converts counts into dynamic energy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import SimulationError
 
@@ -53,38 +53,3 @@ class Buffer:
         self.reads = 0
         self.writes = 0
 
-
-@dataclass
-class MemoryModel:
-    """On-chip weight/data memory (8 MB in the paper's instance).
-
-    Only traffic is tracked; the latency of memory-to-buffer transfers is
-    assumed hidden behind compute by the control unit's prefetching, which
-    is the design intent the paper states for the buffers.
-    """
-
-    name: str
-    size_mb: float
-    reads: int = 0
-    writes: int = 0
-    #: Traffic per named consumer, for reports.
-    traffic: dict = field(default_factory=dict)
-
-    @property
-    def capacity_bytes(self) -> int:
-        """Capacity in bytes."""
-        return int(self.size_mb * 1024 * 1024)
-
-    def read(self, words: int, consumer: str = "datapath") -> None:
-        """Record a read of ``words`` 8-bit words."""
-        self.reads += words
-        self.traffic[consumer] = self.traffic.get(consumer, 0) + words
-
-    def write(self, words: int, consumer: str = "datapath") -> None:
-        """Record a write of ``words`` 8-bit words."""
-        self.writes += words
-        self.traffic[consumer] = self.traffic.get(consumer, 0) + words
-
-    def fits(self, total_bytes: int) -> bool:
-        """Whether ``total_bytes`` fits in the memory."""
-        return total_bytes <= self.capacity_bytes

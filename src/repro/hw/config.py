@@ -96,10 +96,6 @@ class AcceleratorConfig:
         """A copy with the Weight2 double-buffer removed (ablation)."""
         return replace(self, weight_double_buffer=False)
 
-    def with_fifo_depth(self, depth: int | None) -> "AcceleratorConfig":
-        """A copy with a fixed (or re-idealized) accumulator FIFO depth."""
-        return replace(self, acc_fifo_depth=depth)
-
 
 def paper_config() -> AcceleratorConfig:
     """The synthesized configuration of paper Table II."""

@@ -252,10 +252,6 @@ class BatchTiming:
     port_cycles: int = 0
     act_cycles: int = 0
 
-    def marginal_cycles_per_image(self) -> float:
-        """Amortized added cycles per image of this batch."""
-        return self.marginal_cycles / self.images
-
 
 @dataclass
 class StreamTiming:

@@ -92,18 +92,3 @@ PAPER_POWER_BREAKDOWN_PCT = {
 #: Fig 3: peak of the squash derivative (paper-reported coordinates; the
 #: analytic values are x = 1/sqrt(3) ~ 0.57735 and y = 3*sqrt(3)/8 = 0.6495).
 PAPER_SQUASH_DERIVATIVE_PEAK = (0.5767, 0.6495)
-
-
-def paper_gpu_total_ms() -> float:
-    """Total GPU inference time implied by the digitized Fig 8 values."""
-    return sum(PAPER_GPU_LAYER_MS.values())
-
-
-def paper_capsacc_layer_ms() -> dict[str, float]:
-    """CapsAcc layer times implied by Fig 8 values and Fig 16 speedups."""
-    implied = {}
-    for layer, gpu_ms in PAPER_GPU_LAYER_MS.items():
-        if layer in PAPER_LAYER_SPEEDUP:
-            implied[layer] = gpu_ms / PAPER_LAYER_SPEEDUP[layer]
-    implied["Total"] = paper_gpu_total_ms() / PAPER_LAYER_SPEEDUP["Total"]
-    return implied

@@ -55,7 +55,6 @@ Quick start::
 from repro.serve.batcher import (
     BatchPolicy,
     DeadlineBatcher,
-    DynamicBatcher,
     QueuedRequest,
     RequestQueue,
 )
@@ -78,7 +77,6 @@ from repro.serve.faults import (
     FaultInjector,
     FaultPlan,
     FaultStats,
-    FaultyExecutor,
     InjectedCrashError,
     RetryPolicy,
     load_fault_plan,
@@ -183,11 +181,9 @@ __all__ = [
     "DegradedModeAdmission",
     "DetectedCorruptionError",
     "DispatchContext",
-    "DynamicBatcher",
     "FaultInjector",
     "FaultPlan",
     "FaultStats",
-    "FaultyExecutor",
     "GreedyWhenIdleDispatch",
     "InjectedCrashError",
     "IntegrityPolicy",

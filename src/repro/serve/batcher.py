@@ -229,35 +229,3 @@ class DeadlineBatcher:
             label += f"/slack{self.slack_us:g}us"
         return label
 
-
-class DynamicBatcher:
-    """A request queue bound to one batching policy.
-
-    Thin convenience (and backward-compatibility) wrapper: the simulator
-    itself drives per-tenant :class:`RequestQueue` objects through the
-    policy protocol directly.
-    """
-
-    def __init__(self, policy) -> None:
-        self.policy = policy
-        self.queue = RequestQueue()
-
-    def __len__(self) -> int:
-        return len(self.queue)
-
-    def add(self, request: QueuedRequest) -> None:
-        """Enqueue an arriving request."""
-        self.queue.append(request)
-
-    @property
-    def oldest_deadline_us(self) -> float | None:
-        """When the policy must re-evaluate readiness (None when empty)."""
-        return self.policy.next_deadline_us(self.queue, 0.0)
-
-    def ready(self, now_us: float) -> bool:
-        """Whether a batch should be dispatched to an idle array now."""
-        return self.policy.ready(self.queue, now_us)
-
-    def take(self) -> list[QueuedRequest]:
-        """Pop the next batch under the bound policy."""
-        return self.policy.take(self.queue)

@@ -58,10 +58,6 @@ class VirtualClock:
             )
         self._now_us = float(now_us)
 
-    def advance_by(self, delta_us: float) -> None:
-        """Move the clock forward by ``delta_us`` microseconds."""
-        self.advance_to(self._now_us + delta_us)
-
 
 class MonotonicClock:
     """Wall clock in microseconds since construction.

@@ -96,11 +96,6 @@ class ArrayPool:
         """Number of currently idle arrays."""
         return len(self._idle)
 
-    @property
-    def active_count(self) -> int:
-        """Arrays currently in service (not quarantined)."""
-        return self.count - len(self._quarantined)
-
     def has_idle(self) -> bool:
         """Whether any array can accept a batch."""
         return bool(self._idle)
@@ -118,10 +113,6 @@ class ArrayPool:
     def quarantined_ids(self) -> list[int]:
         """Array ids currently quarantined, ascending."""
         return sorted(self._quarantined)
-
-    def is_quarantined(self, array: int) -> bool:
-        """Whether ``array`` is out of service after a crash."""
-        return array in self._quarantined
 
     def quarantine(self, array: int) -> None:
         """Take a (crashed) array out of service: it never idles until

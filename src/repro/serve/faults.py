@@ -565,43 +565,3 @@ class FaultStats:
             "canary_detected": self.canary_detected,
         }
 
-
-class FaultyExecutor:
-    """Executor wrapper that injects plan-driven crashes at the call site.
-
-    For driving a *live* executor (inline engine or process pool)
-    through a :class:`FaultPlan` without the serving core in the loop —
-    unit tests and standalone harnesses.  The serving runtime itself
-    injects via the core's placement-ordinal decisions (so sim and live
-    agree batch for batch); this wrapper makes its own per-call
-    decisions with the same plan semantics, ordinal = call number.
-    """
-
-    def __init__(self, inner, plan: FaultPlan) -> None:
-        self.inner = inner
-        self.plan = plan
-        self.image_size = inner.image_size
-        self._rng = random.Random(plan.seed)
-        self._crash_batches = frozenset(plan.crash_batches)
-        self.calls = 0
-        self.crashes = 0
-
-    def execute(self, array: int, images):
-        """Run the batch on the wrapped executor, or crash per the plan."""
-        plan = self.plan
-        ordinal = self.calls
-        self.calls += 1
-        draw = self._rng.random() if plan.crash_rate > 0.0 else 1.0
-        bounded = plan.max_crashes is not None and self.crashes >= plan.max_crashes
-        if not bounded and (
-            ordinal in self._crash_batches or draw < plan.crash_rate
-        ):
-            self.crashes += 1
-            raise InjectedCrashError(
-                f"injected crash on array {array} (call {ordinal})"
-            )
-        return self.inner.execute(array, images)
-
-    def close(self) -> None:
-        """Close the wrapped executor."""
-        self.inner.close()

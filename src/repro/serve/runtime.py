@@ -942,6 +942,17 @@ class ServingRuntime:
         if not np.isfinite(images).all():
             raise ValueError("image has non-finite values")
 
+    @staticmethod
+    def _check_deadline(deadline_us) -> None:
+        """Reject a non-finite request deadline (JSON ``NaN``/``Infinity``
+        parse to floats) before anything is admitted; a
+        :class:`ValueError`, as for a malformed image."""
+        # An int is finite, and one past float range would overflow isfinite.
+        if deadline_us is None or isinstance(deadline_us, int):
+            return
+        if not math.isfinite(deadline_us):
+            raise ValueError(f"deadline_us {deadline_us!r} is not finite")
+
     async def submit(
         self,
         image: np.ndarray,
@@ -965,6 +976,7 @@ class ServingRuntime:
         if self._closed:
             raise ConfigError("runtime is stopped")
         self._check_images(np.asarray(image)[np.newaxis])
+        self._check_deadline(deadline_us)
         now = self.clock.now_us()
         index, admitted = self.engine.offer(
             now, deadline_us=deadline_us, tenant=tenant
@@ -1101,6 +1113,7 @@ class ServingRuntime:
                             or not isinstance(deadline, (int, float))
                         ):
                             raise TypeError(f"deadline_us {deadline!r} is not a number")
+                        self._check_deadline(deadline)
                         image = np.asarray(payload["image"])
                         self._check_images(image[np.newaxis])
                     except (KeyError, ValueError, TypeError) as error:

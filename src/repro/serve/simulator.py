@@ -21,12 +21,10 @@ three event kinds — request arrival, batch-completion, coalescing-timeout
    bit-identical to the compiled program run standalone — and its
    completion frees the array.
 
-The classic constructor signature (``trace, policy, cost``) builds the
-equivalent :class:`~repro.serve.policies.ServerConfig` internally — the
-PR 2/3 behavior is the ``fifo`` policy triple, reproduced exactly.  New
-callers pass ``server=ServerConfig(...)`` and optionally
-``tenants=[TenantSpec(...), ...]`` for multi-tenant simulation (several
-networks' request streams sharing one pool through per-tenant queues).
+A :class:`~repro.serve.policies.ServerConfig` (``server=``) carries the
+cost model and every policy; ``tenants=[TenantSpec(...), ...]`` replaces
+the single trace for multi-tenant simulation (several networks' request
+streams sharing one pool through per-tenant queues).
 
 Waiting time is attributed to *batching* (an array was idle; the policy
 chose to coalesce) vs *queueing* (all arrays busy) by integrating the
@@ -39,15 +37,16 @@ actual images once the run is over, producing bit-exact predictions; the
 cycles it is charged are the cost model's, exactly as without
 ``execute``.
 
-With ``pipeline=True`` (and a cost model built with ``pipeline=True``)
-a batch dispatched to an array at the exact instant the previous batch
-finished is *warm* — charged the steady-state marginal cycles keyed by
-the ``(previous batch size, batch size)`` pair instead of the cold
-figure — and every warm batch records the drain it saved.  On a shared
-multi-tenant pool the predecessor batch may belong to a different
-network; the pool remembers which cost model priced it, and the warm
-cost is probed from the actual *(previous network, network)* hand-off
-instead of assuming the receiving tenant's own pair cost.
+With ``ServerConfig.pipeline`` set (and a cost model built with
+``pipeline=True``) a batch dispatched to an array at the exact instant
+the previous batch finished is *warm* — charged the steady-state
+marginal cycles keyed by the ``(previous batch size, batch size)`` pair
+instead of the cold figure — and every warm batch records the drain it
+saved.  On a shared multi-tenant pool the predecessor batch may belong
+to a different network; the pool remembers which cost model priced it,
+and the warm cost is probed from the actual *(previous network,
+network)* hand-off instead of assuming the receiving tenant's own pair
+cost.
 
 Two execution paths produce the report:
 
@@ -88,11 +87,10 @@ from repro.serve.core import (
     DurationProbe,
     TenantState,
 )
-from repro.serve.costs import ScheduledBatchCost
 from repro.serve.dispatcher import ArrayPool, DispatchContext, LeastRecentDispatch
 from repro.serve.policies import AdmitAll, CostBank, ServerConfig, TenantSpec
 from repro.serve.runtime import RuntimeEngine, assemble_report, run_virtual, trace_label
-from repro.serve.sinks import RecordingSink, StreamingSink
+from repro.serve.sinks import StreamingSink
 from repro.serve.stats import (
     DEFAULT_LATENCY_BIN_US,
     ServingReport,
@@ -116,14 +114,12 @@ class ServingSimulator:
     trace:
         Arrival times of every request (single-tenant form; pass
         ``tenants`` instead for multi-tenant runs).
-    policy:
-        Batching policy (``BatchPolicy(max_batch=1)`` for the serving
-        baseline).  Classic positional argument; equivalent to setting
-        ``ServerConfig.batching``.
-    cost:
-        Per-batch cost model (:class:`~repro.serve.costs.ScheduledBatchCost`).
-    arrays:
-        Number of identical accelerator arrays to shard batches across.
+    server:
+        The :class:`~repro.serve.policies.ServerConfig`: cost model,
+        admission / batching / dispatch policies, array pool (count or
+        heterogeneous configs), pipelining, SLA, faults and integrity.
+        ``pipeline`` charges back-to-back batches the stream-pipelined
+        warm cost and needs a cost model built with ``pipeline=True``.
     images:
         Optional ``(count, H, W)`` request images, aligned with the trace.
         Required by ``execute`` mode (single-tenant only).
@@ -131,66 +127,23 @@ class ServingSimulator:
         Run every dispatched batch through the cost model's compiled
         network on its real images (bit-exact predictions; slower).  The
         cost model must carry a compiled program.
-    pipeline:
-        Charge back-to-back batches the stream-pipelined warm cost and
-        prefer dispatching to the just-freed (still hot) array.  Requires
-        a cost model constructed with ``pipeline=True``.
-    network_name:
-        Label for reports.
-    server:
-        Full :class:`~repro.serve.policies.ServerConfig` (admission /
-        batching / dispatch policies, heterogeneous array configs, SLA).
-        Mutually exclusive with ``policy``/``cost``/``arrays``/
-        ``pipeline``/``network_name``.
     tenants:
         :class:`~repro.serve.policies.TenantSpec` list for multi-tenant
         simulation.  Mutually exclusive with ``trace``.
+    tracer:
+        Observability tracer (:mod:`repro.obs`) for recorded runs.
     """
 
     def __init__(
         self,
         trace: ArrivalTrace | None = None,
-        policy=None,
-        cost: ScheduledBatchCost | None = None,
-        arrays: int | None = None,
+        *,
+        server: ServerConfig,
         images: np.ndarray | None = None,
         execute: bool = False,
-        pipeline: bool | None = None,
-        network_name: str | None = None,
-        server: ServerConfig | None = None,
         tenants: list[TenantSpec] | None = None,
         tracer=None,
     ) -> None:
-        if server is not None:
-            # Restating a legacy default (arrays=1, pipeline=False, the
-            # default network name) alongside server= is harmless; any
-            # other classic argument conflicts with the ServerConfig.
-            conflicting = [
-                name
-                for name, value, defaults in (
-                    ("policy", policy, (None,)),
-                    ("cost", cost, (None,)),
-                    ("arrays", arrays, (None, 1)),
-                    ("pipeline", pipeline, (None, False)),
-                    ("network_name", network_name, (None, "capsnet")),
-                )
-                if value not in defaults
-            ]
-            if conflicting:
-                raise ConfigError(
-                    "pass either a ServerConfig or the classic arguments,"
-                    f" not both (got server= plus {', '.join(conflicting)})"
-                )
-        else:
-            if cost is None:
-                raise ConfigError("a cost model is required")
-            server = ServerConfig(
-                cost=cost,
-                batching=policy if policy is not None else BatchPolicy(),
-                arrays=arrays if arrays is not None else 1,
-                pipeline=bool(pipeline),
-                network_name=network_name if network_name is not None else "capsnet",
-            )
         self.server = server
         if tenants is None:
             if trace is None:
@@ -202,16 +155,8 @@ class ServingSimulator:
             raise ConfigError("the tenants list needs at least one tenant")
         self.tenant_specs = list(tenants)
         self.multi_tenant = len(self.tenant_specs) > 1
-
-        # Legacy attribute surface.
-        self.trace = self.tenant_specs[0].trace
-        self.policy = server.batching
-        self.cost = server.cost
-        self.arrays = server.arrays
         self.images = None if images is None else np.asarray(images)
         self.execute = execute
-        self.pipeline = server.pipeline
-        self.network_name = server.network_name
 
         all_costs = [server.cost] + [
             spec.cost for spec in self.tenant_specs if spec.cost is not None
@@ -221,26 +166,25 @@ class ServingSimulator:
                 raise ConfigError("execute mode is single-tenant only")
             if server.array_configs is not None:
                 raise ConfigError("execute mode needs a homogeneous array pool")
-            if getattr(self.cost, "compiled", None) is None:
+            if getattr(server.cost, "compiled", None) is None:
                 raise ConfigError(
                     "execute mode needs a cost model priced from a compiled"
                     " program (ScheduledBatchCost)"
                 )
             if self.images is None:
                 raise ConfigError("execute mode needs per-request images")
-        if self.pipeline:
+        if server.pipeline:
             for model in all_costs:
                 if not getattr(model, "pipeline", False):
                     raise ConfigError(
                         "pipeline mode needs a cost model built with pipeline=True"
                     )
-        if self.images is not None and len(self.images) != self.trace.count:
-            raise ShapeError(
-                f"{len(self.images)} images for {self.trace.count} requests"
-            )
+        requests = self.tenant_specs[0].trace.count
+        if self.images is not None and len(self.images) != requests:
+            raise ShapeError(f"{len(self.images)} images for {requests} requests")
         #: Runs execute mode's batches (built once, outside the timed runs).
         self._executor = (
-            CompiledStreamExecutor(self.cost.compiled) if execute else None
+            CompiledStreamExecutor(server.cost.compiled) if execute else None
         )
         # Per-configuration cost models persist across run() calls (pure
         # memoization; probe results additionally persist process-wide in
@@ -254,7 +198,6 @@ class ServingSimulator:
         self,
         record_requests: bool = True,
         latency_bin_us: float = DEFAULT_LATENCY_BIN_US,
-        sink=None,
     ) -> ServingReport:
         """Run every tenant's trace to completion and return the report.
 
@@ -266,13 +209,6 @@ class ServingSimulator:
         at histogram resolution; ``execute`` mode (which must return
         per-request predictions) requires the recording path.
 
-        ``sink`` selects the result path explicitly — a
-        :class:`~repro.serve.sinks.RecordingSink` runs the recorded loop,
-        a :class:`~repro.serve.sinks.StreamingSink` the streaming one
-        (with the sink's own histogram configuration); the classic
-        ``record_requests``/``latency_bin_us`` flags are ignored then and
-        remain as the shim over the two standard sinks.
-
         Tracing (:mod:`repro.obs`) requires the recording path: the
         streaming loop inlines the policies and bypasses the
         instrumented core entirely — that bypass is what makes it fast —
@@ -280,27 +216,11 @@ class ServingSimulator:
         :class:`~repro.errors.ConfigError` rather than silently
         recording nothing.
         """
-        if sink is None and record_requests:
-            sink = RecordingSink()
-        if isinstance(sink, RecordingSink):
+        if record_requests:
             engine = RuntimeEngine(
-                self.server,
-                self.tenant_specs,
-                sink=sink,
-                tracer=self.tracer,
-                bank=self._bank,
+                self.server, self.tenant_specs, tracer=self.tracer, bank=self._bank
             )
             return run_virtual(engine, self._executor, self.images)
-        if sink is not None:
-            if not isinstance(sink, StreamingSink):
-                raise ConfigError(
-                    "sink must be a RecordingSink or a StreamingSink"
-                )
-            if self.execute:
-                raise ConfigError("execute mode needs a RecordingSink")
-            self._check_tracer_path()
-            self._check_fault_path()
-            return self._run_streaming(sink.stats.bin_us, sink=sink)
         if self.execute:
             raise ConfigError("execute mode needs record_requests=True")
         self._check_tracer_path()
@@ -312,8 +232,7 @@ class ServingSimulator:
         if self.tracer.enabled:
             raise ConfigError(
                 "tracing requires the recording path: drop --fast /"
-                " record_requests=False (or the StreamingSink) when a"
-                " tracer is attached"
+                " record_requests=False when a tracer is attached"
             )
 
     def _check_fault_path(self) -> None:
@@ -329,22 +248,17 @@ class ServingSimulator:
         if plan is not None and not plan.empty:
             raise ConfigError(
                 "fault injection requires the recording path: drop"
-                " --fast / record_requests=False (or the StreamingSink)"
-                " when a fault plan is set"
+                " --fast / record_requests=False when a fault plan is set"
             )
         integrity = getattr(self.server, "integrity", None)
         if integrity is not None and integrity.enabled:
             raise ConfigError(
                 "integrity checking requires the recording path: drop"
-                " --fast / record_requests=False (or the StreamingSink)"
-                " when an integrity mode is armed"
+                " --fast / record_requests=False when an integrity mode is"
+                " armed"
             )
 
-    def _run_streaming(
-        self,
-        latency_bin_us: float,
-        sink: StreamingSink | None = None,
-    ) -> ServingReport:
+    def _run_streaming(self, latency_bin_us: float) -> ServingReport:
         """The O(1)-memory fast path (``record_requests=False``).
 
         Drives the same policy protocols as the recorded path — the
@@ -370,7 +284,7 @@ class ServingSimulator:
         ]
         multi = self.multi_tenant
         only = tenants[0]
-        pipeline_mode = self.pipeline
+        pipeline_mode = server.pipeline
 
         # Merged arrival stream, ordered like the recorded path's heap:
         # by time, ties in tenant-then-local order (stable sort over the
@@ -398,19 +312,10 @@ class ServingSimulator:
         tenant_list = np.concatenate(tenant_parts)[order].tolist() if multi else None
         total = len(times_list)
 
-        if sink is None:
-            sink = StreamingSink(bin_us=latency_bin_us, pipeline=pipeline_mode)
+        sink = StreamingSink(bin_us=latency_bin_us, pipeline=pipeline_mode)
         stats = sink.stats
         tenant_streams = (
-            [
-                StreamingStats(
-                    bin_us=stats.bin_us,
-                    pipeline=pipeline_mode,
-                    kind=stats.kind,
-                    subbins=stats.subbins,
-                )
-                for _ in tenants
-            ]
+            [StreamingStats(bin_us=stats.bin_us, pipeline=pipeline_mode) for _ in tenants]
             if multi
             else None
         )

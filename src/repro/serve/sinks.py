@@ -31,7 +31,7 @@ Sinks aggregate *outcomes* into reports; the observability layer
 on the serving core sees the full per-request lifecycle (including
 intermediate instants sinks never learn, like batch formation and
 stacked dispatch) and feeds timeline exports and live metrics.  Note
-the streaming fast path supports sinks but not tracers — it bypasses
+the simulator's streaming fast path supports no tracer — it bypasses
 the instrumented core (see :meth:`ServingSimulator.run
 <repro.serve.simulator.ServingSimulator.run>`).
 """
@@ -174,23 +174,12 @@ class RecordingSink:
 
 
 class StreamingSink:
-    """O(1)-memory histograms (the streaming-percentile path).
-
-    ``kind``/``subbins`` select the underlying
-    :class:`~repro.serve.stats.LatencyHistogram` bucketing — ``"log"``
-    bounds memory under deep overload (the live runtime's default).
-    """
+    """O(1)-memory histograms (the streaming-percentile path)."""
 
     def __init__(
-        self,
-        bin_us: float = DEFAULT_LATENCY_BIN_US,
-        pipeline: bool = False,
-        kind: str = "linear",
-        subbins: int = 32,
+        self, bin_us: float = DEFAULT_LATENCY_BIN_US, pipeline: bool = False
     ) -> None:
-        self.stats = StreamingStats(
-            bin_us=bin_us, pipeline=pipeline, kind=kind, subbins=subbins
-        )
+        self.stats = StreamingStats(bin_us=bin_us, pipeline=pipeline)
         #: Kept empty — the streaming representation has no tables; the
         #: attributes exist so report assembly reads any sink uniformly.
         self.requests: list[RequestRecord] = []

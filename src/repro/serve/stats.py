@@ -125,12 +125,6 @@ class LatencyHistogram:
         return self._count + len(self._buffer)
 
     @property
-    def total_us(self) -> float:
-        """Exact sum of every added sample (buffer flushed first)."""
-        self._flush()
-        return self._total_us
-
-    @property
     def max_us(self) -> float:
         """Largest added sample (buffer flushed first)."""
         self._flush()
@@ -330,22 +324,13 @@ class StreamingStats:
     """
 
     def __init__(
-        self,
-        bin_us: float = DEFAULT_LATENCY_BIN_US,
-        pipeline: bool = False,
-        kind: str = "linear",
-        subbins: int = 32,
+        self, bin_us: float = DEFAULT_LATENCY_BIN_US, pipeline: bool = False
     ) -> None:
         self.bin_us = float(bin_us)
-        self.kind = kind
-        self.subbins = int(subbins)
         names = ["total", "queueing", "batching", "compute"]
         if pipeline:
             names.append("drain_saved")
-        self.components = {
-            name: LatencyHistogram(bin_us, kind=kind, subbins=subbins)
-            for name in names
-        }
+        self.components = {name: LatencyHistogram(bin_us) for name in names}
         self.offered = 0
         self.shed = 0
         #: Requests terminally failed by the fault layer (attempt budget

@@ -2,23 +2,25 @@
 
 The key guarantees:
 
-* both engines ("fast" and "stepped") produce identical, reference-exact
+* both engines the executor runs GEMMs on (the fast chunked saturating
+  matmul and the stepped array) produce identical, reference-exact
   results;
 * the sequential cycle accounting equals what the stepped engine actually
   consumes, tile by tile (validating the shared closed-form model);
-* buffer access counters follow the mapping's operand sources.
+* buffer access counters follow each GEMM's operand sources.
 """
 
 import numpy as np
 import pytest
 
-from repro.capsnet.hwops import QuantizedFormats
-from repro.errors import MappingError, ShapeError
+from repro.capsnet.hwops import QuantizedFormats, chunked_saturating_matmul
+from repro.compiler.executor import StreamExecutor
+from repro.errors import MappingError
 from repro.hw.accelerator import (
     CapsAccAccelerator,
-    GemmJob,
     chunk_sizes,
     gemm_cycles,
+    gemm_stats,
     plan_tiling,
 )
 from repro.hw.config import AcceleratorConfig
@@ -30,10 +32,15 @@ WEIGHT = FMTS.classcaps_weight
 ACC = FMTS.acc(DATA, WEIGHT)
 
 
-def make_job(rng, m, k, n, **kwargs):
-    data = rng.integers(-60, 60, size=(m, k))
-    weights = rng.integers(-60, 60, size=(k, n))
-    return GemmJob("job", data, weights, DATA, WEIGHT, ACC, **kwargs)
+def make_operands(rng, m, k, n):
+    return rng.integers(-60, 60, size=(m, k)), rng.integers(-60, 60, size=(k, n))
+
+
+def run_counted(accel, m, k, n, **sources):
+    """Book one ``(m, k) @ (k, n)`` GEMM's reads on ``accel``; its stats."""
+    stats = gemm_stats(accel.config, plan_tiling(accel.config, m, k, n), **sources)
+    accel.count_reads(stats.accesses)
+    return stats
 
 
 class TestChunking:
@@ -64,28 +71,18 @@ class TestEngines:
     )
     def test_fast_and_stepped_match_reference(self, rng, small_accel_config, m, k, n):
         accel = CapsAccAccelerator(small_accel_config)
-        job = make_job(rng, m, k, n)
-        fast = accel.run_gemm(job, engine="fast")
-        stepped = accel.run_gemm(job, engine="stepped")
-        reference = np.clip(
-            job.data.astype(np.int64) @ job.weights, ACC.raw_min, ACC.raw_max
+        data, weights = make_operands(rng, m, k, n)
+        fast = chunked_saturating_matmul(data, weights, ACC, small_accel_config.rows)
+        stepped = accel.stepped_gemm(
+            data, weights, DATA, WEIGHT, ACC, plan_tiling(small_accel_config, m, k, n)
         )
-        assert np.array_equal(fast.acc, reference)
-        assert np.array_equal(stepped.acc, reference)
+        reference = np.clip(data.astype(np.int64) @ weights, ACC.raw_min, ACC.raw_max)
+        assert np.array_equal(fast, reference)
+        assert np.array_equal(stepped, reference)
 
-    def test_unknown_engine_rejected(self, rng, small_accel_config):
-        accel = CapsAccAccelerator(small_accel_config)
-        with pytest.raises(MappingError):
-            accel.run_gemm(make_job(rng, 2, 2, 2), engine="warp")
-
-    def test_shape_mismatch_rejected(self, small_accel_config):
-        accel = CapsAccAccelerator(small_accel_config)
-        job = GemmJob(
-            "bad", np.zeros((2, 3), dtype=np.int64), np.zeros((4, 2), dtype=np.int64),
-            DATA, WEIGHT, ACC,
-        )
-        with pytest.raises(ShapeError):
-            accel.run_gemm(job)
+    def test_unknown_engine_rejected(self):
+        with pytest.raises(MappingError, match="warp"):
+            StreamExecutor.for_network("tiny", engine="warp")
 
 
 class TestCycleAccounting:
@@ -95,7 +92,7 @@ class TestCycleAccounting:
     ):
         """The closed-form (overlap=False) total equals real stepped cycles."""
         config = small_accel_config
-        job = make_job(rng, m, k, n)
+        data, weights = make_operands(rng, m, k, n)
         array = SystolicArray(config, DATA, WEIGHT, ACC)
         measured = 0
         plan = plan_tiling(config, m, k, n)
@@ -104,11 +101,11 @@ class TestCycleAccounting:
                 k_lo = chunk_index * config.rows
                 n_lo = n_tile * config.cols
                 tile = np.zeros((config.rows, config.cols), dtype=np.int64)
-                block = job.weights[k_lo : k_lo + chunk, n_lo : n_lo + config.cols]
+                block = weights[k_lo : k_lo + chunk, n_lo : n_lo + config.cols]
                 tile[: block.shape[0], : block.shape[1]] = block
                 measured += array.load_weights(tile, active_rows=chunk)
                 stream = np.zeros((m, config.rows), dtype=np.int64)
-                stream[:, :chunk] = job.data[:, k_lo : k_lo + chunk]
+                stream[:, :chunk] = data[:, k_lo : k_lo + chunk]
                 measured += array.run_tile(stream).cycles
         formula = gemm_cycles(config, m, k, n, overlap=False)
         assert formula["total"] == measured
@@ -140,48 +137,45 @@ class TestCycleAccounting:
             == gemm_cycles(no_reuse, 10, 10, 10, overlap=False)
         )
 
-    def test_mac_count(self, rng, small_accel_config):
-        accel = CapsAccAccelerator(small_accel_config)
-        result = accel.run_gemm(make_job(rng, 5, 6, 7))
-        assert result.stats.mac_count == 5 * 6 * 7
+    def test_mac_count(self, small_accel_config):
+        stats = gemm_stats(small_accel_config, plan_tiling(small_accel_config, 5, 6, 7))
+        assert stats.mac_count == 5 * 6 * 7
 
-    def test_utilization_bounded(self, rng, small_accel_config):
-        accel = CapsAccAccelerator(small_accel_config)
-        result = accel.run_gemm(make_job(rng, 32, 16, 16))
-        util = result.stats.utilization(small_accel_config.num_pes)
+    def test_utilization_bounded(self, small_accel_config):
+        plan = plan_tiling(small_accel_config, 32, 16, 16)
+        util = gemm_stats(small_accel_config, plan).utilization(
+            small_accel_config.num_pes
+        )
         assert 0.0 < util <= 1.0
 
 
 class TestAccessCounting:
-    def test_weight_and_data_traffic(self, rng, small_accel_config):
+    def test_weight_and_data_traffic(self, small_accel_config):
         accel = CapsAccAccelerator(small_accel_config)
         m, k, n = 6, 8, 10  # 2 k-chunks x 3 n-tiles on a 4x4 array
-        accel.run_gemm(make_job(rng, m, k, n))
+        run_counted(accel, m, k, n)
         assert accel.weight_buffer.reads == k * n
         assert accel.data_buffer.reads == m * k * 3
 
-    def test_feedback_source_costs_nothing(self, rng, small_accel_config):
+    def test_feedback_source_costs_nothing(self, small_accel_config):
         accel = CapsAccAccelerator(small_accel_config)
-        job = make_job(rng, 4, 4, 4, data_source="feedback")
-        accel.run_gemm(job)
+        run_counted(accel, 4, 4, 4, data_source="feedback")
         assert accel.data_buffer.reads == 0
 
-    def test_routing_buffer_source(self, rng, small_accel_config):
+    def test_routing_buffer_source(self, small_accel_config):
         accel = CapsAccAccelerator(small_accel_config)
-        job = make_job(rng, 4, 4, 4, weight_source="routing_buffer")
-        accel.run_gemm(job)
+        run_counted(accel, 4, 4, 4, weight_source="routing_buffer")
         assert accel.routing_buffer.reads == 16
         assert accel.weight_buffer.reads == 0
 
-    def test_reset_counters(self, rng, small_accel_config):
+    def test_reset_counters(self, small_accel_config):
         accel = CapsAccAccelerator(small_accel_config)
-        accel.run_gemm(make_job(rng, 4, 4, 4))
+        run_counted(accel, 4, 4, 4)
         accel.reset_counters()
         assert accel.data_buffer.reads == 0
 
-    def test_stats_accesses_keyed_by_source(self, rng, small_accel_config):
-        accel = CapsAccAccelerator(small_accel_config)
-        result = accel.run_gemm(make_job(rng, 4, 4, 4))
-        assert "weight_buffer.read" in result.stats.accesses
-        assert "data_buffer.read" in result.stats.accesses
-        assert "accumulator.write" in result.stats.accesses
+    def test_stats_accesses_keyed_by_source(self, small_accel_config):
+        stats = run_counted(CapsAccAccelerator(small_accel_config), 4, 4, 4)
+        assert "weight_buffer.read" in stats.accesses
+        assert "data_buffer.read" in stats.accesses
+        assert "accumulator.write" in stats.accesses

@@ -26,7 +26,6 @@ from repro.errors import ConfigError, MappingError, ShapeError
 from repro.fixedpoint.formats import QFormat
 from repro.hw.accelerator import (
     CapsAccAccelerator,
-    GemmJob,
     chunk_sizes,
     gemm_cycles,
     gemm_stats,
@@ -61,10 +60,28 @@ def make_batch(rng, batch, m, k, n):
     return rng.integers(-60, 60, size=(batch, m, k)), rng.integers(-60, 60, size=(k, n))
 
 
-def stacked_job(data, weights):
+def stacked(data):
     """The batch as one ``(B*M, K)`` stream per weight tile."""
     batch, m, k = data.shape
-    return GemmJob("batched", data.reshape(batch * m, k), weights, DATA, WEIGHT, ACC)
+    return data.reshape(batch * m, k)
+
+
+def fast(config, data, weights, acc_fmt=ACC):
+    """The fast engine's GEMM, chunked over the array rows."""
+    return chunked_saturating_matmul(data, weights, acc_fmt, config.rows)
+
+
+def stepped(config, data, weights, data_fmt=DATA, weight_fmt=WEIGHT, acc_fmt=ACC):
+    """The stepped engine's GEMM, clock edge by clock edge."""
+    plan = plan_tiling(config, data.shape[0], data.shape[1], weights.shape[1])
+    return CapsAccAccelerator(config).stepped_gemm(
+        data, weights, data_fmt, weight_fmt, acc_fmt, plan
+    )
+
+
+def stats_of(config, m, k, n):
+    """Sequential accounting of one ``(m, k) @ (k, n)`` GEMM."""
+    return gemm_stats(config, plan_tiling(config, m, k, n))
 
 
 class TestChunkedSaturatingMatmul:
@@ -96,11 +113,11 @@ class TestChunkedSaturatingMatmul:
         acc_fmt = QFormat(16, 0)
         data = rng.integers(-128, 127, size=(5, 13))
         weights = rng.integers(-128, 127, size=(13, 4))
-        accel = CapsAccAccelerator(small_accel_config)
-        job = GemmJob("sat", data, weights, QFormat(8, 0), QFormat(8, 0), acc_fmt)
-        fast = accel.run_gemm(job, engine="fast")
-        stepped = accel.run_gemm(job, engine="stepped")
-        assert np.array_equal(fast.acc, stepped.acc)
+        fmt = QFormat(8, 0)
+        assert np.array_equal(
+            fast(small_accel_config, data, weights, acc_fmt),
+            stepped(small_accel_config, data, weights, fmt, fmt, acc_fmt),
+        )
 
     def test_unsigned_accumulator_clips_from_below(self):
         """The fast path must respect raw_min too: with an unsigned
@@ -133,21 +150,18 @@ class TestBatchedGemm:
     def test_matches_independent_single_runs(
         self, rng, small_accel_config, batch, m, k, n
     ):
-        accel = CapsAccAccelerator(small_accel_config)
         data, weights = make_batch(rng, batch, m, k, n)
-        batched = accel.run_gemm(stacked_job(data, weights), engine="fast")
-        acc = batched.acc.reshape(batch, m, n)
+        acc = fast(small_accel_config, stacked(data), weights).reshape(batch, m, n)
         for b in range(batch):
-            single = accel.run_gemm(GemmJob("single", data[b], weights, DATA, WEIGHT, ACC))
-            assert np.array_equal(acc[b], single.acc)
+            single = fast(small_accel_config, data[b], weights)
+            assert np.array_equal(acc[b], single)
 
     def test_engines_agree(self, rng, small_accel_config):
-        accel = CapsAccAccelerator(small_accel_config)
-        job = stacked_job(*make_batch(rng, 3, 4, 9, 6))
-        fast = accel.run_gemm(job, engine="fast")
-        stepped = accel.run_gemm(job, engine="stepped")
-        assert np.array_equal(fast.acc, stepped.acc)
-        assert fast.stats.total_cycles == stepped.stats.total_cycles
+        data, weights = make_batch(rng, 3, 4, 9, 6)
+        assert np.array_equal(
+            fast(small_accel_config, stacked(data), weights),
+            stepped(small_accel_config, stacked(data), weights),
+        )
 
     @pytest.mark.parametrize("batch,m,k,n", [(2, 3, 9, 5), (3, 2, 4, 18)])
     def test_closed_form_matches_stepped_execution(
@@ -156,7 +170,8 @@ class TestBatchedGemm:
         """Sequential batched accounting equals real stepped cycles for the
         stacked ``(B*M, K)`` stream, tile by tile."""
         config = small_accel_config
-        job = stacked_job(*make_batch(rng, batch, m, k, n))
+        data, weights = make_batch(rng, batch, m, k, n)
+        data = stacked(data)
         array = SystolicArray(config, DATA, WEIGHT, ACC)
         measured = 0
         plan = plan_tiling(config, batch * m, k, n)
@@ -165,45 +180,38 @@ class TestBatchedGemm:
                 k_lo = chunk_index * config.rows
                 n_lo = n_tile * config.cols
                 tile = np.zeros((config.rows, config.cols), dtype=np.int64)
-                block = job.weights[k_lo : k_lo + chunk, n_lo : n_lo + config.cols]
+                block = weights[k_lo : k_lo + chunk, n_lo : n_lo + config.cols]
                 tile[: block.shape[0], : block.shape[1]] = block
                 measured += array.load_weights(tile, active_rows=chunk)
                 stream = np.zeros((batch * m, config.rows), dtype=np.int64)
-                stream[:, :chunk] = job.data[:, k_lo : k_lo + chunk]
+                stream[:, :chunk] = data[:, k_lo : k_lo + chunk]
                 measured += array.run_tile(stream).cycles
         formula = gemm_cycles(config, batch * m, k, n, overlap=False)
         assert formula["total"] == measured
-        result = CapsAccAccelerator(config).run_gemm(job)
-        assert result.stats.total_cycles == measured
+        assert stats_of(config, batch * m, k, n).total_cycles == measured
 
-    def test_batching_amortizes_tile_loads(self, rng, small_accel_config):
+    def test_batching_amortizes_tile_loads(self, small_accel_config):
         """A batch costs strictly less than B independent runs — in cycles
         (fewer exposed loads/drains) and in weight-buffer traffic."""
         accel = CapsAccAccelerator(small_accel_config)
         batch, m, k, n = 4, 3, 9, 6
-        job = stacked_job(*make_batch(rng, batch, m, k, n))
-        accel.reset_counters()
-        batched = accel.run_gemm(job)
-        batched_weight_reads = accel.weight_buffer.reads
+        batched = stats_of(small_accel_config, batch * m, k, n)
+        accel.count_reads(batched.accesses)
         single = gemm_cycles(small_accel_config, m, k, n, overlap=False)["total"]
-        assert batched.stats.total_cycles < batch * single
-        assert batched_weight_reads == k * n  # once per batch, not per image
+        assert batched.total_cycles < batch * single
+        assert accel.weight_buffer.reads == k * n  # once per batch, not per image
+        batched_ovl = gemm_cycles(small_accel_config, batch * m, k, n, overlap=True)
         single_ovl = gemm_cycles(small_accel_config, m, k, n, overlap=True)["total"]
-        assert batched.overlapped_cycles < batch * single_ovl
+        assert batched_ovl["total"] < batch * single_ovl
 
-    def test_mac_count_scales_with_batch(self, rng, small_accel_config):
-        accel = CapsAccAccelerator(small_accel_config)
-        result = accel.run_gemm(stacked_job(*make_batch(rng, 3, 4, 5, 6)))
-        assert result.stats.mac_count == 3 * 4 * 5 * 6
+    def test_mac_count_scales_with_batch(self, small_accel_config):
+        assert stats_of(small_accel_config, 3 * 4, 5, 6).mac_count == 3 * 4 * 5 * 6
 
     def test_bad_shapes_rejected(self, rng, small_accel_config):
-        """A batch runs only once stacked, and only against matching ``K``."""
-        accel = CapsAccAccelerator(small_accel_config)
+        """A stacked batch runs only against matching ``K``."""
         data, weights = make_batch(rng, 2, 3, 4, 5)
         with pytest.raises(ShapeError):
-            accel.run_gemm(GemmJob("unstacked", data, weights, DATA, WEIGHT, ACC))
-        with pytest.raises(ShapeError):
-            accel.run_gemm(stacked_job(data, weights[:3]))
+            fast(small_accel_config, stacked(data), weights[:3])
 
     def test_zero_batch_rejected(self, small_accel_config):
         with pytest.raises(MappingError):
@@ -244,20 +252,16 @@ class TestFifoDepth:
 
     def test_engines_bit_identical_with_bounded_fifo(self, rng, small_accel_config):
         bounded = replace(small_accel_config, acc_fifo_depth=5)
-        accel = CapsAccAccelerator(bounded)
-        job = stacked_job(*make_batch(rng, 3, 4, 9, 6))  # B*M = 12 > depth 5
-        fast = accel.run_gemm(job, engine="fast")
-        stepped = accel.run_gemm(job, engine="stepped")
-        assert np.array_equal(fast.acc, stepped.acc)
-        assert fast.stats.total_cycles == stepped.stats.total_cycles
-        ideal = CapsAccAccelerator(small_accel_config).run_gemm(job)
-        assert np.array_equal(fast.acc, ideal.acc)
+        data, weights = make_batch(rng, 3, 4, 9, 6)  # B*M = 12 > depth 5
+        data = stacked(data)
+        fast_acc = fast(bounded, data, weights)
+        assert np.array_equal(fast_acc, stepped(bounded, data, weights))
+        assert np.array_equal(fast_acc, stepped(small_accel_config, data, weights))
 
-    def test_weight_traffic_scales_with_passes(self, rng, small_accel_config):
+    def test_weight_traffic_scales_with_passes(self, small_accel_config):
         bounded = replace(small_accel_config, acc_fifo_depth=5)
         accel = CapsAccAccelerator(bounded)
-        accel.reset_counters()
-        accel.run_gemm(stacked_job(*make_batch(rng, 3, 4, 9, 6)))
+        accel.count_reads(stats_of(bounded, 3 * 4, 9, 6).accesses)
         assert accel.weight_buffer.reads == 3 * 9 * 6  # three M-passes
 
     def test_invalid_depth_rejected(self):
@@ -269,29 +273,28 @@ class TestGroupedGemm:
     """``G`` same-shape GEMMs with per-group weights (the routing jobs)."""
 
     def test_matches_independent_runs_and_sums_stats(self, rng, small_accel_config):
-        accel = CapsAccAccelerator(small_accel_config)
         groups, m, k, n = 5, 3, 9, 4
         data = rng.integers(-60, 60, size=(groups, m, k))
         weights = rng.integers(-60, 60, size=(groups, k, n))
-        grouped = chunked_saturating_matmul(data, weights, ACC, small_accel_config.rows)
+        grouped = fast(small_accel_config, data, weights)
         total = None
         for g in range(groups):
-            single = accel.run_gemm(GemmJob("one", data[g], weights[g], DATA, WEIGHT, ACC))
-            assert np.array_equal(grouped[g], single.acc)
-            total = single.stats if total is None else total + single.stats
+            assert np.array_equal(grouped[g], fast(small_accel_config, data[g], weights[g]))
+            single = stats_of(small_accel_config, m, k, n)
+            total = single if total is None else total + single
         plan = plan_tiling(small_accel_config, m, k, n)
         stats = gemm_stats(small_accel_config, plan, count=groups)
         assert stats == total
         assert stats.mac_count == groups * m * k * n
 
     def test_engines_agree(self, rng, small_accel_config):
-        accel = CapsAccAccelerator(small_accel_config)
         data = rng.integers(-60, 60, size=(3, 2, 7))
         weights = rng.integers(-60, 60, size=(3, 7, 5))
-        fast = chunked_saturating_matmul(data, weights, ACC, small_accel_config.rows)
+        grouped = fast(small_accel_config, data, weights)
         for g in range(3):
-            job = GemmJob("one", data[g], weights[g], DATA, WEIGHT, ACC)
-            assert np.array_equal(fast[g], accel.run_gemm(job, engine="stepped").acc)
+            assert np.array_equal(
+                grouped[g], stepped(small_accel_config, data[g], weights[g])
+            )
 
     def test_no_cross_group_weight_amortization(self, small_accel_config):
         groups, m, k, n = 3, 2, 5, 4

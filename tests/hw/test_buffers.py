@@ -1,9 +1,9 @@
-"""Unit tests for buffers and memory models."""
+"""Unit tests for the on-chip buffers."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.hw.buffers import Buffer, MemoryModel
+from repro.hw.buffers import Buffer
 
 
 class TestBuffer:
@@ -37,24 +37,3 @@ class TestBuffer:
         wide = Buffer("acc", size_kb=1, word_bits=25, bandwidth_words=4)
         assert wide.capacity_words == 1024 * 8 // 25
 
-
-class TestMemoryModel:
-    @pytest.fixture
-    def memory(self):
-        return MemoryModel("weight_memory", size_mb=8)
-
-    def test_capacity(self, memory):
-        assert memory.capacity_bytes == 8 * 1024 * 1024
-
-    def test_fits_paper_weights(self, memory):
-        from repro.capsnet.params import total_weight_bytes
-
-        assert memory.fits(total_weight_bytes())
-
-    def test_traffic_by_consumer(self, memory):
-        memory.read(100, consumer="conv1")
-        memory.read(50, consumer="conv1")
-        memory.write(25, consumer="routing")
-        assert memory.traffic == {"conv1": 150, "routing": 25}
-        assert memory.reads == 150
-        assert memory.writes == 25

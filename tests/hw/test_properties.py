@@ -4,8 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.capsnet.hwops import QuantizedFormats
-from repro.hw.accelerator import CapsAccAccelerator, GemmJob, gemm_cycles
+from repro.capsnet.hwops import QuantizedFormats, chunked_saturating_matmul
+from repro.hw.accelerator import CapsAccAccelerator, gemm_cycles, plan_tiling
 from repro.hw.config import AcceleratorConfig
 from repro.hw.systolic import SystolicArray
 
@@ -34,10 +34,10 @@ def test_stepped_gemm_always_matches_reference(instance):
     data, weights = instance
     config = AcceleratorConfig(rows=4, cols=4)
     accel = CapsAccAccelerator(config)
-    job = GemmJob("prop", data, weights, DATA, WEIGHT, ACC)
-    result = accel.run_gemm(job, engine="stepped")
+    plan = plan_tiling(config, data.shape[0], data.shape[1], weights.shape[1])
+    acc = accel.stepped_gemm(data, weights, DATA, WEIGHT, ACC, plan)
     expected = np.clip(data.astype(np.int64) @ weights, ACC.raw_min, ACC.raw_max)
-    assert np.array_equal(result.acc, expected)
+    assert np.array_equal(acc, expected)
 
 
 @given(instance=gemm_instances())
@@ -45,11 +45,9 @@ def test_stepped_gemm_always_matches_reference(instance):
 def test_fast_gemm_always_matches_reference(instance):
     data, weights = instance
     config = AcceleratorConfig(rows=4, cols=4)
-    accel = CapsAccAccelerator(config)
-    job = GemmJob("prop", data, weights, DATA, WEIGHT, ACC)
-    result = accel.run_gemm(job, engine="fast")
+    acc = chunked_saturating_matmul(data, weights, ACC, config.rows)
     expected = np.clip(data.astype(np.int64) @ weights, ACC.raw_min, ACC.raw_max)
-    assert np.array_equal(result.acc, expected)
+    assert np.array_equal(acc, expected)
 
 
 @given(

@@ -12,9 +12,10 @@ import numpy as np
 
 from repro.capsnet.model import CapsuleNet
 from repro.capsnet.quantized import QuantizedCapsuleNet
+from repro.compiler.cost import program_batch_cycles
 from repro.compiler.executor import StreamExecutor
 from repro.errors import ReproError
-from repro.hw.accelerator import CapsAccAccelerator, GemmJob, gemm_cycles
+from repro.hw.accelerator import CapsAccAccelerator
 from repro.hw.config import AcceleratorConfig
 from tests.conftest import assert_matches_golden
 
@@ -62,21 +63,14 @@ class TestErrorHierarchy:
 
 
 class TestOverlapConsistency:
-    def test_overlapped_cycles_reported_by_executor(self, rng):
+    def test_overlapped_cycles_reported_by_executor(self, tiny_qnet, tiny_images):
         config = AcceleratorConfig(rows=4, cols=4)
-        accel = CapsAccAccelerator(config)
-        from repro.capsnet.hwops import QuantizedFormats
-
-        fmts = QuantizedFormats()
-        acc_fmt = fmts.acc(fmts.caps_data, fmts.coupling)
-        job = GemmJob(
-            "j",
-            rng.integers(-20, 20, size=(6, 9)),
-            rng.integers(-20, 20, size=(9, 5)),
-            fmts.caps_data,
-            fmts.coupling,
-            acc_fmt,
+        executor = StreamExecutor.for_network(
+            tiny_qnet, accelerator=CapsAccAccelerator(config)
         )
-        result = accel.run_gemm(job)
-        assert result.overlapped_cycles == gemm_cycles(config, 6, 9, 5, overlap=True)["total"]
-        assert result.overlapped_cycles <= result.stats.total_cycles
+        result = executor.run_batch(tiny_images[:2])
+        priced = program_batch_cycles(config, executor.program, 2)
+        assert result.overlapped_cycles == priced["overlapped"]
+        assert result.overlapped_cycles <= result.total_cycles
+        for layer in result.layers.values():
+            assert layer.overlapped_cycles <= layer.stats.total_cycles

@@ -9,12 +9,12 @@ raise package errors — never silently corrupt state.
 import numpy as np
 import pytest
 
-from repro.capsnet.hwops import QuantizedFormats
+from repro.capsnet.hwops import QuantizedFormats, chunked_saturating_matmul
 from repro.capsnet.quantized import QuantizedCapsuleNet
 from repro.capsnet.weights import pseudo_trained_weights
 from repro.compiler.executor import StreamExecutor
 from repro.errors import ReproError
-from repro.hw.accelerator import CapsAccAccelerator, GemmJob
+from repro.hw.accelerator import CapsAccAccelerator, plan_tiling
 from repro.hw.config import AcceleratorConfig
 from tests.conftest import assert_matches_golden
 
@@ -92,13 +92,11 @@ class TestExtremeWeights:
 class TestAcceleratorEdges:
     def test_gemm_at_accumulator_limit_clamps(self, rng):
         config = AcceleratorConfig(rows=4, cols=4)
-        accel = CapsAccAccelerator(config)
         acc_fmt = FMTS.acc(FMTS.caps_data, FMTS.classcaps_weight)
         data = np.full((1, 3000), 127, dtype=np.int64)
         weights = np.full((3000, 1), 127, dtype=np.int64)
-        job = GemmJob("sat", data, weights, FMTS.caps_data, FMTS.classcaps_weight, acc_fmt)
-        result = accel.run_gemm(job)
-        assert result.acc[0, 0] == acc_fmt.raw_max
+        acc = chunked_saturating_matmul(data, weights, acc_fmt, config.rows)
+        assert acc[0, 0] == acc_fmt.raw_max
 
     def test_one_by_one_array(self, rng):
         config = AcceleratorConfig(rows=1, cols=1)
@@ -106,13 +104,16 @@ class TestAcceleratorEdges:
         acc_fmt = FMTS.acc(FMTS.caps_data, FMTS.classcaps_weight)
         data = rng.integers(-50, 50, size=(5, 7))
         weights = rng.integers(-50, 50, size=(7, 2))
-        job = GemmJob("1x1", data, weights, FMTS.caps_data, FMTS.classcaps_weight, acc_fmt)
-        for engine in ("fast", "stepped"):
-            result = accel.run_gemm(job, engine=engine)
-            expected = np.clip(
-                data.astype(np.int64) @ weights, acc_fmt.raw_min, acc_fmt.raw_max
-            )
-            assert np.array_equal(result.acc, expected)
+        expected = np.clip(
+            data.astype(np.int64) @ weights, acc_fmt.raw_min, acc_fmt.raw_max
+        )
+        fast = chunked_saturating_matmul(data, weights, acc_fmt, config.rows)
+        stepped = accel.stepped_gemm(
+            data, weights, FMTS.caps_data, FMTS.classcaps_weight, acc_fmt,
+            plan_tiling(config, 5, 7, 2),
+        )
+        assert np.array_equal(fast, expected)
+        assert np.array_equal(stepped, expected)
 
     def test_wide_rectangular_array(self, rng):
         config = AcceleratorConfig(rows=2, cols=16)
@@ -120,12 +121,14 @@ class TestAcceleratorEdges:
         acc_fmt = FMTS.acc(FMTS.caps_data, FMTS.classcaps_weight)
         data = rng.integers(-50, 50, size=(3, 5))
         weights = rng.integers(-50, 50, size=(5, 20))
-        job = GemmJob("wide", data, weights, FMTS.caps_data, FMTS.classcaps_weight, acc_fmt)
-        result = accel.run_gemm(job, engine="stepped")
+        stepped = accel.stepped_gemm(
+            data, weights, FMTS.caps_data, FMTS.classcaps_weight, acc_fmt,
+            plan_tiling(config, 3, 5, 20),
+        )
         expected = np.clip(
             data.astype(np.int64) @ weights, acc_fmt.raw_min, acc_fmt.raw_max
         )
-        assert np.array_equal(result.acc, expected)
+        assert np.array_equal(stepped, expected)
 
 
 class TestErrorPropagation:
@@ -145,15 +148,8 @@ class TestErrorPropagation:
         assert all(isinstance(exc, ReproError) for exc in failures)
 
     def test_corrupt_schedule_rejected(self, rng):
-        accel = CapsAccAccelerator(AcceleratorConfig(rows=4, cols=4))
         acc_fmt = FMTS.acc(FMTS.caps_data, FMTS.classcaps_weight)
-        job = GemmJob(
-            "bad",
-            rng.integers(-5, 5, size=(2, 3)),
-            rng.integers(-5, 5, size=(7, 2)),  # K mismatch
-            FMTS.caps_data,
-            FMTS.classcaps_weight,
-            acc_fmt,
-        )
+        data = rng.integers(-5, 5, size=(2, 3))
+        weights = rng.integers(-5, 5, size=(7, 2))  # K mismatch
         with pytest.raises(ReproError):
-            accel.run_gemm(job)
+            chunked_saturating_matmul(data, weights, acc_fmt, 4)

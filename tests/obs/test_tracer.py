@@ -34,7 +34,6 @@ from repro.obs.tracer import ARRIVE, COMPLETE, SHED, TIMEOUT
 from repro.serve import (
     ServerConfig,
     ServingSimulator,
-    StreamingSink,
     decision_diffs,
     uniform_trace,
 )
@@ -167,8 +166,6 @@ def test_fast_path_rejects_tracer(server, busy_trace):
     )
     with pytest.raises(ConfigError, match="recording path"):
         simulator.run(record_requests=False)
-    with pytest.raises(ConfigError, match="recording path"):
-        simulator.run(sink=StreamingSink())
 
 
 def test_fast_path_still_fine_without_tracer(server, busy_trace):

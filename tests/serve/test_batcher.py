@@ -1,14 +1,16 @@
-"""Dynamic batcher policy behavior: fill, timeout, FIFO order."""
+"""Batch policy behavior on a request queue: fill, timeout, FIFO order."""
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.serve.batcher import BatchPolicy, DynamicBatcher, QueuedRequest
+from repro.serve.batcher import BatchPolicy, QueuedRequest, RequestQueue
 
 
-def fill(batcher: DynamicBatcher, arrivals: list[float], start_index: int = 0) -> None:
-    for offset, arrival in enumerate(arrivals):
-        batcher.add(QueuedRequest(index=start_index + offset, arrival_us=arrival))
+def queued(arrivals: list[float]) -> RequestQueue:
+    queue = RequestQueue()
+    for index, arrival in enumerate(arrivals):
+        queue.append(QueuedRequest(index=index, arrival_us=arrival))
+    return queue
 
 
 class TestPolicy:
@@ -34,56 +36,56 @@ class TestTimeoutBeforeFill:
     """Light load: the coalescing wait expires before the batch fills."""
 
     def test_not_ready_before_deadline(self):
-        batcher = DynamicBatcher(BatchPolicy(max_batch=8, max_wait_us=100.0))
-        fill(batcher, [10.0, 50.0])
-        assert not batcher.ready(10.0)
-        assert not batcher.ready(109.9)
+        policy = BatchPolicy(max_batch=8, max_wait_us=100.0)
+        queue = queued([10.0, 50.0])
+        assert not policy.ready(queue, 10.0)
+        assert not policy.ready(queue, 109.9)
 
     def test_partial_batch_at_deadline(self):
-        batcher = DynamicBatcher(BatchPolicy(max_batch=8, max_wait_us=100.0))
-        fill(batcher, [10.0, 50.0])
-        assert batcher.oldest_deadline_us == 110.0
-        assert batcher.ready(110.0)
-        batch = batcher.take()
+        policy = BatchPolicy(max_batch=8, max_wait_us=100.0)
+        queue = queued([10.0, 50.0])
+        assert policy.next_deadline_us(queue) == 110.0
+        assert policy.ready(queue, 110.0)
+        batch = policy.take(queue)
         assert [request.index for request in batch] == [0, 1]
-        assert len(batcher) == 0
+        assert len(queue) == 0
 
     def test_zero_wait_dispatches_immediately(self):
-        batcher = DynamicBatcher(BatchPolicy(max_batch=8, max_wait_us=0.0))
-        fill(batcher, [10.0])
-        assert batcher.ready(10.0)
+        policy = BatchPolicy(max_batch=8, max_wait_us=0.0)
+        queue = queued([10.0])
+        assert policy.ready(queue, 10.0)
 
 
 class TestBurstFillsInstantly:
     """A burst of max_batch simultaneous arrivals is ready with no wait."""
 
     def test_full_batch_ready_at_arrival_instant(self):
-        batcher = DynamicBatcher(BatchPolicy(max_batch=8, max_wait_us=1e6))
-        fill(batcher, [42.0] * 8)
-        assert batcher.ready(42.0)
-        batch = batcher.take()
+        policy = BatchPolicy(max_batch=8, max_wait_us=1e6)
+        queue = queued([42.0] * 8)
+        assert policy.ready(queue, 42.0)
+        batch = policy.take(queue)
         assert len(batch) == 8
-        assert len(batcher) == 0
+        assert len(queue) == 0
 
     def test_overfull_queue_leaves_remainder_in_fifo_order(self):
-        batcher = DynamicBatcher(BatchPolicy(max_batch=4, max_wait_us=1e6))
-        fill(batcher, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        batch = batcher.take()
+        policy = BatchPolicy(max_batch=4, max_wait_us=1e6)
+        queue = queued([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        batch = policy.take(queue)
         assert [request.index for request in batch] == [0, 1, 2, 3]
-        assert len(batcher) == 2
-        assert batcher.oldest_deadline_us == pytest.approx(5.0 + 1e6)
+        assert len(queue) == 2
+        assert policy.next_deadline_us(queue) == pytest.approx(5.0 + 1e6)
 
     def test_batch_one_policy_always_ready(self):
-        batcher = DynamicBatcher(BatchPolicy(max_batch=1, max_wait_us=1e6))
-        fill(batcher, [7.0])
-        assert batcher.ready(7.0)
-        assert len(batcher.take()) == 1
+        policy = BatchPolicy(max_batch=1, max_wait_us=1e6)
+        queue = queued([7.0])
+        assert policy.ready(queue, 7.0)
+        assert len(policy.take(queue)) == 1
 
 
 class TestEmpty:
     def test_empty_not_ready_and_take_raises(self):
-        batcher = DynamicBatcher(BatchPolicy())
-        assert not batcher.ready(1e9)
-        assert batcher.oldest_deadline_us is None
+        policy, queue = BatchPolicy(), RequestQueue()
+        assert not policy.ready(queue, 1e9)
+        assert policy.next_deadline_us(queue) is None
         with pytest.raises(ConfigError):
-            batcher.take()
+            policy.take(queue)

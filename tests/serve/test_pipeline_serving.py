@@ -11,6 +11,7 @@ from repro.hw.config import AcceleratorConfig
 from repro.serve import (
     BatchPolicy,
     ScheduledBatchCost,
+    ServerConfig,
     ServingSimulator,
     poisson_trace,
     replay_trace,
@@ -67,11 +68,13 @@ class TestWarmCosts:
         def run(execute: bool):
             return ServingSimulator(
                 trace,
-                BatchPolicy(max_batch=4, max_wait_us=20.0),
-                cost,
+                server=ServerConfig(
+                    cost=cost,
+                    batching=BatchPolicy(max_batch=4, max_wait_us=20.0),
+                    pipeline=True,
+                ),
                 images=images,
                 execute=execute,
-                pipeline=True,
             ).run()
 
         executed, priced = run(True), run(False)
@@ -84,9 +87,11 @@ class TestWarmDispatch:
     def test_back_to_back_batches_run_warm(self, cost):
         report = ServingSimulator(
             saturating_trace(cost),
-            BatchPolicy(max_batch=4, max_wait_us=20.0),
-            cost,
-            pipeline=True,
+            server=ServerConfig(
+                cost=cost,
+                batching=BatchPolicy(max_batch=4, max_wait_us=20.0),
+                pipeline=True,
+            ),
         ).run()
         # Under saturation every batch after the first finds the queue
         # non-empty and dispatches the instant the array frees.
@@ -106,7 +111,12 @@ class TestWarmDispatch:
         gap = 10 * cost.config.cycles_to_us(cost.batch_cycles(1))
         trace = replay_trace(np.arange(1, 9) * gap)
         report = ServingSimulator(
-            trace, BatchPolicy(max_batch=1, max_wait_us=0.0), cost, pipeline=True
+            trace,
+            server=ServerConfig(
+                cost=cost,
+                batching=BatchPolicy(max_batch=1, max_wait_us=0.0),
+                pipeline=True,
+            ),
         ).run()
         assert report.warm_batches == 0
         assert report.drain_saved_total_us == 0.0
@@ -114,8 +124,17 @@ class TestWarmDispatch:
     def test_pipeline_improves_saturated_throughput(self, cost, tiny_qnet):
         trace = saturating_trace(cost)
         policy = BatchPolicy(max_batch=4, max_wait_us=20.0)
-        cold = ServingSimulator(trace, policy, ScheduledBatchCost(qnet=tiny_qnet)).run()
-        warm = ServingSimulator(trace, policy, cost, pipeline=True).run()
+        cold = ServingSimulator(
+            trace,
+            server=ServerConfig(
+                cost=ScheduledBatchCost(qnet=tiny_qnet),
+                batching=policy,
+            ),
+        ).run()
+        warm = ServingSimulator(
+            trace,
+            server=ServerConfig(cost=cost, batching=policy, pipeline=True),
+        ).run()
         assert warm.throughput_rps > cold.throughput_rps
         assert warm.drain_saved_total_us > 0.0
 
@@ -123,9 +142,16 @@ class TestWarmDispatch:
         trace = saturating_trace(cost)
         policy = BatchPolicy(max_batch=4, max_wait_us=20.0)
         plain = ServingSimulator(
-            trace, policy, ScheduledBatchCost(qnet=tiny_qnet)
+            trace,
+            server=ServerConfig(
+                cost=ScheduledBatchCost(qnet=tiny_qnet),
+                batching=policy,
+            ),
         ).run()
-        off = ServingSimulator(trace, policy, cost, pipeline=False).run()
+        off = ServingSimulator(
+            trace,
+            server=ServerConfig(cost=cost, batching=policy, pipeline=False),
+        ).run()
         a, b = plain.to_dict(), off.to_dict()
         for key in ("wall_seconds", "wall_rps"):
             a.pop(key), b.pop(key)
@@ -135,17 +161,22 @@ class TestWarmDispatch:
         plain = ScheduledBatchCost(qnet=tiny_qnet)
         trace = uniform_trace(100.0, 4)
         with pytest.raises(ConfigError):
-            ServingSimulator(trace, BatchPolicy(), plain, pipeline=True)
+            ServingSimulator(
+                trace,
+                server=ServerConfig(cost=plain, batching=BatchPolicy(), pipeline=True),
+            )
 
     def test_execute_mode_predictions_bit_exact(self, cost, tiny_qnet, tiny_images):
         trace = saturating_trace(cost, count=4)
         report = ServingSimulator(
             trace,
-            BatchPolicy(max_batch=4, max_wait_us=20.0),
-            cost,
+            server=ServerConfig(
+                cost=cost,
+                batching=BatchPolicy(max_batch=4, max_wait_us=20.0),
+                pipeline=True,
+            ),
             images=tiny_images,
             execute=True,
-            pipeline=True,
         ).run()
         assert report.warm_batches >= 0  # ran to completion
         executor = StreamExecutor.for_network(tiny_qnet)
@@ -158,9 +189,11 @@ class TestWarmDispatch:
     def test_report_fields(self, cost):
         report = ServingSimulator(
             saturating_trace(cost),
-            BatchPolicy(max_batch=4, max_wait_us=20.0),
-            cost,
-            pipeline=True,
+            server=ServerConfig(
+                cost=cost,
+                batching=BatchPolicy(max_batch=4, max_wait_us=20.0),
+                pipeline=True,
+            ),
         ).run()
         payload = report.to_dict()
         assert payload["pipeline"] is True
@@ -231,7 +264,12 @@ class TestPairKeyedWarmCosts:
         # Requests 1-4 arrive while request 0's batch occupies the array.
         trace = replay_trace([0.0, 1.0, 2.0, 3.0, 4.0])
         report = ServingSimulator(
-            trace, BatchPolicy(max_batch=4, max_wait_us=0.0), cost, pipeline=True
+            trace,
+            server=ServerConfig(
+                cost=cost,
+                batching=BatchPolicy(max_batch=4, max_wait_us=0.0),
+                pipeline=True,
+            ),
         ).run()
         assert [batch.size for batch in report.batches] == [1, 4]
         tail = report.batches[1]
@@ -246,11 +284,13 @@ class TestPairKeyedWarmCosts:
         images = np.concatenate([tiny_images, tiny_images[:1]])
         report = ServingSimulator(
             replay_trace([0.0, 1.0, 2.0, 3.0, 4.0]),
-            BatchPolicy(max_batch=4, max_wait_us=0.0),
-            cost,
+            server=ServerConfig(
+                cost=cost,
+                batching=BatchPolicy(max_batch=4, max_wait_us=0.0),
+                pipeline=True,
+            ),
             images=images,
             execute=True,
-            pipeline=True,
         ).run()
         assert [batch.size for batch in report.batches] == [1, 4]
         assert report.batches[1].cycles == cost.warm_batch_cycles(4, prev_size=1)

@@ -532,40 +532,35 @@ class TestMultiTenant:
 
 class TestLegacyEquivalence:
     def test_classic_constructor_matches_fifo_server(self, cost):
-        """The PR 2 constructor (trace, policy, cost) and the explicit fifo
-        ServerConfig produce identical reports."""
+        """The classic configuration — a ServerConfig holding only a cost
+        model and a batching policy — and the fifo preset produce
+        identical reports."""
         trace = overload_trace(cost, count=32)
         policy = BatchPolicy(max_batch=8, max_wait_us=30.0)
-        legacy = ServingSimulator(trace, policy, cost).run()
-        server = ServerConfig(cost=cost, batching=policy)
-        explicit = ServingSimulator(trace, server=server).run()
-        a, b = legacy.to_dict(), explicit.to_dict()
+        classic = ServingSimulator(
+            trace, server=ServerConfig(cost=cost, batching=policy)
+        ).run()
+        preset = ServerConfig.from_policy("fifo", cost, max_batch=8, max_wait_us=30.0)
+        explicit = ServingSimulator(trace, server=preset).run()
+        a, b = classic.to_dict(), explicit.to_dict()
         for key in ("wall_seconds", "wall_rps"):
             a.pop(key), b.pop(key)
         assert a == b
 
     def test_server_and_legacy_args_conflict(self, cost):
+        """A ServerConfig is the only way to configure the simulator: the
+        classic positional arguments and keywords no longer exist."""
         trace = uniform_trace(100.0, 4)
         server = ServerConfig(cost=cost)
-        with pytest.raises(ConfigError):
-            ServingSimulator(trace, BatchPolicy(), cost, server=server)
-        # The documented exclusivity covers every classic argument, not
-        # just (policy, cost) — silently ignoring arrays/pipeline would
-        # mislead the caller about what was simulated.
-        with pytest.raises(ConfigError):
+        with pytest.raises(TypeError):
+            ServingSimulator(trace, BatchPolicy(), cost)
+        with pytest.raises(TypeError):
             ServingSimulator(trace, server=server, arrays=4)
-        with pytest.raises(ConfigError):
-            ServingSimulator(trace, server=server, pipeline=True)
-        with pytest.raises(ConfigError):
-            ServingSimulator(trace, server=server, network_name="other")
-        # Restating a legacy default alongside server= is harmless.
-        assert ServingSimulator(
-            trace, server=server, arrays=1, pipeline=False
-        ).run().completed == 4
-        with pytest.raises(ConfigError):
+        with pytest.raises(TypeError):
             ServingSimulator(trace)
+        assert ServingSimulator(trace, server=server).run().completed == 4
         with pytest.raises(ConfigError):
-            ServingSimulator()
+            ServingSimulator(server=server)
         with pytest.raises(ConfigError):
             ServingSimulator(server=server, tenants=[])
 

@@ -725,6 +725,67 @@ class TestServingRuntimeLive:
             report.completed + report.shed_count + report.failed_count
         )
 
+    @pytest.mark.parametrize("deadline", [math.nan, math.inf, -math.inf])
+    def test_non_finite_deadline_submit_is_rejected_before_admission(
+        self, tiny_config, tiny_cost, live_images, deadline
+    ):
+        server = ServerConfig.from_policy(
+            "deadline", tiny_cost, max_wait_us=500.0, network_name="tiny"
+        )
+
+        async def scenario():
+            runtime = ServingRuntime(
+                server, executor=PredictedExecutor(tiny_config.image_size)
+            )
+            try:
+                with pytest.raises(ValueError, match="not finite"):
+                    await runtime.submit(live_images[0], deadline_us=deadline)
+                await runtime.submit(live_images[1])
+            finally:
+                await runtime.stop()
+            return runtime.report()
+
+        report = asyncio.run(scenario())
+        assert report.offered == report.completed == 1
+
+    def test_non_finite_deadline_socket_lines_are_bad_requests(
+        self, tiny_config, tiny_cost, live_images
+    ):
+        server = ServerConfig.from_policy(
+            "deadline", tiny_cost, max_wait_us=500.0, network_name="tiny"
+        )
+        image = live_images[0].tolist()
+        lines = [
+            (json.dumps({"id": i, "image": image, "deadline_us": value}) + "\n").encode()
+            for i, value in enumerate([math.nan, math.inf, -math.inf])
+        ]
+
+        async def scenario():
+            runtime = ServingRuntime(
+                server, executor=PredictedExecutor(tiny_config.image_size)
+            )
+            socket_server = await runtime.serve_socket()
+            port = socket_server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            replies = []
+            for line in lines + [request_line(3, live_images[1])]:
+                writer.write(line)
+                await writer.drain()
+                replies.append(json.loads(await reader.readline()))
+            writer.close()
+            await writer.wait_closed()
+            socket_server.close()
+            await socket_server.wait_closed()
+            await runtime.stop()
+            return replies, runtime.report()
+
+        replies, report = asyncio.run(scenario())
+        for reply, value in zip(replies[:3], ["nan", "inf", "-inf"]):
+            assert reply["error"] == f"bad request: deadline_us {value} is not finite"
+        assert replies[3]["id"] == 3 and "prediction" in replies[3]
+        # Rejected at the boundary: only the good line is counted.
+        assert report.offered == report.completed == 1
+
     def test_run_load_rejects_bad_images_before_offering(
         self, tiny_config, tiny_cost
     ):

@@ -9,6 +9,7 @@ from repro.serve import (
     BatchPolicy,
     MeasuredBatchCost,
     ScheduledBatchCost,
+    ServerConfig,
     ServingSimulator,
     poisson_trace,
     replay_trace,
@@ -29,8 +30,14 @@ class TestDeterminism:
     def test_same_seed_same_report(self, cost):
         trace = overload_trace(cost)
         policy = BatchPolicy(max_batch=8, max_wait_us=30.0)
-        first = ServingSimulator(trace, policy, cost).run()
-        second = ServingSimulator(trace, policy, cost).run()
+        first = ServingSimulator(
+            trace,
+            server=ServerConfig(cost=cost, batching=policy),
+        ).run()
+        second = ServingSimulator(
+            trace,
+            server=ServerConfig(cost=cost, batching=policy),
+        ).run()
         a, b = first.to_dict(), second.to_dict()
         a.pop("wall_seconds"), a.pop("wall_rps")
         b.pop("wall_seconds"), b.pop("wall_rps")
@@ -42,7 +49,11 @@ class TestExactCycles:
         """Every dispatched batch occupies an array for exactly the cycles
         the executor reports standalone for that batch size."""
         report = ServingSimulator(
-            overload_trace(cost), BatchPolicy(max_batch=8, max_wait_us=30.0), cost
+            overload_trace(cost),
+            server=ServerConfig(
+                cost=cost,
+                batching=BatchPolicy(max_batch=8, max_wait_us=30.0),
+            ),
         ).run()
         executor = StreamExecutor.for_network(tiny_qnet)
         size = tiny_qnet.config.image_size
@@ -55,7 +66,8 @@ class TestExactCycles:
 
     def test_compute_latency_matches_cycles(self, cost):
         report = ServingSimulator(
-            overload_trace(cost, count=16), BatchPolicy(max_batch=4), cost
+            overload_trace(cost, count=16),
+            server=ServerConfig(cost=cost, batching=BatchPolicy(max_batch=4)),
         ).run()
         config = cost.config
         for record in report.requests:
@@ -66,7 +78,11 @@ class TestExactCycles:
 class TestLatencyDecomposition:
     def test_components_sum_to_wait(self, cost):
         report = ServingSimulator(
-            overload_trace(cost), BatchPolicy(max_batch=8, max_wait_us=50.0), cost
+            overload_trace(cost),
+            server=ServerConfig(
+                cost=cost,
+                batching=BatchPolicy(max_batch=8, max_wait_us=50.0),
+            ),
         ).run()
         for record in report.requests:
             wait = record.dispatch_us - record.arrival_us
@@ -79,7 +95,11 @@ class TestLatencyDecomposition:
         no batching wait, no queueing, one full batch."""
         trace = replay_trace([100.0] * 8)
         report = ServingSimulator(
-            trace, BatchPolicy(max_batch=8, max_wait_us=1e6), cost
+            trace,
+            server=ServerConfig(
+                cost=cost,
+                batching=BatchPolicy(max_batch=8, max_wait_us=1e6),
+            ),
         ).run()
         assert len(report.batches) == 1
         assert report.batches[0].size == 8
@@ -93,7 +113,11 @@ class TestLatencyDecomposition:
         the wait is pure batching (an array sat idle throughout)."""
         trace = replay_trace([100.0, 150.0])
         report = ServingSimulator(
-            trace, BatchPolicy(max_batch=8, max_wait_us=200.0), cost
+            trace,
+            server=ServerConfig(
+                cost=cost,
+                batching=BatchPolicy(max_batch=8, max_wait_us=200.0),
+            ),
         ).run()
         assert len(report.batches) == 1
         assert report.batches[0].size == 2
@@ -105,7 +129,8 @@ class TestLatencyDecomposition:
 
     def test_batch_one_baseline_has_no_batching_wait(self, cost):
         report = ServingSimulator(
-            overload_trace(cost, count=32), BatchPolicy(max_batch=1), cost
+            overload_trace(cost, count=32),
+            server=ServerConfig(cost=cost, batching=BatchPolicy(max_batch=1)),
         ).run()
         assert all(batch.size == 1 for batch in report.batches)
         for record in report.requests:
@@ -116,8 +141,14 @@ class TestShardingAndThroughput:
     def test_multi_array_shards_and_speeds_up(self, cost):
         trace = overload_trace(cost, count=64)
         policy = BatchPolicy(max_batch=8, max_wait_us=30.0)
-        one = ServingSimulator(trace, policy, cost, arrays=1).run()
-        two = ServingSimulator(trace, policy, cost, arrays=2).run()
+        one = ServingSimulator(
+            trace,
+            server=ServerConfig(cost=cost, batching=policy, arrays=1),
+        ).run()
+        two = ServingSimulator(
+            trace,
+            server=ServerConfig(cost=cost, batching=policy, arrays=2),
+        ).run()
         assert two.makespan_us < one.makespan_us
         assert two.throughput_rps > one.throughput_rps
         busy = [stat["busy_us"] for stat in two.array_stats]
@@ -126,16 +157,24 @@ class TestShardingAndThroughput:
 
     def test_dynamic_batching_beats_batch1_under_overload(self, cost):
         trace = overload_trace(cost, count=64)
-        batch1 = ServingSimulator(trace, BatchPolicy(max_batch=1), cost).run()
+        batch1 = ServingSimulator(
+            trace,
+            server=ServerConfig(cost=cost, batching=BatchPolicy(max_batch=1)),
+        ).run()
         dynamic = ServingSimulator(
-            trace, BatchPolicy(max_batch=8, max_wait_us=30.0), cost
+            trace,
+            server=ServerConfig(
+                cost=cost,
+                batching=BatchPolicy(max_batch=8, max_wait_us=30.0),
+            ),
         ).run()
         assert dynamic.throughput_rps > batch1.throughput_rps
         assert dynamic.mean_batch_size > 4.0
 
     def test_utilization_near_one_under_overload(self, cost):
         report = ServingSimulator(
-            overload_trace(cost, count=64), BatchPolicy(max_batch=8), cost
+            overload_trace(cost, count=64),
+            server=ServerConfig(cost=cost, batching=BatchPolicy(max_batch=8)),
         ).run()
         assert 0.9 < report.array_stats[0]["utilization"] <= 1.0
 
@@ -147,7 +186,8 @@ class TestShardingAndThroughput:
         gap = 2.0 * cost.config.cycles_to_us(cost.batch_cycles(1))
         trace = replay_trace(np.arange(1, 17) * gap)
         report = ServingSimulator(
-            trace, BatchPolicy(max_batch=1), cost, arrays=2
+            trace,
+            server=ServerConfig(cost=cost, batching=BatchPolicy(max_batch=1), arrays=2),
         ).run()
         assert [batch.array for batch in report.batches] == [0, 1] * 8
         utilization = [stat["utilization"] for stat in report.array_stats]
@@ -161,8 +201,10 @@ class TestExecuteModeAndValidation:
         trace = replay_trace(np.linspace(0.0, 100.0, len(tiny_images)))
         report = ServingSimulator(
             trace,
-            BatchPolicy(max_batch=2, max_wait_us=10.0),
-            cost,
+            server=ServerConfig(
+                cost=cost,
+                batching=BatchPolicy(max_batch=2, max_wait_us=10.0),
+            ),
             images=tiny_images,
             execute=True,
         ).run()
@@ -177,8 +219,10 @@ class TestExecuteModeAndValidation:
         def run(execute: bool):
             return ServingSimulator(
                 trace,
-                BatchPolicy(max_batch=4, max_wait_us=30.0),
-                cost,
+                server=ServerConfig(
+                    cost=cost,
+                    batching=BatchPolicy(max_batch=4, max_wait_us=30.0),
+                ),
                 images=images,
                 execute=execute,
             ).run()
@@ -194,8 +238,7 @@ class TestExecuteModeAndValidation:
         cost = ScheduledBatchCost("tiny")
         report = ServingSimulator(
             poisson_trace(1000.0, 8, np.random.default_rng(0)),
-            BatchPolicy(max_batch=4),
-            cost,
+            server=ServerConfig(cost=cost, batching=BatchPolicy(max_batch=4)),
         ).run()
         assert report.completed == 8
 
@@ -205,23 +248,29 @@ class TestExecuteModeAndValidation:
         with pytest.raises(ConfigError, match="compiled program"):
             ServingSimulator(
                 trace,
-                BatchPolicy(),
-                measured,
+                server=ServerConfig(cost=measured, batching=BatchPolicy()),
                 images=tiny_images[:2],
                 execute=True,
             )
         with pytest.raises(ConfigError):
-            ServingSimulator(trace, BatchPolicy(), cost, execute=True)
+            ServingSimulator(
+                trace,
+                server=ServerConfig(cost=cost, batching=BatchPolicy()),
+                execute=True,
+            )
 
     def test_image_count_mismatch_rejected(self, cost, tiny_images):
         with pytest.raises(ShapeError):
             ServingSimulator(
-                replay_trace([1.0]), BatchPolicy(), cost, images=tiny_images
+                replay_trace([1.0]),
+                server=ServerConfig(cost=cost, batching=BatchPolicy()),
+                images=tiny_images,
             )
 
     def test_report_table_renders(self, cost):
         report = ServingSimulator(
-            overload_trace(cost, count=8), BatchPolicy(max_batch=4), cost
+            overload_trace(cost, count=8),
+            server=ServerConfig(cost=cost, batching=BatchPolicy(max_batch=4)),
         ).run()
         table = report.format_table()
         assert "queueing" in table and "batching" in table and "compute" in table

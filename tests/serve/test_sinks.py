@@ -1,9 +1,10 @@
-"""The explicit-sink API is the same machine as the legacy run() flags."""
+"""Completion sinks on the engine give the simulator's reports."""
+
+import inspect
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError
 from repro.serve import (
     RecordingSink,
     ScheduledBatchCost,
@@ -11,6 +12,7 @@ from repro.serve import (
     ServingSimulator,
     StreamingSink,
     poisson_trace,
+    replay_virtual,
 )
 
 BIN_US = 25.0
@@ -47,52 +49,37 @@ class TestExplicitSinks:
     def test_recording_sink_matches_default_run(self, tiny_cost, trace):
         default = ServingSimulator(trace, server=make_server(tiny_cost)).run()
         sink = RecordingSink()
-        explicit = ServingSimulator(trace, server=make_server(tiny_cost)).run(
-            sink=sink
-        )
+        explicit = replay_virtual(make_server(tiny_cost), trace, sink=sink)
         assert virtual_dict(explicit) == virtual_dict(default)
         # The report is assembled from the caller's sink, not a copy.
         assert len(sink.requests) == default.offered
         assert len(sink.batches) == default.batch_count
 
     def test_streaming_sink_matches_streaming_flag(self, tiny_cost, trace):
+        """The engine with a streaming sink and the simulator's own
+        streaming loop are two implementations of one report."""
         flagged = ServingSimulator(trace, server=make_server(tiny_cost)).run(
             record_requests=False, latency_bin_us=BIN_US
         )
-        explicit = ServingSimulator(trace, server=make_server(tiny_cost)).run(
-            sink=StreamingSink(bin_us=BIN_US)
+        explicit = replay_virtual(
+            make_server(tiny_cost), trace, sink=StreamingSink(bin_us=BIN_US)
         )
         assert virtual_dict(explicit) == virtual_dict(flagged)
 
     def test_streaming_sink_carries_its_own_bin_width(self, tiny_cost, trace):
-        explicit = ServingSimulator(trace, server=make_server(tiny_cost)).run(
-            # latency_bin_us must be ignored when a sink is passed.
-            record_requests=False,
-            latency_bin_us=999.0,
-            sink=StreamingSink(bin_us=BIN_US),
+        explicit = replay_virtual(
+            make_server(tiny_cost), trace, sink=StreamingSink(bin_us=BIN_US)
         )
         assert explicit.streaming.components["total"].bin_us == BIN_US
 
-    def test_log_kind_sink_bounds_percentile_error_relatively(
-        self, tiny_cost, trace
-    ):
-        exact = ServingSimulator(trace, server=make_server(tiny_cost)).run()
-        logged = ServingSimulator(trace, server=make_server(tiny_cost)).run(
-            sink=StreamingSink(bin_us=10.0, kind="log", subbins=64)
-        )
-        assert logged.completed == exact.completed
-        exact_summary = exact.latency_summary()["total"]
-        log_summary = logged.latency_summary()["total"]
-        for key in ("p50_us", "p95_us", "p99_us"):
-            reference = exact_summary[key]
-            tolerance = max(10.0, reference / 64)
-            assert abs(log_summary[key] - reference) <= tolerance, key
+    def test_flags_are_the_only_result_path_switch(self):
+        """``run`` selects its path by the two flags alone, and the
+        streaming sink takes no histogram options besides its bin width."""
+        def names(function):
+            return list(inspect.signature(function).parameters)[1:]
 
-    def test_unknown_sink_rejected(self, tiny_cost, trace):
-        class NotASink:
-            pass
-
-        with pytest.raises(ConfigError, match="sink"):
-            ServingSimulator(trace, server=make_server(tiny_cost)).run(
-                sink=NotASink()
-            )
+        assert names(ServingSimulator.run) == ["record_requests", "latency_bin_us"]
+        assert names(StreamingSink.__init__) == ["bin_us", "pipeline"]
+        assert names(ServingSimulator.__init__) == [
+            "trace", "server", "images", "execute", "tenants", "tracer",
+        ]

@@ -234,7 +234,10 @@ class TestStreamingSimulation:
         cost = ScheduledBatchCost(qnet=tiny_qnet)
         trace = replay_trace(np.array([1.0, 2.0, 3.0, 4.0]))
         simulator = ServingSimulator(
-            trace, cost=cost, images=tiny_images, execute=True
+            trace,
+            server=ServerConfig(cost=cost),
+            images=tiny_images,
+            execute=True,
         )
         with pytest.raises(ConfigError):
             simulator.run(record_requests=False)
