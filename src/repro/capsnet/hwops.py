@@ -644,4 +644,8 @@ def hw_softmax(
     numer = exps * (2 * scale)
     numer += denom
     coupling = numer // (2 * denom)
-    return saturate_raw(coupling, fmts.coupling, in_place=True)
+    # Unsigned exp codes give 0 <= e <= d, so the quotient lies in
+    # [0, scale]: the clip can only bite when scale exceeds the format.
+    if luts.exp.out_fmt.signed or scale > fmts.coupling.raw_max:
+        coupling = saturate_raw(coupling, fmts.coupling, in_place=True)
+    return coupling

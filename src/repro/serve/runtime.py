@@ -31,7 +31,10 @@ Three layers, each usable on its own:
   (:meth:`ServingRuntime.serve_socket`) that pipelines each connection:
   it keeps reading while up to :data:`SOCKET_INFLIGHT_LIMIT` (64) of the
   connection's requests are in flight, and replies in completion order,
-  so clients match replies to requests by ``id``.  Requests buffer into a
+  so clients match replies to requests by ``id``.  Socket requests do not
+  enter through ``submit``: each line is admitted synchronously, dispatch
+  runs once per event-loop turn, and each connection's replies go out
+  grouped, one write per loop turn.  Requests buffer into a
   power-of-two image ring so FIFO batches assemble as zero-copy
   contiguous views; formed batches execute on a thread pool sized like
   the simulated array pool, and completions re-enter the event loop via
@@ -47,6 +50,7 @@ import math
 import time
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -102,6 +106,55 @@ async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
             return None
         except asyncio.LimitOverrunError as error:
             consumed = error.consumed
+
+
+class _SocketConnection:
+    """One JSONL connection's buffered replies and in-flight count.
+
+    Replies buffer until the loop's next turn, which writes them with one
+    ``writer.write``; the handler waits on :meth:`wait_inflight` for the
+    connection's requests to settle.
+    """
+
+    def __init__(
+        self, loop: asyncio.AbstractEventLoop, writer: asyncio.StreamWriter
+    ) -> None:
+        self.loop = loop
+        self.writer = writer
+        self.inflight = 0
+        self._replies: list[str] = []
+        self._waiter: asyncio.Future | None = None
+
+    def reply(self, request_id, key: str, value) -> None:
+        """Buffer one reply line; the first line of a turn schedules the write."""
+        if not self._replies:
+            self.loop.call_soon(self.flush)
+        self._replies.append(json.dumps({"id": request_id, key: value}) + "\n")
+
+    def flush(self) -> None:
+        """Write every buffered reply (dropped once the writer is closing)."""
+        if self._replies:
+            data = "".join(self._replies).encode()
+            self._replies.clear()
+            if not self.writer.is_closing():
+                self.writer.write(data)
+
+    def settle(self, request_id, future: asyncio.Future) -> None:
+        """Done-callback of an admitted request's future: buffer its reply."""
+        self.inflight -= 1
+        error = future.exception()
+        if error is None:
+            self.reply(request_id, "prediction", future.result())
+        else:
+            self.reply(request_id, "error", f"failed: {error}")
+        if self._waiter is not None and not self._waiter.done():
+            self._waiter.set_result(None)
+
+    async def wait_inflight(self, bound: int) -> None:
+        """Return once at most ``bound`` requests are in flight."""
+        while self.inflight > bound:
+            self._waiter = self.loop.create_future()
+            await self._waiter
 
 
 class RequestShedError(RuntimeError):
@@ -711,7 +764,6 @@ def replay_virtual(
     server: ServerConfig,
     trace: ArrivalTrace | None = None,
     tenants: list[TenantSpec] | None = None,
-    sink: CompletionSink | None = None,
     tracer=None,
 ) -> ServingReport:
     """Replay a trace through a fresh :class:`RuntimeEngine` in virtual
@@ -723,7 +775,7 @@ def replay_virtual(
         tenants = [TenantSpec(name=server.network_name, trace=trace)]
     elif trace is not None:
         raise ConfigError("pass either a trace or a tenants list, not both")
-    return run_virtual(RuntimeEngine(server, tenants, sink=sink, tracer=tracer))
+    return run_virtual(RuntimeEngine(server, tenants, tracer=tracer))
 
 
 class ServingRuntime:
@@ -750,7 +802,6 @@ class ServingRuntime:
         self,
         server: ServerConfig,
         executor=None,
-        sink: CompletionSink | None = None,
         clock: Clock | None = None,
         max_pending: int = 2048,
         tenants: list[TenantSpec] | None = None,
@@ -777,7 +828,7 @@ class ServingRuntime:
         # core's single instrumentation point.
         self.metrics = metrics
         self.engine = RuntimeEngine(
-            server, tenants, sink=sink, tracer=combine_tracers(tracer, metrics)
+            server, tenants, tracer=combine_tracers(tracer, metrics)
         )
         self.clock: Clock = clock if clock is not None else MonotonicClock()
         self._metrics_interval_s = metrics_interval_s
@@ -810,8 +861,9 @@ class ServingRuntime:
         self._timer: asyncio.TimerHandle | None = None
         self._timer_deadline = math.inf
         self._drain_event: asyncio.Event | None = None
-        #: Open socket connections: handler task -> its stream writer.
-        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
+        #: Open socket connections: handler task -> its connection.
+        self._connections: dict[asyncio.Task, _SocketConnection] = {}
+        self._kick_scheduled = False
         self._closed = False
 
     # ---- lifecycle ---------------------------------------------------------
@@ -882,8 +934,9 @@ class ServingRuntime:
             self._sample_metrics_now()
         self._threads.shutdown(wait=True)
         self.executor.close()
-        for writer in self._connections.values():
-            writer.close()
+        for connection in self._connections.values():
+            connection.flush()
+            connection.writer.close()
         if self._connections:
             await asyncio.wait(list(self._connections))
 
@@ -966,29 +1019,52 @@ class ServingRuntime:
         the request, or :class:`~repro.serve.workers.WorkerCrashError`
         if its batch's executor died.
         """
-        loop = self._ensure_loop()
-        while self._pending >= self.max_pending:
-            if self._failure is not None:
-                raise self._failure
+        self._ensure_loop()
+        if self._pending >= self.max_pending:
+            await self._await_capacity()
+        now = self.clock.now_us()
+        future = self._admit(now, np.asarray(image), deadline_us, tenant)
+        self._kick(now)
+        return await future
+
+    async def _await_capacity(self) -> None:
+        """Backpressure: wait until fewer than ``max_pending`` requests
+        are queued or in flight, or the runtime can no longer serve."""
+        while (
+            self._pending >= self.max_pending
+            and self._failure is None
+            and not self._closed
+        ):
             await self._wait_for_completion(timeout=0.01)
+
+    def _admit(
+        self, now_us: float, image: np.ndarray, deadline_us, tenant: int = 0
+    ) -> asyncio.Future:
+        """Admit one request at ``now_us``: the future of its prediction.
+
+        The one admission step of :meth:`submit` and the socket front end.
+        Raises :class:`ValueError` for a malformed image or deadline, the
+        stored failure or :class:`~repro.errors.ConfigError` when the
+        runtime cannot serve, and :class:`RequestShedError` when admission
+        sheds the request; only the last is counted.  Dispatch is left to
+        the caller.
+        """
+        self._check_images(image[np.newaxis])
+        self._check_deadline(deadline_us)
         if self._failure is not None:
             raise self._failure
         if self._closed:
             raise ConfigError("runtime is stopped")
-        self._check_images(np.asarray(image)[np.newaxis])
-        self._check_deadline(deadline_us)
-        now = self.clock.now_us()
         index, admitted = self.engine.offer(
-            now, deadline_us=deadline_us, tenant=tenant
+            now_us, deadline_us=deadline_us, tenant=tenant
         )
         if not admitted:
             raise RequestShedError(f"request {index} shed by admission")
         self._pending += 1
         self._ring[index & self._mask] = image
-        future: asyncio.Future = loop.create_future()
+        future = self._loop.create_future()
         self._futures[index] = future
-        self._kick(now)
-        return await future
+        return future
 
     async def run_load(
         self,
@@ -1066,34 +1142,26 @@ class ServingRuntime:
         Each connection is pipelined: the handler reads the next line
         while earlier requests are still in flight, up to
         :data:`SOCKET_INFLIGHT_LIMIT` per connection, then stops reading
-        (TCP pushes back on the client) until a reply frees a slot.
-        Replies go out in completion order, not request order; clients
-        match them by ``id``.  At end of stream or a read error the
-        handler waits for the connection's outstanding requests before
-        it closes the connection.  Returns the :class:`asyncio.Server`
-        (the caller owns its lifetime; the bound port is
-        ``server.sockets[0].getsockname()[1]``).
+        (TCP pushes back on the client) until a reply frees a slot; at
+        ``max_pending`` it waits for capacity as :meth:`submit` does.
+        Socket requests do not go through :meth:`submit`: each valid line
+        is admitted synchronously (the admission step ``submit`` uses),
+        dispatch runs once per event-loop turn over everything admitted
+        in that turn, and a request's reply is buffered by a done-callback
+        on its future.  Each connection's buffered replies go out together
+        once per loop turn, in completion order, not request order;
+        clients match them by ``id``.  At end of stream or a read error
+        the handler waits for the connection's outstanding requests and
+        writes their replies before it closes the connection.  Returns
+        the :class:`asyncio.Server` (the caller owns its lifetime; the
+        bound port is ``server.sockets[0].getsockname()[1]``).
         """
-        self._ensure_loop()
-
-        async def respond(writer, slots, request_id, image, deadline) -> None:
-            try:
-                prediction = await self.submit(image, deadline_us=deadline)
-                reply = {"id": request_id, "prediction": prediction}
-            except RequestShedError:
-                reply = {"id": request_id, "error": "shed"}
-            except (WorkerCrashError, ConfigError) as error:
-                reply = {"id": request_id, "error": f"failed: {error}"}
-            finally:
-                slots.release()
-            if not writer.is_closing():
-                writer.write((json.dumps(reply) + "\n").encode())
+        loop = self._ensure_loop()
 
         async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-            slots = asyncio.Semaphore(SOCKET_INFLIGHT_LIMIT)
-            inflight: set[asyncio.Task] = set()
-            connection = asyncio.current_task()
-            self._connections[connection] = writer
+            connection = _SocketConnection(loop, writer)
+            task = asyncio.current_task()
+            self._connections[task] = connection
             try:
                 while True:
                     line = await _read_line(reader)
@@ -1113,29 +1181,32 @@ class ServingRuntime:
                             or not isinstance(deadline, (int, float))
                         ):
                             raise TypeError(f"deadline_us {deadline!r} is not a number")
-                        self._check_deadline(deadline)
                         image = np.asarray(payload["image"])
-                        self._check_images(image[np.newaxis])
+                        if connection.inflight >= SOCKET_INFLIGHT_LIMIT:
+                            await connection.wait_inflight(SOCKET_INFLIGHT_LIMIT - 1)
+                        if self._pending >= self.max_pending:
+                            await self._await_capacity()
+                        future = self._admit(self.clock.now_us(), image, deadline)
                     except (KeyError, ValueError, TypeError) as error:
-                        reply = {"id": request_id, "error": f"bad request: {error}"}
-                        writer.write((json.dumps(reply) + "\n").encode())
+                        connection.reply(request_id, "error", f"bad request: {error}")
+                    except RequestShedError:
+                        connection.reply(request_id, "error", "shed")
+                    except (WorkerCrashError, ConfigError) as error:
+                        connection.reply(request_id, "error", f"failed: {error}")
                     else:
-                        await slots.acquire()
-                        task = asyncio.create_task(
-                            respond(writer, slots, request_id, image, deadline)
-                        )
-                        inflight.add(task)
-                        task.add_done_callback(inflight.discard)
+                        connection.inflight += 1
+                        future.add_done_callback(partial(connection.settle, request_id))
+                        self._kick_next_turn()
                     # The read loop is the connection's only drainer, so a
                     # client that stops reading its replies stops the reads.
                     await writer.drain()
             except ConnectionError:
                 pass  # the peer is gone; outstanding requests still finish
             finally:
-                if inflight:
-                    await asyncio.wait(inflight)
+                await connection.wait_inflight(0)
+                connection.flush()
                 writer.close()
-                del self._connections[connection]
+                del self._connections[task]
 
         return await asyncio.start_server(handle, host, port)
 
@@ -1148,6 +1219,17 @@ class ServingRuntime:
         for placed in self.engine.dispatch_ready(now_us):
             self._launch(placed)
         self._arm_timer(now_us)
+
+    def _kick_next_turn(self) -> None:
+        """Run :meth:`_kick` once, on the loop's next turn, however many
+        requests this turn admits."""
+        if not self._kick_scheduled:
+            self._kick_scheduled = True
+            self._loop.call_soon(self._scheduled_kick)
+
+    def _scheduled_kick(self) -> None:
+        self._kick_scheduled = False
+        self._kick(self.clock.now_us())
 
     def _launch(self, placed: PlacedBatch) -> None:
         self._inflight_batches += 1

@@ -1,5 +1,6 @@
 """Unit tests for the bit-accurate quantized operators."""
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -458,6 +459,29 @@ class TestHwSoftmax:
         got = from_raw(hw_softmax(logits_raw, luts, fmts, axis=1), fmts.coupling)
         exact = softmax(from_raw(logits_raw, fmts.logits), axis=1)
         assert np.max(np.abs(got - exact)) < 0.08
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.lists(st.integers(-128, 127), min_size=3, max_size=3),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_skipped_clip_cannot_bite(self, fmts, luts, rows):
+        # Qs1.6 coupling holds the whole [0, 64] quotient range, so the
+        # final clip is skipped; clipping the output must change nothing.
+        assert (1 << fmts.coupling.frac_bits) <= fmts.coupling.raw_max
+        with mock.patch.object(hwops, "saturate_raw", wraps=saturate_raw) as clip:
+            out = hw_softmax(np.array(rows), luts, fmts, axis=1)
+        assert [call.args[1] for call in clip.call_args_list] == [fmts.logits]
+        assert np.array_equal(saturate_raw(out, fmts.coupling), out)
+
+    def test_clip_kept_when_scale_exceeds_format(self, fmts, luts):
+        # Qs0.7 cannot hold 1.0: a one-hot row's 128 clips to 127.
+        narrow = dataclasses.replace(fmts, coupling=QFormat(8, 7))
+        out = hw_softmax(np.array([[127, -128]]), luts, narrow, axis=1)
+        assert out.tolist() == [[127, 0]]
 
     def test_shift_invariance(self, fmts, luts):
         logits = np.array([[0, 16, 32]], dtype=np.int64)

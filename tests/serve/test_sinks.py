@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from repro.serve import (
-    RecordingSink,
     ScheduledBatchCost,
     ServerConfig,
+    ServingRuntime,
     ServingSimulator,
     StreamingSink,
     poisson_trace,
@@ -48,33 +48,42 @@ def make_server(cost):
 class TestExplicitSinks:
     def test_recording_sink_matches_default_run(self, tiny_cost, trace):
         default = ServingSimulator(trace, server=make_server(tiny_cost)).run()
-        sink = RecordingSink()
-        explicit = replay_virtual(make_server(tiny_cost), trace, sink=sink)
-        assert virtual_dict(explicit) == virtual_dict(default)
-        # The report is assembled from the caller's sink, not a copy.
-        assert len(sink.requests) == default.offered
-        assert len(sink.batches) == default.batch_count
+        replayed = replay_virtual(make_server(tiny_cost), trace)
+        assert virtual_dict(replayed) == virtual_dict(default)
+        # The engine's default sink records every request and batch.
+        assert len(replayed.requests) == replayed.offered == len(trace.times_us)
+        assert len(replayed.batches) == replayed.batch_count
 
     def test_streaming_sink_matches_streaming_flag(self, tiny_cost, trace):
-        """The engine with a streaming sink and the simulator's own
-        streaming loop are two implementations of one report."""
+        """The streaming loop's histograms and the recorded run are two
+        views of one run: everything but the latency percentiles agrees,
+        and those agree to a bin."""
+        recorded = virtual_dict(ServingSimulator(trace, server=make_server(tiny_cost)).run())
+        flagged = virtual_dict(
+            ServingSimulator(trace, server=make_server(tiny_cost)).run(
+                record_requests=False, latency_bin_us=BIN_US
+            )
+        )
+        assert (flagged.pop("record_requests"), recorded.pop("record_requests")) == (False, True)
+        assert (flagged.pop("latency_bin_us"), recorded.pop("latency_bin_us")) == (BIN_US, None)
+        exact, binned = recorded.pop("latency_us"), flagged.pop("latency_us")
+        assert flagged == recorded
+        assert exact.keys() == binned.keys()
+        for component, summary in exact.items():
+            assert summary["mean_us"] == pytest.approx(binned[component]["mean_us"])
+            for key in ("p50_us", "p95_us", "p99_us"):
+                assert abs(summary[key] - binned[component][key]) <= BIN_US
+
+    def test_streaming_sink_carries_its_own_bin_width(self, tiny_cost, trace):
         flagged = ServingSimulator(trace, server=make_server(tiny_cost)).run(
             record_requests=False, latency_bin_us=BIN_US
         )
-        explicit = replay_virtual(
-            make_server(tiny_cost), trace, sink=StreamingSink(bin_us=BIN_US)
-        )
-        assert virtual_dict(explicit) == virtual_dict(flagged)
-
-    def test_streaming_sink_carries_its_own_bin_width(self, tiny_cost, trace):
-        explicit = replay_virtual(
-            make_server(tiny_cost), trace, sink=StreamingSink(bin_us=BIN_US)
-        )
-        assert explicit.streaming.components["total"].bin_us == BIN_US
+        assert flagged.streaming.components["total"].bin_us == BIN_US
 
     def test_flags_are_the_only_result_path_switch(self):
-        """``run`` selects its path by the two flags alone, and the
-        streaming sink takes no histogram options besides its bin width."""
+        """``run`` selects its path by the two flags alone, the streaming
+        sink takes no histogram options besides its bin width, and the
+        virtual replay and the live runtime always record."""
         def names(function):
             return list(inspect.signature(function).parameters)[1:]
 
@@ -83,3 +92,5 @@ class TestExplicitSinks:
         assert names(ServingSimulator.__init__) == [
             "trace", "server", "images", "execute", "tenants", "tracer",
         ]
+        assert "sink" not in inspect.signature(replay_virtual).parameters
+        assert "sink" not in inspect.signature(ServingRuntime).parameters
